@@ -383,21 +383,22 @@ class ClassicalSegment:
     # -- field reconstruction ---------------------------------------------
 
     def _arrivals(self, xs: np.ndarray, tq: np.ndarray, frontier) -> np.ndarray:
-        n = self.n_interfaces
-        T = np.full((xs.size, n), math.inf)
-        for j in range(n):
-            T[:, j] = self._path.invert_col(j, xs, self._signs[j], not_reached=math.inf)
+        T = np.full((xs.size, self.n_interfaces), math.inf)
+        _, Y, _ = self._path.arrays()
+        # an interface is monotone, so it can only have crossed the points its
+        # motion swept; the rest stay unreached or behind its start
+        ahead = self._signs * xs[:, None]
+        beyond = ahead > self._signs * Y[-1]
+        swept = (ahead > self._signs * Y[0]) & ~beyond
+        for j in np.flatnonzero(swept.any(axis=0)):
+            rows = swept[:, j]
+            T[rows, j] = self._path.invert_col(j, xs[rows], self._signs[j])
         if frontier is not None:
             tn, xn, fn = frontier
-            for j in range(n):
-                need = ~np.isfinite(T[:, j])
-                if not np.any(need):
-                    continue
-                if fn[j] == 0.0:
-                    continue
-                t_lin = tn + (xs[need] - xn[j]) / fn[j]
-                ok = (t_lin > tn) & (t_lin <= tq[need] + 1e-15)
-                T[need, j] = np.where(ok, t_lin, math.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_lin = tn + (xs[:, None] - xn) / fn
+            ok = beyond & (fn != 0.0) & (t_lin > tn) & (t_lin <= tq[:, None] + 1e-15)
+            T[ok] = t_lin[ok]
         # crossings at or before the segment start are part of the initial state
         T[T <= self.t_start] = math.inf
         return T
@@ -411,14 +412,11 @@ class ClassicalSegment:
         motion), and stays exterior otherwise; this is the limit the exact
         flow composition needs for continuity of v.
         """
-        phase0 = np.asarray(self.omega_start.contains(xs)).copy()
-        endpoints = self.omega_start.endpoints
-        for j, xk in enumerate(endpoints):
-            k = j + 1
-            expanding = (k % 2 == 1 and self._signs[j] < 0) or (k % 2 == 0 and self._signs[j] > 0)
-            if expanding:
-                phase0 |= xs == xk
-        return phase0
+        phase0 = np.asarray(self.omega_start.contains(xs))
+        # a left end (parity -1) expands moving left, a right end moving right
+        expanding = self._signs == self._parity
+        ends = np.asarray(self.omega_start.endpoints)[expanding]
+        return phase0 | (xs[:, None] == ends).any(axis=1)
 
     def _v_field(self, xs: np.ndarray, tq: np.ndarray, frontier=None) -> np.ndarray:
         phase0 = self._initial_phase(xs)
@@ -429,7 +427,9 @@ class ClassicalSegment:
             return np.asarray(flow_outside(self.params, v, dt))
         S = np.sort(self._arrivals(xs, tq, frontier), axis=1)
         prev = np.full(xs.shape, self.t_start)
-        for slot in range(n + 1):
+        # past the last finite arrival every point has flowed up to tq
+        n_cross = int(np.max(np.count_nonzero(np.isfinite(S), axis=1), initial=0))
+        for slot in range(n_cross + 1):
             bend = tq if slot == n else np.minimum(S[:, slot], tq)
             dt = np.maximum(bend - prev, 0.0)
             inside = phase0 ^ (slot % 2 == 1)
@@ -487,25 +487,16 @@ class ClassicalSegment:
             k3 = self._rhs(tn + _RK_C3 * h, xn + (_RK_C3 * h) * k2, frontier)
             x_new = xn + h * (_RK_B[0] * k1 + _RK_B[1] * k2 + _RK_B[2] * k3)
             k4 = self._rhs(tn + h, x_new, frontier)
-            err = float(
-                np.max(
-                    np.abs(
-                        h
-                        * (
-                            _RK_E[0] * k1
-                            + _RK_E[1] * k2
-                            + _RK_E[2] * k3
-                            + _RK_E[3] * k4
-                        )
-                    )
-                )
-            )
+            errs = np.abs(h * (_RK_E[0] * k1 + _RK_E[1] * k2 + _RK_E[2] * k3 + _RK_E[3] * k4))
+            err = float(np.max(errs))
             allowed = self.tol_step * h
             if err <= allowed:
                 break
             if h <= h_min:
                 raise StepFailure(
-                    f"cannot satisfy tol_step={self.tol_step:g} at t={tn!r} (err={err:.3e})"
+                    f"cannot satisfy tol_step={self.tol_step:g} at t={tn!r}: h={h:.3e}, "
+                    f"err={err:.3e} > allowed={allowed:.3e}, "
+                    f"largest at interface k={int(np.argmax(errs)) + 1}"
                 )
             self.stats.rejected += 1
             h = max(h * max(0.2, 0.9 * math.sqrt(allowed / err)), h_min)

@@ -43,7 +43,6 @@ _NUMERICAL_ERRORS = (
     FHNBlowUp,
     DomainTooSmall,
     InterfaceCountMismatch,
-    RuntimeError,
 )
 
 _EPILOG = """\

@@ -3,8 +3,8 @@
 A weak solution is a chain of classical segments joined by surgery: when two
 adjacent interfaces collide, the colliding pair is removed (a merge absorbs
 the touching point of two components, a vanish deletes an empty component),
-the field is resampled at the collision time, and a fresh classical segment
-is started from the surgered data.  The module also provides numerical checks
+and a fresh classical segment starts from the surgered data, its field the
+exact field at the collision time.  The module also provides numerical checks
 of the integral identities that characterize weak solutions, the structural
 no-nucleation test, and the two-continuation demo of the degenerate-start
 ill-posedness.
@@ -124,40 +124,30 @@ def events_as_json(w: WeakSolution) -> str:
 
 # --- surgery ---------------------------------------------------------------
 
-def _dedupe_sorted(xs: np.ndarray, tol: float) -> np.ndarray:
-    xs = np.sort(xs)
-    keep = np.ones(xs.shape, dtype=bool)
-    keep[1:] = np.diff(xs) > tol
-    return xs[keep]
+class _ContinuedField:
+    """The field of a finished segment at its end time, clipped at zero.
+
+    Starts the segment after an annihilation in place of a resampled copy, so
+    the field stays exact through every surgery.  xs are the structural knots
+    (the kinks of the field); vs and bound are read off them.
+    """
+
+    def __init__(self, seg: ClassicalSegment, t: float, xs: np.ndarray):
+        self._seg = seg
+        self._t = t
+        self.xs = xs
+        self.vs = self.eval(xs)
+        self.bound = float(np.max(self.vs))
+
+    def eval(self, x) -> np.ndarray | float:
+        out = np.maximum(self._seg.evaluate_v(x, self._t), 0.0)
+        return float(out) if np.ndim(x) == 0 else out
+
+    __call__ = eval
 
 
-def _refined_samples(f, knots: np.ndarray, tol: float, max_points: int = 500_000):
-    """Insert midpoints until linear interpolation matches f to tol."""
-    xs = knots.copy()
-    vs = np.atleast_1d(f(xs))
-    for _ in range(40):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        fm = np.atleast_1d(f(mids))
-        lin = 0.5 * (vs[:-1] + vs[1:])
-        widths = np.diff(xs)
-        bad = (np.abs(fm - lin) > tol) & (widths > 1e-9)
-        if not np.any(bad) or xs.size + int(bad.sum()) > max_points:
-            break
-        merged = np.concatenate([xs, mids[bad]])
-        values = np.concatenate([vs, fm[bad]])
-        order = np.argsort(merged, kind="stable")
-        xs, vs = merged[order], values[order]
-    return xs, vs
-
-
-def _surgery_core(
-    seg: ClassicalSegment,
-    ev: EventRecord,
-    *,
-    resample_tol: float = 1e-9,
-    margin: float | None = None,
-):
-    """Remove collided pairs at ev.time and resample the field there.
+def _surgery_core(seg: ClassicalSegment, ev: EventRecord, *, margin: float | None = None):
+    """Remove collided pairs at ev.time and continue the field from there.
 
     Returns (omega, profile, extra_events, dead_labels).  extra_events covers
     the measure-zero case of further gaps closing within event tolerance of
@@ -193,18 +183,19 @@ def _surgery_core(
 
     omega_new = IntervalSet(tuple(pos[keep]))
 
-    knots = np.concatenate(
-        [
-            np.asarray(seg.profile_start.xs, dtype=float),
-            np.asarray(seg.omega_start.endpoints, dtype=float),
-            pos,
-            np.asarray([ev.position]),
-        ]
-    )
-    knots = _dedupe_sorted(knots, 1e-12 * max(1.0, float(np.max(np.abs(knots)))))
-    f = lambda xs: np.maximum(np.atleast_1d(np.asarray(seg.evaluate_v(xs, t_a))), 0.0)
-    xs, vs = _refined_samples(f, knots, resample_tol)
-    profile_new = Profile(xs, vs)
+    # Kinks of v never move once made: the initial profile knots, the initial
+    # endpoints and the event positions.  The fronts add one more where they
+    # stand now; it smooths out once they move on (their speed is continuous
+    # through the surgery), so the previous surgery's front positions go.
+    old = np.asarray(seg.profile_start.xs, dtype=float)
+    starts = np.asarray(seg.omega_start.endpoints, dtype=float)
+    if isinstance(seg.profile_start, _ContinuedField):
+        old = old[~np.isin(old, starts)]
+    else:
+        old = np.concatenate([old, starts])
+    events = [e.position for e in (ev, *extra_events)]
+    knots = np.unique(np.concatenate([old, pos[keep], events]))
+    profile_new = _ContinuedField(seg, t_a, knots)
 
     try:
         validate_initial(seg.params, omega_new, profile_new, margin)
@@ -217,14 +208,10 @@ def _surgery_core(
 
 
 def annihilation_surgery(
-    seg: ClassicalSegment,
-    ev: EventRecord,
-    *,
-    resample_tol: float = 1e-9,
-    margin: float | None = None,
+    seg: ClassicalSegment, ev: EventRecord, *, margin: float | None = None
 ) -> tuple[IntervalSet, Profile]:
-    """State just after the annihilation: collided pair removed, field resampled."""
-    omega, profile, _, _ = _surgery_core(seg, ev, resample_tol=resample_tol, margin=margin)
+    """State just after the annihilation: collided pair removed, field continued."""
+    omega, profile, _, _ = _surgery_core(seg, ev, margin=margin)
     return omega, profile
 
 
@@ -241,10 +228,12 @@ def glue(w: WeakSolution, seg: ClassicalSegment, *, tol: float = 1e-8) -> WeakSo
         grid = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
     v_prev = np.atleast_1d(np.asarray(prev.evaluate_v(grid, prev.t_end)))
     v_next = np.atleast_1d(np.asarray(seg.profile_start.eval(grid)))
-    sup = float(np.max(np.abs(v_prev - v_next))) if grid.size else 0.0
-    if sup > tol:
+    jumps = np.abs(v_prev - v_next)
+    i = int(np.argmax(jumps))
+    if jumps[i] > tol:
         raise GlueMismatch(
-            f"recovery field jumps by {sup:.3e} (tol {tol:.1e}) across the junction at t={t_j!r}"
+            f"recovery field jumps by {jumps[i]:.3e} (tol {tol:.1e}) across the junction at "
+            f"t={t_j!r}, x={grid[i]!r}: v={v_prev[i]!r} before, {v_next[i]!r} after"
         )
     return WeakSolution(w.params, list(w.segments) + [seg], list(w.events))
 
@@ -258,7 +247,6 @@ def run_weak(
     tol_step: float = 1e-8,
     tol_event: float = 1e-10,
     margin: float | None = None,
-    resample_tol: float = 1e-9,
     glue_tol: float = 1e-8,
     max_steps: int = 500_000,
 ) -> WeakSolution:
@@ -284,9 +272,7 @@ def run_weak(
         w = glue(w, seg, tol=glue_tol)
         if ev is None:
             break
-        omega, prof, extras, dead = _surgery_core(
-            seg, ev, resample_tol=resample_tol, margin=margin
-        )
+        omega, prof, extras, dead = _surgery_core(seg, ev, margin=margin)
         w.events.extend([ev, *extras])
         if len(w.events) > max_events:
             raise RuntimeError("more annihilations than interfaces; invariant violated")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import frontsim.cli
 from frontsim.cli import main, run_scenario
 from frontsim.config import ConfigError, preset_config, validate_config
 
@@ -136,6 +137,15 @@ class TestMainExitCodes:
         cfg = tmp_path / "stall.ini"
         cfg.write_text(GOOD_CONFIG.replace("profile_value = 0.0", "profile_value = 0.5"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_invariant_violation_propagates(self, tmp_path, monkeypatch):
+        # a plain RuntimeError is a bug, not a numerical failure with exit 3
+        def violated(cfg):
+            raise RuntimeError("invariant violated")
+
+        monkeypatch.setattr(frontsim.cli, "run_scenario", violated)
+        with pytest.raises(RuntimeError, match="invariant violated"):
+            main(["run", "--preset", "expanding", "--out", str(tmp_path)])
 
     def test_missing_target(self):
         assert main(["run"]) == 1

@@ -55,6 +55,17 @@ class TestSurgery:
             new_omega, _ = annihilation_surgery(seg, ev)
             assert new_omega.m == ev.components_before - 1
 
+    def test_continued_field_is_exact(self, pstar, rng):
+        for setup in (merge_setup, shrinking_setup):
+            omega, v0 = setup(pstar)
+            seg, ev = run_segment(pstar, omega, v0, 0.0, 5.0)
+            _, new_profile = annihilation_surgery(seg, ev)
+            xs = rng.uniform(-6.0, 6.0, size=200)
+            exact = np.maximum(seg.evaluate_v(xs, ev.time), 0.0)
+            assert np.max(np.abs(new_profile.eval(xs) - exact)) <= 1e-14
+            old_knots = seg.profile_start.xs.size
+            assert new_profile.xs.size <= old_knots + 2 * seg.n_interfaces + 1
+
 
 class TestGlue:
     def test_identity_embedding(self, pstar):
@@ -73,7 +84,7 @@ class TestGlue:
 
         bumped = Profile(new_profile.xs, np.asarray(new_profile.vs) + 1e-3)
         bad = ClassicalSegment(pstar, new_omega, bumped, ev.time, 3.0, labels=(1, 4))
-        with pytest.raises(GlueMismatch):
+        with pytest.raises(GlueMismatch, match=r"x=\S+: v=\S+ before, \S+ after"):
             glue(w, bad)
 
     def test_time_mismatch_rejected(self, pstar):
@@ -137,6 +148,28 @@ class TestRunWeak:
         assert rec["kind"] == "merge"
         assert rec["components_before"] == 2 and rec["components_after"] == 1
         assert {"time", "position", "indices", "labels"} <= set(rec)
+
+
+class TestGeneratedCascade:
+    def test_random_intervals_all_merge(self, pstar):
+        rng = np.random.default_rng(16)
+        lengths = rng.uniform(0.5, 2.0, 16)
+        gaps = rng.uniform(0.5, 2.0, 15)
+        xs = [0.0, lengths[0]]
+        for gap, length in zip(gaps, lengths[1:]):
+            xs.extend([xs[-1] + gap, xs[-1] + gap + length])
+        v0 = Profile.constant(0.0, (xs[0] - 20.0, xs[-1] + 20.0))
+        w = run_weak(pstar, IntervalSet(tuple(xs)), v0, 3.0)
+        # on v0 = 0 every front runs at W(0) = 1, so each gap closes at gap/2
+        by_labels = {ev.labels: ev for ev in w.events}
+        assert len(by_labels) == 15
+        for j, gap in enumerate(gaps):
+            ev = by_labels[(2 * j + 2, 2 * j + 3)]
+            assert ev.time == pytest.approx(gap / 2, abs=1e-8)
+            assert ev.position == pytest.approx(0.5 * (xs[2 * j + 1] + xs[2 * j + 2]), abs=1e-8)
+        assert w.interface_positions(3.0) == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
+        assert check_no_nucleation(w)
+        assert max(seg.profile_start.xs.size for seg in w.segments) < 4 * 32 + v0.xs.size
 
 
 class TestNoNucleation:
