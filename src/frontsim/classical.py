@@ -101,66 +101,71 @@ def _hermite_deriv(theta, h, y0, f0, y1, f1):
 
 
 class DensePath:
-    """Accepted integration knots (t_i, y_i, f_i) with C1 cubic dense output."""
+    """Accepted integration knots (t_i, y_i, f_i) with C1 cubic dense output.
+
+    The knots live in arrays that double when full; arrays() returns
+    read-only views of the filled rows, so appending costs O(1) amortized.
+    """
 
     def __init__(self, t0: float, y0, f0):
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         f0 = np.atleast_1d(np.asarray(f0, dtype=float))
-        self._ts = [float(t0)]
-        self._ys = [y0.copy()]
-        self._fs = [f0.copy()]
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._t = np.empty(16)
+        self._Y = np.empty((16, y0.size))
+        self._F = np.empty((16, y0.size))
+        self._n = 0
+        self._put(float(t0), y0, f0)
+
+    def _put(self, t: float, y, f) -> None:
+        if self._n == self._t.size:
+            self._t = np.resize(self._t, 2 * self._n)
+            self._Y = np.resize(self._Y, (2 * self._n, self.dim))
+            self._F = np.resize(self._F, (2 * self._n, self.dim))
+        self._t[self._n] = t
+        self._Y[self._n] = y
+        self._F[self._n] = f
+        self._n += 1
 
     def __len__(self) -> int:
-        return len(self._ts)
+        return self._n
 
     @property
     def dim(self) -> int:
-        return self._ys[0].size
+        return self._Y.shape[1]
 
     @property
     def t_start(self) -> float:
-        return self._ts[0]
+        return float(self._t[0])
 
     @property
     def t_end(self) -> float:
-        return self._ts[-1]
+        return float(self._t[self._n - 1])
 
     def append(self, t: float, y, f) -> None:
-        if t <= self._ts[-1]:
+        if t <= self._t[self._n - 1]:
             raise ValueError("knot times must increase")
-        self._ts.append(float(t))
-        self._ys.append(np.asarray(y, dtype=float).copy())
-        self._fs.append(np.asarray(f, dtype=float).copy())
-        self._cache = None
+        self._put(float(t), y, f)
 
     def truncate_last(self, t_cut: float) -> None:
         """Shorten the final step to end at t_cut, keeping the same cubic."""
-        if len(self._ts) < 2 or not (self._ts[-2] < t_cut <= self._ts[-1]):
+        n = self._n
+        if n < 2 or not (self._t[n - 2] < t_cut <= self._t[n - 1]):
             raise ValueError("t_cut must lie inside the final step")
         y_cut = self.eval(t_cut)
         f_cut = self.deriv(t_cut)
-        self._ts[-1] = float(t_cut)
-        self._ys[-1] = np.atleast_1d(y_cut)
-        self._fs[-1] = np.atleast_1d(f_cut)
-        self._cache = None
+        self._t[n - 1] = float(t_cut)
+        self._Y[n - 1] = y_cut
+        self._F[n - 1] = f_cut
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._cache is None:
-            self._cache = (
-                np.asarray(self._ts),
-                np.vstack(self._ys),
-                np.vstack(self._fs),
-            )
-        return self._cache
+        views = (self._t[: self._n], self._Y[: self._n], self._F[: self._n])
+        for a in views:
+            a.flags.writeable = False
+        return views
 
     def last(self) -> tuple[float, np.ndarray, np.ndarray]:
-        return self._ts[-1], self._ys[-1], self._fs[-1]
-
-    def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts, _, _ = self.arrays()
-        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, max(len(ts) - 2, 0))
-        return ts, idx
+        n = self._n - 1
+        return float(self._t[n]), self._Y[n].copy(), self._F[n].copy()
 
     def eval(self, t) -> np.ndarray:
         tq = np.atleast_1d(np.asarray(t, dtype=float))
@@ -351,6 +356,15 @@ class ClassicalSegment:
             self.finished = True
         self._h = min(math.sqrt(self.tol_step), 0.25 * (self.t_goal - self.t_start))
         self._degeneracy_flagged = False
+        # A profile that continues a finished segment's field from this start
+        # time (weak's surgery builds one) names that segment in `segment`;
+        # the field is then one fold over the whole history.
+        prior = getattr(profile_start, "segment", None)
+        if prior is not None and prior.t_end == self.t_start:
+            self._chain = (*prior._chain, prior)
+        else:
+            self._chain = ()
+        self._index_history()
 
     # -- basic queries ----------------------------------------------------
 
@@ -382,29 +396,54 @@ class ClassicalSegment:
 
     # -- field reconstruction ---------------------------------------------
 
+    def _index_history(self) -> None:
+        """Flatten the finished segments before this one, and this one's fixed
+        data, into the arrays the fold reads: one column per (segment,
+        interface), i.e. per segment start endpoint."""
+        segs = (*self._chain, self)
+        self._origin = segs[0].profile_start
+        self._t_origin = segs[0].t_start
+        self._cols = [(s._path, j) for s in segs for j in range(s.n_interfaces)]
+        self._col_x0 = np.concatenate([np.asarray(s.omega_start.endpoints, dtype=float) for s in segs])
+        self._col_sign = np.concatenate([s._signs for s in segs])
+        self._col_from = self._col_sign * self._col_x0
+        self._col_t0 = np.concatenate([np.full(s.n_interfaces, s.t_start) for s in segs])
+        # a left end (parity -1) expands moving left, a right end moving right
+        self._col_expanding = np.concatenate([s._signs == s._parity for s in segs])
+        self._seg_cols = np.cumsum([0] + [s.n_interfaces for s in segs])
+        self._past_to = np.concatenate(
+            [np.zeros(0)] + [s._signs * s._path.arrays()[1][-1] for s in self._chain]
+        )
+        self._resets = np.asarray([s.t_start for s in segs[1:]], dtype=float)
+
     def _arrivals(self, xs: np.ndarray, tq: np.ndarray, frontier) -> np.ndarray:
-        T = np.full((xs.size, self.n_interfaces), math.inf)
+        """Crossing times at xs of every interface column of the history; inf
+        where the interface never crossed the point after its segment began."""
         _, Y, _ = self._path.arrays()
+        n_past = self._past_to.size
         # an interface is monotone, so it can only have crossed the points its
         # motion swept; the rest stay unreached or behind its start
-        ahead = self._signs * xs[:, None]
-        beyond = ahead > self._signs * Y[-1]
-        swept = (ahead > self._signs * Y[0]) & ~beyond
-        for j in np.flatnonzero(swept.any(axis=0)):
-            rows = swept[:, j]
-            T[rows, j] = self._path.invert_col(j, xs[rows], self._signs[j])
+        ahead = self._col_sign * xs[:, None]
+        beyond = ahead > np.concatenate([self._past_to, self._signs * Y[-1]])
+        swept = (ahead > self._col_from) & ~beyond
+        T = np.full(ahead.shape, math.inf)
+        for c in np.flatnonzero(swept.any(axis=0)):
+            rows = swept[:, c]
+            path, col = self._cols[c]
+            T[rows, c] = path.invert_col(col, xs[rows], self._col_sign[c])
         if frontier is not None:
             tn, xn, fn = frontier
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_lin = tn + (xs[:, None] - xn) / fn
-            ok = beyond & (fn != 0.0) & (t_lin > tn) & (t_lin <= tq[:, None] + 1e-15)
-            T[ok] = t_lin[ok]
-        # crossings at or before the segment start are part of the initial state
-        T[T <= self.t_start] = math.inf
+            ok = beyond[:, n_past:] & (fn != 0.0) & (t_lin > tn) & (t_lin <= tq[:, None] + 1e-15)
+            T[:, n_past:][ok] = t_lin[ok]
+        # crossings at or before a segment's start are part of its initial state
+        T[T <= self._col_t0] = math.inf
         return T
 
-    def _initial_phase(self, xs: np.ndarray) -> np.ndarray:
-        """Membership of each point in the excited set for t -> t_start+.
+    def _start_phases(self, xs: np.ndarray) -> np.ndarray:
+        """Membership of each point in each segment's excited set for
+        t -> t_start+, one column per segment of the history.
 
         Interior/exterior points keep their open-set membership.  A point
         exactly at an endpoint is absorbed into the interior immediately when
@@ -412,25 +451,45 @@ class ClassicalSegment:
         motion), and stays exterior otherwise; this is the limit the exact
         flow composition needs for continuity of v.
         """
-        phase0 = np.asarray(self.omega_start.contains(xs))
-        # a left end (parity -1) expands moving left, a right end moving right
-        expanding = self._signs == self._parity
-        ends = np.asarray(self.omega_start.endpoints)[expanding]
-        return phase0 | (xs[:, None] == ends).any(axis=1)
+        X = xs[:, None]
+        ends = self._col_x0
+        # open membership: an odd count of endpoints below x, none equal to it
+        inside = self._odd_per_segment(X > ends) & self._odd_per_segment(X >= ends)
+        # endpoints increase, so at most one per segment equals x
+        return inside | self._odd_per_segment((X == ends) & self._col_expanding)
+
+    def _odd_per_segment(self, mask: np.ndarray) -> np.ndarray:
+        """Whether each row of a (points, columns) mask holds an odd number
+        of True in each segment's block of columns."""
+        prefix = np.zeros((mask.shape[0], mask.shape[1] + 1), dtype=bool)
+        np.logical_xor.accumulate(mask, axis=1, out=prefix[:, 1:])
+        return prefix[:, self._seg_cols[1:]] ^ prefix[:, self._seg_cols[:-1]]
 
     def _v_field(self, xs: np.ndarray, tq: np.ndarray, frontier=None) -> np.ndarray:
-        phase0 = self._initial_phase(xs)
-        v = np.atleast_1d(np.asarray(self.profile_start.eval(xs), dtype=float)).copy()
-        n = self.n_interfaces
-        if n == 0:
-            dt = np.maximum(tq - self.t_start, 0.0)
-            return np.asarray(flow_outside(self.params, v, dt))
-        S = np.sort(self._arrivals(xs, tq, frontier), axis=1)
-        prev = np.full(xs.shape, self.t_start)
-        # past the last finite arrival every point has flowed up to tq
-        n_cross = int(np.max(np.count_nonzero(np.isfinite(S), axis=1), initial=0))
+        """v(xs, tq): the exact flows folded from the first segment's profile
+        over each point's whole in/out history, whatever the segment.
+
+        Every event of the history is a phase toggle: a crossing, or a segment
+        start whose phase differs from the one the crossings before it carry
+        (the points between two colliding fronts).  Pieces of equal phase
+        across a segment start thus flow in one call, so the work follows a
+        point's phase changes, not the number of segments.
+        """
+        phases = self._start_phases(xs)
+        T = self._arrivals(xs, tq, frontier)
+        if self._resets.size:
+            carried = phases[:, :-1] ^ self._odd_per_segment(np.isfinite(T))[:, :-1]
+            resets = np.where(carried != phases[:, 1:], self._resets, math.inf)
+            T = np.concatenate([T, resets], axis=1)
+        T.sort(axis=1)
+        phase0 = phases[:, 0]
+        v = np.atleast_1d(np.asarray(self._origin.eval(xs), dtype=float)).copy()
+        n = T.shape[1]
+        prev = np.full(xs.shape, self._t_origin)
+        # past the last finite event every point has flowed up to tq
+        n_cross = int(np.max(np.count_nonzero(np.isfinite(T), axis=1), initial=0))
         for slot in range(n_cross + 1):
-            bend = tq if slot == n else np.minimum(S[:, slot], tq)
+            bend = tq if slot == n else np.minimum(T[:, slot], tq)
             dt = np.maximum(bend - prev, 0.0)
             inside = phase0 ^ (slot % 2 == 1)
             m_in = inside & (dt > 0.0)

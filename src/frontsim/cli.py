@@ -10,7 +10,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,13 +73,18 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _trajectories_csv(w: WeakSolution, t_end: float, n_samples: int, labels) -> str:
-    lines = ["t," + ",".join(f"x_{lab}" for lab in labels)]
     times = np.linspace(0.0, t_end, n_samples)
-    for t in times:
-        seg = w.segment_at(float(t))
-        pos = dict(zip(seg.labels, np.atleast_1d(seg.positions(float(t)))))
-        row = [_fmt(t)] + [_fmt(pos.get(lab, math.nan)) for lab in labels]
-        lines.append(",".join(row))
+    column = {lab: j for j, lab in enumerate(labels)}
+    table = np.full((times.size, len(labels)), math.nan)
+    owner = w.segment_index(times)
+    for i, seg in enumerate(w.segments):
+        rows = np.flatnonzero(owner == i)
+        if rows.size and seg.n_interfaces:
+            cols = [column[lab] for lab in seg.labels]
+            table[np.ix_(rows, cols)] = seg.positions(times[rows])
+    lines = ["t," + ",".join(f"x_{lab}" for lab in labels)]
+    for t, row in zip(times, table):
+        lines.append(",".join([_fmt(t)] + [_fmt(x) for x in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -235,18 +239,16 @@ def _sweep(args) -> int:
         return 1
     base_out = args.out or "out"
 
-    def one(name: str) -> int:
-        path = os.path.join(args.sweep, name)
+    codes = []
+    for name in configs:
         try:
-            cfg = load_config_file(path)
+            cfg = load_config_file(os.path.join(args.sweep, name))
         except ConfigError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
-            return 1
+            codes.append(1)
+            continue
         cfg.out_dir = os.path.join(base_out, os.path.splitext(name)[0])
-        return _dispatch(cfg, name)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        codes = list(pool.map(one, configs))
+        codes.append(_dispatch(cfg, name))
     return max(codes)
 
 
@@ -280,8 +282,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario")
     run_p.add_argument("--out", help="output directory (overrides config)")
     run_p.add_argument("--oracle", metavar="eps=LIST", help="cross-validate, e.g. eps=0.05,0.02")
-    run_p.add_argument("--sweep", metavar="DIR", help="run every .ini in DIR concurrently")
-    run_p.add_argument("--jobs", type=int, default=4, help="sweep worker threads")
+    run_p.add_argument("--sweep", metavar="DIR", help="run every .ini in DIR, one after another")
 
     args = parser.parse_args(argv)
 

@@ -45,7 +45,7 @@ def weak_solution_curves(w, samples_per_segment: int = 160):
         if seg.n_interfaces == 0:
             continue
         ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
-        pos = np.vstack([np.atleast_1d(seg.positions(float(t))) for t in ts])
+        pos = seg.positions(ts)
         for j, traj in enumerate(seg.trajectories):
             curves.setdefault(traj.label, []).extend(zip(pos[:, j], ts))
         for comp in range(seg.n_interfaces // 2):

@@ -70,20 +70,22 @@ class WeakSolution:
     def t_end(self) -> float:
         return self.segments[-1].t_end if self.segments else 0.0
 
-    def segment_at(self, t: float) -> ClassicalSegment:
+    def segment_index(self, t) -> np.ndarray:
+        """Index of the segment each time belongs to (vectorized over t)."""
         if not self.segments:
             raise ValueError("empty weak solution")
-        starts = [seg.t_start for seg in self.segments]
-        idx = int(np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1))
-        return self.segments[idx]
+        starts = np.asarray([seg.t_start for seg in self.segments])
+        return np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
+
+    def segment_at(self, t: float) -> ClassicalSegment:
+        return self.segments[int(self.segment_index(t))]
 
     def evaluate_v(self, x, t) -> np.ndarray | float:
         xs, ts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         shape = xs.shape
         xf = xs.ravel().astype(float)
         tf = ts.ravel().astype(float)
-        starts = np.asarray([seg.t_start for seg in self.segments])
-        idx = np.clip(np.searchsorted(starts, tf, side="right") - 1, 0, len(starts) - 1)
+        idx = self.segment_index(tf)
         out = np.empty(xf.shape)
         for j in np.unique(idx):
             mask = idx == j
@@ -125,23 +127,23 @@ def events_as_json(w: WeakSolution) -> str:
 # --- surgery ---------------------------------------------------------------
 
 class _ContinuedField:
-    """The field of a finished segment at its end time, clipped at zero.
+    """The field of a finished segment at its end time.
 
-    Starts the segment after an annihilation in place of a resampled copy, so
-    the field stays exact through every surgery.  xs are the structural knots
-    (the kinks of the field); vs and bound are read off them.
+    Starts the segment after an annihilation in place of a resampled copy.
+    Through `segment` that next segment folds its field over the whole
+    history from the first profile, so no evaluation recurses through
+    earlier segments.  xs are the structural knots (the kinks of the field);
+    vs and bound are read off them.
     """
 
-    def __init__(self, seg: ClassicalSegment, t: float, xs: np.ndarray):
-        self._seg = seg
-        self._t = t
+    def __init__(self, seg: ClassicalSegment, xs: np.ndarray):
+        self.segment = seg
         self.xs = xs
         self.vs = self.eval(xs)
         self.bound = float(np.max(self.vs))
 
     def eval(self, x) -> np.ndarray | float:
-        out = np.maximum(self._seg.evaluate_v(x, self._t), 0.0)
-        return float(out) if np.ndim(x) == 0 else out
+        return self.segment.evaluate_v(x, self.segment.t_end)
 
     __call__ = eval
 
@@ -195,7 +197,7 @@ def _surgery_core(seg: ClassicalSegment, ev: EventRecord, *, margin: float | Non
         old = np.concatenate([old, starts])
     events = [e.position for e in (ev, *extra_events)]
     knots = np.unique(np.concatenate([old, pos[keep], events]))
-    profile_new = _ContinuedField(seg, t_a, knots)
+    profile_new = _ContinuedField(seg, knots)
 
     try:
         validate_initial(seg.params, omega_new, profile_new, margin)

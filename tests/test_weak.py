@@ -6,7 +6,8 @@ import pytest
 
 from frontsim.kinetics import flow_inside, flow_outside
 from frontsim.state import IntervalSet, Profile
-from frontsim.classical import ClassicalSegment, EventKind, run_segment
+from frontsim import classical
+from frontsim.classical import ClassicalSegment, EventKind, NotReached, run_segment
 from frontsim.weak import (
     GlueMismatch,
     SpaceTimePolynomial,
@@ -150,16 +151,22 @@ class TestRunWeak:
         assert {"time", "position", "indices", "labels"} <= set(rec)
 
 
+@pytest.fixture(scope="module")
+def cascade16(pstar):
+    """16 random intervals on v0 = 0 that all merge by t = 3."""
+    rng = np.random.default_rng(16)
+    lengths = rng.uniform(0.5, 2.0, 16)
+    gaps = rng.uniform(0.5, 2.0, 15)
+    xs = [0.0, lengths[0]]
+    for gap, length in zip(gaps, lengths[1:]):
+        xs.extend([xs[-1] + gap, xs[-1] + gap + length])
+    v0 = Profile.constant(0.0, (xs[0] - 20.0, xs[-1] + 20.0))
+    return xs, gaps, v0, run_weak(pstar, IntervalSet(tuple(xs)), v0, 3.0)
+
+
 class TestGeneratedCascade:
-    def test_random_intervals_all_merge(self, pstar):
-        rng = np.random.default_rng(16)
-        lengths = rng.uniform(0.5, 2.0, 16)
-        gaps = rng.uniform(0.5, 2.0, 15)
-        xs = [0.0, lengths[0]]
-        for gap, length in zip(gaps, lengths[1:]):
-            xs.extend([xs[-1] + gap, xs[-1] + gap + length])
-        v0 = Profile.constant(0.0, (xs[0] - 20.0, xs[-1] + 20.0))
-        w = run_weak(pstar, IntervalSet(tuple(xs)), v0, 3.0)
+    def test_random_intervals_all_merge(self, cascade16):
+        xs, gaps, v0, w = cascade16
         # on v0 = 0 every front runs at W(0) = 1, so each gap closes at gap/2
         by_labels = {ev.labels: ev for ev in w.events}
         assert len(by_labels) == 15
@@ -170,6 +177,116 @@ class TestGeneratedCascade:
         assert w.interface_positions(3.0) == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
         assert check_no_nucleation(w)
         assert max(seg.profile_start.xs.size for seg in w.segments) < 4 * 32 + v0.xs.size
+
+
+def _mixed_data(rng, m=5):
+    """m random intervals, some shrinking and some growing, on a random
+    piecewise-linear v0 with |W| >= 0.2 at every endpoint.
+
+    A shrinking interval has v0 in [0.6, 0.9] at its ends and a higher peak
+    inside; a growing one has v0 in [0.1, 0.3] at its ends, and each gap falls
+    to a flat floor below 0.05.  Every front thus speeds up as it moves: a
+    front that slows down trips the stepper's known StepFailure (its
+    first-same-as-last k1 reuse), which is not what these inputs test.  A gap beside a shrinking
+    interval is wide, so no growing front reaches its rise before t = 2.
+    """
+    shrink = rng.permutation(np.arange(m) < m // 2)
+    ends, knots, vals = [], [], []
+    x = 0.0
+    for j in range(m):
+        if j:
+            gap = rng.uniform(2.5, 3.5) if shrink[j] != shrink[j - 1] else rng.uniform(0.5, 1.5)
+            floor = rng.uniform(0.0, 0.05)
+            knots += [x + 0.2 * gap, x + 0.8 * gap]
+            vals += [floor, floor]
+            x += gap
+        lo, hi = x, x + (rng.uniform(0.3, 0.8) if shrink[j] else rng.uniform(0.5, 1.5))
+        if shrink[j]:
+            e = rng.uniform(0.6, 0.9, 2)
+            peak = rng.uniform(e.max(), 1.0)
+        else:
+            e = rng.uniform(0.1, 0.3, 2)
+            peak = rng.uniform(0.0, 0.3)
+        knots += [lo, 0.5 * (lo + hi), hi]
+        vals += [e[0], peak, e[1]]
+        ends += [lo, hi]
+        x = hi
+    knots = [ends[0] - 10.0, *knots, ends[-1] + 10.0]
+    vals = [0.0, *vals, 0.0]
+    return IntervalSet(tuple(ends)), Profile(np.asarray(knots), np.asarray(vals))
+
+
+def _composed_v(w: WeakSolution, x: float, t: float) -> float:
+    """v(x, t) by scalar flows composed segment by segment: each segment
+    starts from its own omega_start phase and flips at every crossing."""
+    v = float(w.segments[0].profile_start.eval(x))
+    for seg in w.segments:
+        if seg.t_start > t:
+            break
+        end = min(seg.t_end, t)
+        inside = bool(seg.omega_start.contains(x)) or any(
+            x == xe and tr.sign == (-1) ** tr.k
+            for xe, tr in zip(seg.omega_start.endpoints, seg.trajectories)
+        )
+        crossings = []
+        for tr in seg.trajectories:
+            try:
+                ta = tr.arrival_time(x)
+            except NotReached:
+                continue
+            if seg.t_start < ta <= end:
+                crossings.append(ta)
+        prev = seg.t_start
+        for ta in [*sorted(crossings), end]:
+            v = (flow_inside if inside else flow_outside)(w.params, v, ta - prev)
+            prev, inside = ta, not inside
+    return v
+
+
+class TestFlatFold:
+    """The field of a multi-segment run is one fold over the whole history."""
+
+    def test_matches_segment_by_segment_composition(self, pstar):
+        rng = np.random.default_rng(31)
+        omega, v0 = _mixed_data(rng, m=4)
+        w = run_weak(pstar, omega, v0, 1.5)
+        assert {ev.kind for ev in w.events} == {EventKind.MERGE, EventKind.VANISH}
+        probes = []
+        for seg in w.segments[:-1]:
+            ev = seg.event
+            pos = seg.positions(ev.time)
+            i, j = ev.indices
+            # the annihilation sliver between the colliding fronts, ends included
+            for x in np.linspace(pos[i - 1], pos[j - 1], 5):
+                probes += [(x, ev.time), (x, 0.5 * (ev.time + w.t_end)), (x, w.t_end)]
+            probes.append((ev.position, ev.time))
+        for t in rng.uniform(0.0, w.t_end, 8):
+            probes += [(x, t) for x in w.interface_positions(t)]
+        lo, hi = omega.endpoints[0] - 3.0, omega.endpoints[-1] + 3.0
+        probes += zip(rng.uniform(lo, hi, 60), rng.uniform(0.0, w.t_end, 60))
+        xs, ts = np.asarray(probes).T
+        got = np.asarray(w.evaluate_v(xs, ts))
+        want = np.asarray([_composed_v(w, x, t) for x, t in probes])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_flow_calls_do_not_grow_with_segments(self, cascade16, monkeypatch):
+        # one evaluation late in the cascade costs as many kernel calls as one
+        # in its first segment, however many annihilations came between
+        _, _, v0, w = cascade16
+        calls = []
+        for name in ("flow_inside", "flow_outside"):
+            kernel = getattr(classical, name)
+            monkeypatch.setattr(
+                classical, name, lambda *a, _k=kernel: calls.append(1) or _k(*a)
+            )
+        xs = np.linspace(v0.xs[0] + 16.0, v0.xs[-1] - 16.0, 400)
+        counts = []
+        for seg in (w.segments[0], w.segments[-1]):
+            calls.clear()
+            seg.evaluate_v(xs, seg.t_end)
+            counts.append(len(calls))
+        assert len(w.segments) == 16
+        assert counts[0] > 0 and counts[1] == counts[0]
 
 
 class TestNoNucleation:
