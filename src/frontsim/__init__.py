@@ -8,56 +8,9 @@ finite-difference solve of the underlying two-component reaction-diffusion
 model serves as an independent cross-check.
 """
 
-from .kinetics import (
-    FlowConvergenceError,
-    Parameters,
-    Phase,
-    antiderivative_inside,
-    antiderivative_outside,
-    flow_inside,
-    flow_outside,
-    front_speed,
-    reaction_rate,
-)
-from .state import (
-    H2Violation,
-    IntervalSet,
-    Profile,
-    ValidationReport,
-    component_membership,
-    eval_profile,
-    validate_initial,
-)
-from .classical import (
-    ClassicalSegment,
-    DegeneracyWarning,
-    EventKind,
-    EventRecord,
-    InterfaceTrajectory,
-    NotReached,
-    StepFailure,
-    run_segment,
-)
-from .weak import (
-    GlueMismatch,
-    SurgeryH2Failure,
-    WeakSolution,
-    annihilation_surgery,
-    check_no_nucleation,
-    glue,
-    ill_posedness_demo,
-    run_weak,
-    weak_residual,
-)
-from .oracle import (
-    FHNConfig,
-    FHNState,
-    compare_trajectories,
-    extract_interfaces,
-    init_fhn,
-    run_fhn,
-    step_fhn,
-)
-from .config import ConfigError, RunConfig, preset_config, validate_config
+from .kinetics import Parameters
+from .state import IntervalSet, Profile
+
+__all__ = ["Parameters", "IntervalSet", "Profile"]
 
 __version__ = "0.1.0"

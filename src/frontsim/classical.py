@@ -301,6 +301,42 @@ _RK_B = (2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0)
 _RK_E = (-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0)  # third-minus-second order weights
 
 
+def _bs3_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stats: SegmentStats):
+    """One accepted Bogacki-Shampine 3(2) step of y' = f(t, y) from (tn, yn).
+
+    fn is f(tn, yn) (first same as last).  A trial step is accepted when its
+    error estimate is within tol * h, else retried shorter; StepFailure once
+    h reaches h_min.  An end within rounding of t_goal snaps onto it.
+    Counts steps and rejections in stats.  Returns (t_new, y_new, f(t_new,
+    y_new), the next trial h).
+    """
+    h_min = 1e-13 * max(1.0, abs(tn))
+    while True:
+        k2 = f(tn + _RK_C2 * h, yn + (_RK_C2 * h) * fn)
+        k3 = f(tn + _RK_C3 * h, yn + (_RK_C3 * h) * k2)
+        y_new = yn + h * (_RK_B[0] * fn + _RK_B[1] * k2 + _RK_B[2] * k3)
+        k4 = f(tn + h, y_new)
+        errs = np.abs(h * (_RK_E[0] * fn + _RK_E[1] * k2 + _RK_E[2] * k3 + _RK_E[3] * k4))
+        err = float(np.max(errs))
+        allowed = tol * h
+        if err <= allowed:
+            break
+        if h <= h_min:
+            raise StepFailure(
+                f"cannot satisfy tol_step={tol:g} at t={tn!r}: h={h:.3e}, "
+                f"err={err:.3e} > allowed={allowed:.3e}, "
+                f"largest at interface k={int(np.argmax(errs)) + 1}"
+            )
+        stats.rejected += 1
+        h = max(h * max(0.2, 0.9 * math.sqrt(allowed / err)), h_min)
+    stats.steps += 1
+    t_new = tn + h
+    if t_new >= t_goal - 1e-13 * max(1.0, abs(t_goal)):
+        t_new = t_goal
+    grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * math.sqrt(allowed / err)))
+    return t_new, y_new, k4, h * grow
+
+
 class ClassicalSegment:
     """One annihilation-free piece of the evolution, advanced step by step.
 
@@ -539,32 +575,10 @@ class ClassicalSegment:
             h = min(h, float(dt_max))
         h = min(h, self._event_cap(xn, fn))
         frontier = (tn, xn, fn)
-        while True:
-            h_min = 1e-13 * max(1.0, abs(tn))
-            k1 = fn
-            k2 = self._rhs(tn + _RK_C2 * h, xn + (_RK_C2 * h) * k1, frontier)
-            k3 = self._rhs(tn + _RK_C3 * h, xn + (_RK_C3 * h) * k2, frontier)
-            x_new = xn + h * (_RK_B[0] * k1 + _RK_B[1] * k2 + _RK_B[2] * k3)
-            k4 = self._rhs(tn + h, x_new, frontier)
-            errs = np.abs(h * (_RK_E[0] * k1 + _RK_E[1] * k2 + _RK_E[2] * k3 + _RK_E[3] * k4))
-            err = float(np.max(errs))
-            allowed = self.tol_step * h
-            if err <= allowed:
-                break
-            if h <= h_min:
-                raise StepFailure(
-                    f"cannot satisfy tol_step={self.tol_step:g} at t={tn!r}: h={h:.3e}, "
-                    f"err={err:.3e} > allowed={allowed:.3e}, "
-                    f"largest at interface k={int(np.argmax(errs)) + 1}"
-                )
-            self.stats.rejected += 1
-            h = max(h * max(0.2, 0.9 * math.sqrt(allowed / err)), h_min)
-
-        t_new = tn + h
-        if t_new >= self.t_goal - 1e-13 * max(1.0, abs(self.t_goal)):
-            t_new = self.t_goal
+        t_new, x_new, k4, self._h = _bs3_step(
+            lambda t, x: self._rhs(t, x, frontier), tn, xn, fn, h, self.tol_step, self.t_goal, self.stats
+        )
         self._path.append(t_new, x_new, k4)
-        self.stats.steps += 1
         if x_new.size > 1:
             self.stats.min_gap = min(self.stats.min_gap, float(np.min(np.diff(x_new))))
         self.stats.min_speed = min(self.stats.min_speed, float(np.min(np.abs(k4))))
@@ -576,8 +590,6 @@ class ClassicalSegment:
                 DegeneracyWarning,
                 stacklevel=2,
             )
-        grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * math.sqrt(self.tol_step * h / err)))
-        self._h = h * grow
 
         hit = self._scan_event()
         if hit is not None:
@@ -673,10 +685,6 @@ class ClassicalSegment:
         )
         self.finished = True
 
-    def locate_event(self) -> EventRecord | None:
-        """The annihilation that terminated this segment, if one occurred."""
-        return self.event
-
 
 def run_segment(
     params: Parameters,
@@ -722,33 +730,12 @@ def integrate_adaptive(
     """Generic adaptive 3(2) integration of y' = f(t, y) with dense output."""
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     path = DensePath(t0, y, f(t0, y))
+    stats = SegmentStats()
     h = min(math.sqrt(tol), 0.25 * (t_end - t0))
-    t = float(t0)
-    for _ in range(max_steps):
-        if t >= t_end:
-            return path
-        h = min(h, t_end - t)
-        _, yn, fn = path.last()
-        while True:
-            k1 = fn
-            k2 = f(t + _RK_C2 * h, yn + (_RK_C2 * h) * k1)
-            k3 = f(t + _RK_C3 * h, yn + (_RK_C3 * h) * k2)
-            y_new = yn + h * (_RK_B[0] * k1 + _RK_B[1] * k2 + _RK_B[2] * k3)
-            k4 = f(t + h, y_new)
-            err = float(
-                np.max(np.abs(h * (_RK_E[0] * k1 + _RK_E[1] * k2 + _RK_E[2] * k3 + _RK_E[3] * k4)))
-            )
-            allowed = tol * h
-            if err <= allowed:
-                break
-            h_min = 1e-13 * max(1.0, abs(t))
-            if h <= h_min:
-                raise StepFailure(f"adaptive integration stalled at t={t!r}")
-            h = max(h * max(0.2, 0.9 * math.sqrt(allowed / err)), h_min)
-        t_new = t + h
-        if t_new >= t_end - 1e-13 * max(1.0, abs(t_end)):
-            t_new = t_end
+    while path.t_end < t_end:
+        if stats.steps >= max_steps:
+            raise StepFailure(f"step budget {max_steps} exhausted at t={path.t_end!r}")
+        tn, yn, fn = path.last()
+        t_new, y_new, k4, h = _bs3_step(f, tn, yn, fn, min(h, t_end - tn), tol, t_end, stats)
         path.append(t_new, y_new, k4)
-        t = t_new
-        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * math.sqrt(allowed / err)))
-    raise StepFailure(f"step budget {max_steps} exhausted at t={t!r}")
+    return path

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from .kinetics import FlowConvergenceError
 from .state import H2Violation
 from .classical import StepFailure
 from .weak import (
@@ -36,7 +35,6 @@ from .render import spacetime_svg, weak_solution_curves
 
 _NUMERICAL_ERRORS = (
     StepFailure,
-    FlowConvergenceError,
     SurgeryH2Failure,
     GlueMismatch,
     FHNBlowUp,
@@ -89,11 +87,12 @@ def _trajectories_csv(w: WeakSolution, t_end: float, n_samples: int, labels) -> 
 
 
 def _field_csv(value_at, xs, ts) -> str:
+    """Rows t,x,v on the grid ts x xs, from one value_at call over all of it."""
+    X, T = np.meshgrid(xs, ts)
+    X, T = X.ravel(), T.ravel()
+    vs = np.asarray(value_at(X, T))
     lines = ["t,x,v"]
-    for t in ts:
-        vs = np.atleast_1d(np.asarray(value_at(xs, float(t))))
-        for x, v in zip(xs, vs):
-            lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}")
+    lines.extend(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}" for t, x, v in zip(T, X, vs))
     return "\n".join(lines) + "\n"
 
 

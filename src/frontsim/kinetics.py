@@ -5,13 +5,16 @@ The recovery variable obeys v' = g(u, v) with u in {0, 1} and
     g(u, v) = g1*u - g2*v / (g3*v + g4),
 
 and interfaces of the excited set move at speed +-W(v) with W(v) = a - b*v.
-Because 1/g(u, .) has a closed-form antiderivative for both u = 0 and u = 1,
-the flow maps of v' = g(u, v) can be evaluated exactly by inverting those
-antiderivatives with a safeguarded Newton iteration.  Everything here is pure,
-immutable after construction, and accepts scalars or numpy arrays.
+Both flow maps of v' = g(u, v) have closed forms: the quiescent flow (u = 0) is
+a Wright omega function, the excited flow (u = 1) a W_{-1} Lambert function
+written in log1p form.  Each is evaluated with a fixed number of
+Fritsch-Shafer-Crowley or Halley steps from an explicit start, so every entry
+of a batch gets exactly the value a scalar call gives.  Everything here is
+pure, immutable after construction, and accepts scalars or numpy arrays.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
@@ -21,7 +24,6 @@ import numpy as np
 __all__ = [
     "Phase",
     "Parameters",
-    "FlowConvergenceError",
     "reaction_rate",
     "front_speed",
     "antiderivative_outside",
@@ -29,16 +31,6 @@ __all__ = [
     "flow_outside",
     "flow_inside",
 ]
-
-NEWTON_RTOL = 1e-12
-NEWTON_MAX_ITER = 100
-# below this v the log term of the outside antiderivative degenerates;
-# the flow is replaced by its exact linearization at v = 0
-TINY_V = 1e-14
-
-
-class FlowConvergenceError(RuntimeError):
-    """Flow-map inversion failed to converge; indicates a kinetics bug."""
 
 
 class Phase(IntEnum):
@@ -152,119 +144,93 @@ def antiderivative_inside(p: Parameters, v) -> np.ndarray | float:
     return _scalar_like(out, v)
 
 
-def _newton_invert(f, fprime_recip, target, lo, hi, init, what: str) -> np.ndarray:
-    """Solve f(v) = target on the bracket [lo, hi] by safeguarded Newton.
+# From the starts below these counts reach rounding level for every admissible
+# input, so a value never depends on the other entries of its batch.
+_FSC_STEPS = 2
+_HALLEY_STEPS = 3
 
-    ``fprime_recip(v)`` returns 1/f'(v) (the reaction rate here).  Newton steps
-    falling outside the current bracket are replaced by bisection.  All
-    arguments are arrays of the same shape.
+
+def _flow_args(name: str, v0, t) -> tuple[np.ndarray, np.ndarray]:
+    v0a, ta = np.broadcast_arrays(_as_float_array(v0), _as_float_array(t))
+    if np.any(v0a < 0.0):
+        raise ValueError(f"{name} requires v0 >= 0")
+    if np.any(ta < 0.0):
+        raise ValueError(f"{name} requires t >= 0")
+    return v0a, ta
+
+
+def _wright_omega(L: np.ndarray) -> np.ndarray:
+    """Real Wright omega function: the y > 0 with y + ln y = L.
+
+    Starts from e^L below L = -1.5, from the quadratic Taylor polynomial
+    about L = 1 on [-1.5, 1] and from L - ln L above, then takes
+    Fritsch-Shafer-Crowley steps (fourth order).  y = 0 where e^L underflows,
+    L = -inf included.
     """
-    v = np.clip(init, lo, hi)
-    increasing = None  # resolved on first residual evaluation
-    for _ in range(NEWTON_MAX_ITER):
-        resid = f(v) - target
-        if increasing is None:
-            # f is monotone with a known bracket; orient the updates once
-            increasing = bool(np.all(f(hi) >= f(lo)))
-        if increasing:
-            hi = np.where(resid > 0.0, np.minimum(hi, v), hi)
-            lo = np.where(resid <= 0.0, np.maximum(lo, v), lo)
-        else:
-            lo = np.where(resid > 0.0, np.maximum(lo, v), lo)
-            hi = np.where(resid <= 0.0, np.minimum(hi, v), hi)
-        step = resid * fprime_recip(v)
-        v_new = v - step
-        bad = ~np.isfinite(v_new) | (v_new < lo) | (v_new > hi)
-        v_new = np.where(bad, 0.5 * (lo + hi), v_new)
-        done = np.abs(v_new - v) <= NEWTON_RTOL * np.maximum(np.abs(v_new), 1e-300)
-        v = v_new
-        if bool(np.all(done)):
-            return v
-    raise FlowConvergenceError(f"{what}: inversion did not converge in {NEWTON_MAX_ITER} iterations")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = L - 1.0
+        start = np.where(
+            L < -1.5, np.exp(L), np.where(L <= 1.0, 1.0 + d * (0.5 + d / 16.0), L - np.log(L))
+        )
+        y = start
+        for _ in range(_FSC_STEPS):
+            r = L - y - np.log(y)
+            s = 1.0 + y
+            q = s * (s + (2.0 / 3.0) * r)
+            y = y * (1.0 + r / s * (q - 0.5 * r) / (q - r))
+    return np.where(start > 0.0, y, 0.0)
+
+
+def _log1p_root(kappa: float, u0: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The u >= u0 with kappa*u - log1p(u) = R, for kappa > 1.
+
+    w = kappa*(1 + u) solves w - ln w = X on the W_{-1} branch (w >= 1).  The
+    start is the branch-point series of w below X = 2 and its asymptotic
+    expansion above, raised to at least u0.  Halley steps then act on the
+    log1p form, which is convex and increasing with slope >= kappa - 1 and
+    keeps small u accurate.
+    """
+    X = R + kappa - math.log(kappa)
+    p = np.sqrt(2.0 * np.maximum(X - 1.0, 0.0))
+    lx = np.log(X)
+    w = np.where(X < 2.0, 1.0 + p * (1.0 + p * (1.0 / 3.0 + p / 36.0)), X + lx + lx / X)
+    u = np.maximum(u0, w / kappa - 1.0)
+    for _ in range(_HALLEY_STEPS):
+        s = 1.0 + u
+        f = kappa * u - np.log1p(u) - R
+        d1 = kappa - 1.0 / s
+        u = u - 2.0 * f * d1 / (2.0 * d1 * d1 - f / (s * s))
+    return u
 
 
 def flow_outside(p: Parameters, v0, t) -> np.ndarray | float:
     """Exact solution at time t of v' = g(0, v), v(0) = v0 (v0, t >= 0).
 
     Strictly decreasing toward 0, never negative, and nonexpansive in v0.
-    Values of v0 below TINY_V use the exact rate-g2/g4 exponential
-    linearization instead of the degenerate log inversion.  The inversion
-    works on w = ln v: the solution decays exponentially, so only the
-    logarithmic variable gives a well-scaled bracket.
+    With y = (g3/g4)*v the flow keeps y + ln y + (g2/g4)*t constant, so
+    v = (g4/g3)*omega(L) with L = y0 + ln y0 - (g2/g4)*t and omega the Wright
+    omega function.  v0 = 0 gives L = -inf and stays 0; a tiny v0 decays as
+    v0*exp(-g2*t/g4).
     """
-    v0a, ta = np.broadcast_arrays(_as_float_array(v0), _as_float_array(t))
-    if np.any(v0a < 0.0):
-        raise ValueError("flow_outside requires v0 >= 0")
-    if np.any(ta < 0.0):
-        raise ValueError("flow_outside requires t >= 0")
-    v0a = v0a.astype(float, copy=True)
-    ta = np.asarray(ta, dtype=float)
-    out = v0a.copy()
-
-    linear = v0a < TINY_V
-    out[linear] = (v0a * np.exp(-(p.g2 / p.g4) * ta))[linear]
-
-    active = ~linear & (ta > 0.0)
-    if not np.any(active):
-        return _scalar_like(out, v0, t)
-    va, tt = v0a[active], ta[active]
-    target = antiderivative_outside(p, va) + tt
-
-    def resid(w: np.ndarray) -> np.ndarray:
-        # antiderivative evaluated at v = e^w without forming tiny exps badly
-        return -(p.g3 / p.g2) * (np.exp(w) - p.M) - (p.g4 / p.g2) * (w - np.log(p.M)) - target
-
-    # -g2 v / g4 bounds the decay rate from below, -g2 v/(g3 v0 + g4) from above
-    w_lo = np.log(va) - (p.g2 / p.g4) * tt
-    w_hi = np.log(va)
-    w = np.log(va) - p.g2 * tt / (p.g3 * va + p.g4)
-    for _ in range(NEWTON_MAX_ITER):
-        r = resid(w)
-        # resid is strictly decreasing in w
-        w_lo = np.where(r > 0.0, np.maximum(w_lo, w), w_lo)
-        w_hi = np.where(r <= 0.0, np.minimum(w_hi, w), w_hi)
-        v = np.exp(w)
-        slope = -(p.g3 * v + p.g4) / p.g2  # d resid / dw
-        w_new = w - r / slope
-        bad = ~np.isfinite(w_new) | (w_new < w_lo) | (w_new > w_hi)
-        w_new = np.where(bad, 0.5 * (w_lo + w_hi), w_new)
-        done = np.abs(w_new - w) <= NEWTON_RTOL
-        w = w_new
-        if bool(np.all(done)):
-            out[active] = np.exp(w)
-            return _scalar_like(out, v0, t)
-    raise FlowConvergenceError(
-        f"flow_outside: inversion did not converge in {NEWTON_MAX_ITER} iterations"
-    )
+    v0a, ta = _flow_args("flow_outside", v0, t)
+    y0 = (p.g3 / p.g4) * v0a
+    with np.errstate(divide="ignore"):
+        L = y0 + np.log(y0) - (p.g2 / p.g4) * ta
+    out = np.where(ta > 0.0, (p.g4 / p.g3) * _wright_omega(L), v0a)
+    return _scalar_like(out, v0, t)
 
 
 def flow_inside(p: Parameters, v0, t) -> np.ndarray | float:
     """Exact solution at time t of v' = g(1, v), v(0) = v0 (v0, t >= 0).
 
     Strictly increasing and unbounded in t since g(1, v) >= g1 - g2/g3 > 0.
+    With u = A*v/B and kappa = g1*g3/g2 > 1 the flow keeps
+    kappa*u - log1p(u) - t*A^2/(g2*g4) constant.
     """
-    v0a, ta = np.broadcast_arrays(_as_float_array(v0), _as_float_array(t))
-    if np.any(v0a < 0.0):
-        raise ValueError("flow_inside requires v0 >= 0")
-    if np.any(ta < 0.0):
-        raise ValueError("flow_inside requires t >= 0")
-    v0a = v0a.astype(float, copy=True)
-    out = v0a.copy()
-
-    active = ta > 0.0
-    if np.any(active):
-        va, tt = v0a[active], np.asarray(ta, dtype=float)[active]
-        target = antiderivative_inside(p, va) + tt
-        lo = va
-        hi = va + p.g1 * tt  # growth rate is at most g1
-        init = np.clip(va + reaction_rate(p, Phase.INSIDE, va) * tt, lo, hi)
-        out[active] = _newton_invert(
-            lambda v: antiderivative_inside(p, v),
-            lambda v: reaction_rate(p, Phase.INSIDE, v),
-            target,
-            lo,
-            hi,
-            init,
-            "flow_inside",
-        )
+    v0a, ta = _flow_args("flow_inside", v0, t)
+    A, B = p.rest_rate_coeffs()
+    kappa = p.g1 * p.g3 / p.g2
+    u0 = (A / B) * v0a
+    R = kappa * u0 - np.log1p(u0) + (A * A / (p.g2 * p.g4)) * ta
+    out = np.where(ta > 0.0, (B / A) * _log1p_root(kappa, u0, R), v0a)
     return _scalar_like(out, v0, t)

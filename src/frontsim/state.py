@@ -16,8 +16,6 @@ __all__ = [
     "H2Violation",
     "EndpointCheck",
     "ValidationReport",
-    "eval_profile",
-    "component_membership",
     "validate_initial",
     "default_margin",
 ]
@@ -112,10 +110,6 @@ class IntervalSet:
         return Phase.INSIDE, (idx + 1) // 2
 
 
-def component_membership(omega: IntervalSet, x: float) -> tuple[Phase, int | None]:
-    return omega.membership(x)
-
-
 @dataclass(frozen=True)
 class Profile:
     """Piecewise-linear sample of a non-negative bounded Lipschitz function.
@@ -159,10 +153,6 @@ class Profile:
         return float(out) if xs.ndim == 0 else out
 
     __call__ = eval
-
-
-def eval_profile(profile: Profile, x) -> np.ndarray | float:
-    return profile.eval(x)
 
 
 @dataclass(frozen=True)

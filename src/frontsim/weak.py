@@ -148,8 +148,10 @@ class _ContinuedField:
     __call__ = eval
 
 
-def _surgery_core(seg: ClassicalSegment, ev: EventRecord, *, margin: float | None = None):
-    """Remove collided pairs at ev.time and continue the field from there.
+def annihilation_surgery(
+    seg: ClassicalSegment, ev: EventRecord, *, margin: float | None = None
+) -> tuple[IntervalSet, Profile, list[EventRecord], list[int]]:
+    """State just after the annihilation: collided pairs removed, field continued.
 
     Returns (omega, profile, extra_events, dead_labels).  extra_events covers
     the measure-zero case of further gaps closing within event tolerance of
@@ -209,14 +211,6 @@ def _surgery_core(seg: ClassicalSegment, ev: EventRecord, *, margin: float | Non
     return omega_new, profile_new, extra_events, dead
 
 
-def annihilation_surgery(
-    seg: ClassicalSegment, ev: EventRecord, *, margin: float | None = None
-) -> tuple[IntervalSet, Profile]:
-    """State just after the annihilation: collided pair removed, field continued."""
-    omega, profile, _, _ = _surgery_core(seg, ev, margin=margin)
-    return omega, profile
-
-
 def glue(w: WeakSolution, seg: ClassicalSegment, *, tol: float = 1e-8) -> WeakSolution:
     """Append a segment, verifying junction continuity of time and field."""
     if not w.segments:
@@ -274,7 +268,7 @@ def run_weak(
         w = glue(w, seg, tol=glue_tol)
         if ev is None:
             break
-        omega, prof, extras, dead = _surgery_core(seg, ev, margin=margin)
+        omega, prof, extras, dead = annihilation_surgery(seg, ev, margin=margin)
         w.events.extend([ev, *extras])
         if len(w.events) > max_events:
             raise RuntimeError("more annihilations than interfaces; invariant violated")
@@ -472,49 +466,24 @@ def weak_residual(
         raise ValueError("window exceeds the solution horizon")
     cuts = _structural_x(w)
     brk = _time_breakpoints(w, t1, t2, x1, x2, cuts)
+    span = x2 - x1
 
-    # -- identity for the excited measure -----------------------------------
-    def area_term(t: float) -> float:
+    def edge_terms(t: float) -> tuple[float, float]:
+        """Integrals of phi over the excited set and of v*psi over (x1, x2) at t."""
         pieces = _pieces_at(w, t, x1, x2, cuts)
-        return _gauss_integral_1d(lambda xs: phi.value(xs, t), pieces, nx, True)
-
-    a_lo, a_hi = area_term(t1), area_term(t2)
-
-    b_term = 0.0
-    c_term = 0.0
-    for lo, hi in zip(brk, brk[1:]):
-        length = hi - lo
-        if length <= 0.0:
-            continue
-        n_rows = max(4, int(round(nt * length / (t2 - t1))))
-        taus, tws = _gauss_cells(lo, hi, n_rows)
-        for tau, tw in zip(taus, tws):
-            pieces = _pieces_at(w, float(tau), x1, x2, cuts)
-            b_term += tw * _gauss_integral_1d(
-                lambda xs: phi.dt(xs, tau), pieces, nx, True
-            )
-        seg = w.segment_at(float(0.5 * (lo + hi)))
-        for traj in seg.trajectories:
-            xs = np.asarray(traj.position(taus))
-            present = (xs > x1) & (xs < x2)
-            if not np.any(present):
-                continue
-            vs = np.asarray(seg.evaluate_v(xs[present], taus[present]))
-            wv = front_speed(w.params, vs)
-            c_term += float(np.sum(tws[present] * wv * phi.value(xs[present], taus[present])))
-    r1 = abs((a_hi - a_lo) - b_term - c_term)
-
-    # -- weak form of the field equation ------------------------------------
-    def field_term(t: float) -> float:
-        pieces = _pieces_at(w, t, x1, x2, cuts)
-        return _gauss_integral_1d(
+        area = _gauss_integral_1d(lambda xs: phi.value(xs, t), pieces, nx, True)
+        field = _gauss_integral_1d(
             lambda xs: np.asarray(w.evaluate_v(xs, t)) * psi.value(xs, t), pieces, nx, False
         )
+        return area, field
 
-    d_lo, d_hi = field_term(t1), field_term(t2)
+    (a_lo, d_lo), (a_hi, d_hi) = edge_terms(t1), edge_terms(t2)
 
+    # One pass over the quadrature rows feeds both identities: b_term and
+    # c_term for the excited measure, e_term for the field equation.
+    b_term = 0.0
+    c_term = 0.0
     e_term = 0.0
-    span = x2 - x1
     for lo, hi in zip(brk, brk[1:]):
         length = hi - lo
         if length <= 0.0:
@@ -526,13 +495,26 @@ def weak_residual(
         wq_all: list[np.ndarray] = []
         inside_all: list[np.ndarray] = []
         for tau, tw in zip(taus, tws):
-            for plo, phi_, inside in _pieces_at(w, float(tau), x1, x2, cuts):
+            pieces = _pieces_at(w, float(tau), x1, x2, cuts)
+            b_term += tw * _gauss_integral_1d(
+                lambda xs: phi.dt(xs, tau), pieces, nx, True
+            )
+            for plo, phi_, inside in pieces:
                 n = max(2, int(round(nx * (phi_ - plo) / span)))
                 xs, ws = _gauss_cells(plo, phi_, n)
                 xs_all.append(xs)
                 ts_all.append(np.full(xs.size, tau))
                 wq_all.append(tw * ws)
                 inside_all.append(np.full(xs.size, inside, dtype=bool))
+        seg = w.segment_at(float(0.5 * (lo + hi)))
+        for traj in seg.trajectories:
+            xs = np.asarray(traj.position(taus))
+            present = (xs > x1) & (xs < x2)
+            if not np.any(present):
+                continue
+            vs = np.asarray(seg.evaluate_v(xs[present], taus[present]))
+            wv = front_speed(w.params, vs)
+            c_term += float(np.sum(tws[present] * wv * phi.value(xs[present], taus[present])))
         xs_f = np.concatenate(xs_all)
         ts_f = np.concatenate(ts_all)
         wq_f = np.concatenate(wq_all)
@@ -545,6 +527,7 @@ def weak_residual(
         )
         integrand = v_f * np.asarray(psi.dt(xs_f, ts_f)) + g_f * np.asarray(psi.value(xs_f, ts_f))
         e_term += float(np.sum(integrand * wq_f))
+    r1 = abs((a_hi - a_lo) - b_term - c_term)
     r2 = abs((d_hi - d_lo) - e_term)
     return r1, r2
 

@@ -86,7 +86,7 @@ class TestExpanding:
         assert expanding_segment.interface_velocity(1, 0.0) == pytest.approx(-1.0)
 
     def test_no_event(self, expanding_segment):
-        assert expanding_segment.locate_event() is None
+        assert expanding_segment.event is None
 
     def test_out_of_segment_time(self, expanding_segment):
         with pytest.raises(ValueError):

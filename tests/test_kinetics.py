@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
+from scipy.special import lambertw, wrightomega
 
 from frontsim.kinetics import (
     Parameters,
@@ -179,7 +181,7 @@ class TestFlows:
                 flow_outside(pa, v0, t), flow_outside(pb, v0, t), rtol=0, atol=1e-12
             )
 
-    def test_tiny_start_uses_linearization(self, pstar):
+    def test_tiny_start_decays_exponentially(self, pstar):
         v0 = 1e-16
         out = flow_outside(pstar, v0, 2.0)
         assert out == pytest.approx(v0 * math.exp(-2.0), rel=1e-12)
@@ -210,8 +212,69 @@ class TestFlows:
             flow_inside(pstar, 0.5, -1.0)
 
     def test_vectorized_matches_scalar(self, pstar, rng):
-        v0 = rng.uniform(0.0, 3.0, size=20)
-        t = rng.uniform(0.0, 5.0, size=20)
-        vec = flow_inside(pstar, v0, t)
-        for i in range(20):
-            assert vec[i] == pytest.approx(flow_inside(pstar, v0[i], t[i]), rel=1e-14)
+        # fixed iteration counts: an entry's value does not depend on its batch
+        v0 = rng.uniform(0.0, 3.0, size=200)
+        t = rng.uniform(0.0, 5.0, size=200)
+        for flow in (flow_inside, flow_outside):
+            vec = flow(pstar, v0, t)
+            assert [flow(pstar, a, b) for a, b in zip(v0, t)] == vec.tolist()
+
+
+def _random_parameters(rng, n):
+    """n random kinetics with g2 up to 0.95*g1*g3, plus that edge itself:
+    kappa = g1*g3/g2 = 1/0.95, nearest 1."""
+    sets = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(n):
+            g1, g3, g4 = rng.uniform(0.2, 3.0, size=3)
+            g2 = rng.uniform(0.05, 0.95) * g1 * g3
+            sets.append(Parameters(g1=g1, g2=g2, g3=g3, g4=g4, a=1, b=2))
+        sets.append(Parameters(g1=1.0, g2=0.95 * 3.0, g3=3.0, g4=1.0, a=1, b=2))
+    return sets
+
+
+class TestClosedForms:
+    """Both flows against scipy's special functions over v0 in [1e-12, 50]
+    (plus 0 and 1e-300) and t in [1e-9, 80]."""
+
+    @staticmethod
+    def _samples(rng, n=400):
+        v0 = np.exp(rng.uniform(math.log(1e-12), math.log(50.0), n))
+        v0[:2] = (0.0, 1e-300)
+        t = np.exp(rng.uniform(math.log(1e-9), math.log(80.0), n))
+        return v0, t
+
+    def test_outside_is_wright_omega(self, rng):
+        # y = (g3/g4) v keeps y + ln y + (g2/g4) t constant
+        for p in _random_parameters(rng, 40):
+            v0, t = self._samples(rng)
+            out = flow_outside(p, v0, t)
+            assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+            y0 = (p.g3 / p.g4) * v0
+            with np.errstate(divide="ignore"):
+                L = y0 + np.log(y0) - (p.g2 / p.g4) * t
+            ref = (p.g4 / p.g3) * wrightomega(L)
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=np.finfo(float).tiny)
+            assert out[0] == 0.0
+
+    def test_inside_is_lambert_w_minus_one(self, rng):
+        # u = A v / B solves kappa u - log1p(u) = R, i.e.
+        # u = -W_{-1}(-kappa exp(-kappa - R)) / kappa - 1
+        checked = 0
+        for p in _random_parameters(rng, 40):
+            v0, t = self._samples(rng)
+            out = flow_inside(p, v0, t)
+            assert np.all(np.isfinite(out)) and np.all(out >= v0)
+            A, B = p.rest_rate_coeffs()
+            kappa = p.g1 * p.g3 / p.g2
+            u0 = A * v0 / B
+            R = kappa * u0 - np.log1p(u0) + t * A * A / (p.g2 * p.g4)
+            arg = -kappa * np.exp(-kappa - R)
+            u_ref = -lambertw(arg, k=-1).real / kappa - 1.0
+            # below u = 1e-2 the reference itself cancels; where the argument
+            # underflows it is not defined
+            ok = (u_ref >= 1e-2) & (arg <= -np.finfo(float).tiny)
+            np.testing.assert_allclose(A * out[ok] / B, u_ref[ok], rtol=1e-12, atol=0)
+            checked += int(np.count_nonzero(ok))
+        assert checked >= 41 * 400 // 3

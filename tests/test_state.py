@@ -8,9 +8,7 @@ from frontsim.state import (
     H2Violation,
     IntervalSet,
     Profile,
-    component_membership,
     default_margin,
-    eval_profile,
     validate_initial,
 )
 
@@ -43,7 +41,7 @@ class TestIntervalSet:
         assert omega.membership(0.0) == (Phase.INSIDE, 1)
         assert omega.membership(1.0) == (Phase.OUTSIDE, None)
         assert IntervalSet.empty().membership(0.0) == (Phase.OUTSIDE, None)
-        assert component_membership(omega, -1.0) == (Phase.OUTSIDE, None)
+        assert omega.membership(-1.0) == (Phase.OUTSIDE, None)
 
     def test_membership_consistent_with_ordering(self, rng):
         pts = np.sort(rng.uniform(-10, 10, size=8))
@@ -64,10 +62,10 @@ class TestIntervalSet:
 class TestProfile:
     def test_eval_examples(self):
         f = Profile(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        assert eval_profile(f, 0.5) == 0.5
-        assert eval_profile(f, -3.0) == 0.0
-        assert eval_profile(f, 1.0) == 1.0
-        assert eval_profile(f, 4.0) == 1.0  # constant extension on the right
+        assert f.eval(0.5) == 0.5
+        assert f.eval(-3.0) == 0.0
+        assert f.eval(1.0) == 1.0
+        assert f.eval(4.0) == 1.0  # constant extension on the right
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ class TestSurgery:
     def test_merge_joins_intervals(self, pstar):
         omega, v0 = merge_setup(pstar)
         seg, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
-        new_omega, new_profile = annihilation_surgery(seg, ev)
+        new_omega, new_profile, _, _ = annihilation_surgery(seg, ev)
         assert new_omega.m == 1
         l, r = new_omega.pairs[0]
         assert l == pytest.approx(-4.0, abs=1e-8)
@@ -42,7 +42,7 @@ class TestSurgery:
     def test_vanish_removes_interval(self, pstar):
         omega, v0 = shrinking_setup(pstar)
         seg, ev = run_segment(pstar, omega, v0, 0.0, 5.0)
-        new_omega, new_profile = annihilation_surgery(seg, ev)
+        new_omega, new_profile, _, _ = annihilation_surgery(seg, ev)
         assert new_omega.m == 0
         # v at the collision point equals the excited flow up to the event
         assert new_profile.eval(0.0) == pytest.approx(
@@ -53,14 +53,14 @@ class TestSurgery:
         for setup in (merge_setup, shrinking_setup):
             omega, v0 = setup(pstar)
             seg, ev = run_segment(pstar, omega, v0, 0.0, 5.0)
-            new_omega, _ = annihilation_surgery(seg, ev)
+            new_omega, _, _, _ = annihilation_surgery(seg, ev)
             assert new_omega.m == ev.components_before - 1
 
     def test_continued_field_is_exact(self, pstar, rng):
         for setup in (merge_setup, shrinking_setup):
             omega, v0 = setup(pstar)
             seg, ev = run_segment(pstar, omega, v0, 0.0, 5.0)
-            _, new_profile = annihilation_surgery(seg, ev)
+            _, new_profile, _, _ = annihilation_surgery(seg, ev)
             xs = rng.uniform(-6.0, 6.0, size=200)
             exact = np.maximum(seg.evaluate_v(xs, ev.time), 0.0)
             assert np.max(np.abs(new_profile.eval(xs) - exact)) <= 1e-14
@@ -78,7 +78,7 @@ class TestGlue:
     def test_junction_continuity_enforced(self, pstar):
         omega, v0 = merge_setup(pstar)
         seg, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
-        new_omega, new_profile = annihilation_surgery(seg, ev)
+        new_omega, new_profile, _, _ = annihilation_surgery(seg, ev)
         w = glue(WeakSolution(pstar), seg)
         good = ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=(1, 4))
         glue(w, good)  # continuous junction passes
