@@ -452,11 +452,10 @@ class ClassicalSegment:
         )
         self._resets = np.asarray([s.t_start for s in segs[1:]], dtype=float)
 
-    def _arrivals(self, xs: np.ndarray, tq: np.ndarray, frontier) -> np.ndarray:
+    def _arrivals(self, xs: np.ndarray) -> np.ndarray:
         """Crossing times at xs of every interface column of the history; inf
         where the interface never crossed the point after its segment began."""
         _, Y, _ = self._path.arrays()
-        n_past = self._past_to.size
         # an interface is monotone, so it can only have crossed the points its
         # motion swept; the rest stay unreached or behind its start
         ahead = self._col_sign * xs[:, None]
@@ -467,12 +466,6 @@ class ClassicalSegment:
             rows = swept[:, c]
             path, col = self._cols[c]
             T[rows, c] = path.invert_col(col, xs[rows], self._col_sign[c])
-        if frontier is not None:
-            tn, xn, fn = frontier
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_lin = tn + (xs[:, None] - xn) / fn
-            ok = beyond[:, n_past:] & (fn != 0.0) & (t_lin > tn) & (t_lin <= tq[:, None] + 1e-15)
-            T[:, n_past:][ok] = t_lin[ok]
         # crossings at or before a segment's start are part of its initial state
         T[T <= self._col_t0] = math.inf
         return T
@@ -501,7 +494,7 @@ class ClassicalSegment:
         np.logical_xor.accumulate(mask, axis=1, out=prefix[:, 1:])
         return prefix[:, self._seg_cols[1:]] ^ prefix[:, self._seg_cols[:-1]]
 
-    def _v_field(self, xs: np.ndarray, tq: np.ndarray, frontier=None) -> np.ndarray:
+    def _v_field(self, xs: np.ndarray, tq: np.ndarray) -> np.ndarray:
         """v(xs, tq): the exact flows folded from the first segment's profile
         over each point's whole in/out history, whatever the segment.
 
@@ -512,7 +505,7 @@ class ClassicalSegment:
         point's phase changes, not the number of segments.
         """
         phases = self._start_phases(xs)
-        T = self._arrivals(xs, tq, frontier)
+        T = self._arrivals(xs)
         if self._resets.size:
             carried = phases[:, :-1] ^ self._odd_per_segment(np.isfinite(T))[:, :-1]
             resets = np.where(carried != phases[:, 1:], self._resets, math.inf)
@@ -560,9 +553,9 @@ class ClassicalSegment:
 
     # -- integration -------------------------------------------------------
 
-    def _rhs(self, t: float, x: np.ndarray, frontier) -> np.ndarray:
+    def _rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         tq = np.full(x.shape, t)
-        v = self._v_field(np.asarray(x, dtype=float), tq, frontier)
+        v = self._v_field(np.asarray(x, dtype=float), tq)
         return self._parity * (self.params.a - self.params.b * v)
 
     def advance(self, dt_max: float | None = None) -> bool:
@@ -574,9 +567,8 @@ class ClassicalSegment:
         if dt_max is not None:
             h = min(h, float(dt_max))
         h = min(h, self._event_cap(xn, fn))
-        frontier = (tn, xn, fn)
         t_new, x_new, k4, self._h = _bs3_step(
-            lambda t, x: self._rhs(t, x, frontier), tn, xn, fn, h, self.tol_step, self.t_goal, self.stats
+            self._rhs, tn, xn, fn, h, self.tol_step, self.t_goal, self.stats
         )
         self._path.append(t_new, x_new, k4)
         if x_new.size > 1:
