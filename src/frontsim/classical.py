@@ -77,31 +77,73 @@ class SegmentStats:
     degeneracy_events: list = field(default_factory=list)
 
 
-# --- cubic Hermite basis -------------------------------------------------
+# --- quartic dense output ------------------------------------------------
 
-def _hermite(theta, h, y0, f0, y1, f1):
+def _quartic(theta, h, y0, f0, y1, f1, d):
+    """The cubic Hermite interpolant of (y0, f0) and (y1, f1) on a step of
+    length h, plus theta^2 (1 - theta)^2 d."""
     t2 = theta * theta
     t3 = t2 * theta
+    s = theta - t2
     return (
         (2 * t3 - 3 * t2 + 1) * y0
         + (t3 - 2 * t2 + theta) * h * f0
         + (-2 * t3 + 3 * t2) * y1
         + (t3 - t2) * h * f1
+        + s * s * d
     )
 
 
-def _hermite_deriv(theta, h, y0, f0, y1, f1):
+def _quartic_deriv(theta, h, y0, f0, y1, f1, d):
     t2 = theta * theta
     return (
         (6 * t2 - 6 * theta) * y0 / h
         + (3 * t2 - 4 * theta + 1) * f0
         + (6 * theta - 6 * t2) * y1 / h
         + (3 * t2 - 2 * theta) * f1
+        + 2 * (theta - t2) * (1 - 2 * theta) * d / h
     )
 
 
+def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign):
+    """Times in [t0, t0 + h] at which the step's quartic reaches target.
+
+    All arguments are arrays of one entry per query.  The component moves in
+    the direction `sign` and reaches target on the step, so Newton's method
+    runs inside a bracket that bisection keeps when a Newton step leaves it,
+    until its step is below 1e-14 in time or the residual is down to the
+    rounding of the positions (slow fronts far from 0 reach that first).
+    """
+    lo = np.zeros(t0.shape)
+    hi = np.ones(t0.shape)
+    denom = y1 - y0
+    theta = np.clip((target - y0) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    rounding = 8.0 * np.finfo(float).eps * np.maximum(np.abs(y0), np.abs(y1))
+    for _ in range(60):
+        val = _quartic(theta, h, y0, f0, y1, f1, d) - target
+        below = sign * val < 0.0
+        lo = np.where(below, np.maximum(lo, theta), lo)
+        hi = np.where(~below, np.minimum(hi, theta), hi)
+        slope = _quartic_deriv(theta, h, y0, f0, y1, f1, d)
+        step = val / np.where(slope == 0.0, np.inf, slope) / h
+        nt = theta - step
+        bad = ~np.isfinite(nt) | (nt < lo) | (nt > hi)
+        nt = np.where(bad, 0.5 * (lo + hi), nt)
+        done = (np.abs(nt - theta) * h <= 1e-14 * np.maximum(1.0, np.abs(t0))) | (np.abs(val) <= rounding)
+        theta = nt
+        if np.all(done):
+            break
+    return t0 + theta * h
+
+
 class DensePath:
-    """Accepted integration knots (t_i, y_i, f_i) with C1 cubic dense output.
+    """Accepted integration knots (t_i, y_i, f_i, d_i) with C1 quartic dense output.
+
+    On the step from knot i - 1 to knot i the interpolant is the cubic
+    Hermite polynomial of the end values and slopes plus
+    theta^2 (1 - theta)^2 d_i, theta the fraction of the step covered: the
+    4th-order continuous extension of the Dormand-Prince 5(4) pair
+    (Shampine 1986).  The first knot's d is zero and never read.
 
     The knots live in arrays that double when full; arrays() returns
     read-only views of the filled rows, so appending costs O(1) amortized.
@@ -113,17 +155,20 @@ class DensePath:
         self._t = np.empty(16)
         self._Y = np.empty((16, y0.size))
         self._F = np.empty((16, y0.size))
+        self._D = np.empty((16, y0.size))
         self._n = 0
-        self._put(float(t0), y0, f0)
+        self._put(float(t0), y0, f0, np.zeros(y0.size))
 
-    def _put(self, t: float, y, f) -> None:
+    def _put(self, t: float, y, f, d) -> None:
         if self._n == self._t.size:
             self._t = np.resize(self._t, 2 * self._n)
             self._Y = np.resize(self._Y, (2 * self._n, self.dim))
             self._F = np.resize(self._F, (2 * self._n, self.dim))
+            self._D = np.resize(self._D, (2 * self._n, self.dim))
         self._t[self._n] = t
         self._Y[self._n] = y
         self._F[self._n] = f
+        self._D[self._n] = d
         self._n += 1
 
     def __len__(self) -> int:
@@ -141,24 +186,28 @@ class DensePath:
     def t_end(self) -> float:
         return float(self._t[self._n - 1])
 
-    def append(self, t: float, y, f) -> None:
+    def append(self, t: float, y, f, d) -> None:
         if t <= self._t[self._n - 1]:
             raise ValueError("knot times must increase")
-        self._put(float(t), y, f)
+        self._put(float(t), y, f, d)
 
     def truncate_last(self, t_cut: float) -> None:
-        """Shorten the final step to end at t_cut, keeping the same cubic."""
+        """Shorten the final step to end at t_cut, keeping the same quartic."""
         n = self._n
         if n < 2 or not (self._t[n - 2] < t_cut <= self._t[n - 1]):
             raise ValueError("t_cut must lie inside the final step")
         y_cut = self.eval(t_cut)
         f_cut = self.deriv(t_cut)
+        # theta^2 (1 - theta)^2 carries the only quartic term, so the cut step
+        # keeps the polynomial with d scaled by the fourth power of its length
+        s = (t_cut - self._t[n - 2]) / (self._t[n - 1] - self._t[n - 2])
         self._t[n - 1] = float(t_cut)
         self._Y[n - 1] = y_cut
         self._F[n - 1] = f_cut
+        self._D[n - 1] *= s**4
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        views = (self._t[: self._n], self._Y[: self._n], self._F[: self._n])
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        views = (self._t[: self._n], self._Y[: self._n], self._F[: self._n], self._D[: self._n])
         for a in views:
             a.flags.writeable = False
         return views
@@ -167,28 +216,28 @@ class DensePath:
         n = self._n - 1
         return float(self._t[n]), self._Y[n].copy(), self._F[n].copy()
 
+    def _step_data(self, tq: np.ndarray):
+        """(theta, h, y0, f0, y1, f1, d) of the step holding each query time."""
+        ts, Y, F, D = self.arrays()
+        i = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
+        h = (ts[i + 1] - ts[i])[:, None]
+        theta = (tq[:, None] - ts[i][:, None]) / h
+        return theta, h, Y[i], F[i], Y[i + 1], F[i + 1], D[i + 1]
+
     def eval(self, t) -> np.ndarray:
         tq = np.atleast_1d(np.asarray(t, dtype=float))
-        ts, Y, F = self.arrays()
-        if len(ts) == 1:
-            out = np.broadcast_to(Y[0], tq.shape + (self.dim,)).copy()
+        if self._n == 1:
+            out = np.broadcast_to(self._Y[0], tq.shape + (self.dim,)).copy()
         else:
-            idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-            h = (ts[idx + 1] - ts[idx])[:, None]
-            theta = ((tq - ts[idx]) / (ts[idx + 1] - ts[idx]))[:, None]
-            out = _hermite(theta, h, Y[idx], F[idx], Y[idx + 1], F[idx + 1])
+            out = _quartic(*self._step_data(tq))
         return out[0] if np.ndim(t) == 0 else out
 
     def deriv(self, t) -> np.ndarray:
         tq = np.atleast_1d(np.asarray(t, dtype=float))
-        ts, Y, F = self.arrays()
-        if len(ts) == 1:
-            out = np.broadcast_to(F[0], tq.shape + (self.dim,)).copy()
+        if self._n == 1:
+            out = np.broadcast_to(self._F[0], tq.shape + (self.dim,)).copy()
         else:
-            idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-            h = (ts[idx + 1] - ts[idx])[:, None]
-            theta = ((tq - ts[idx]) / (ts[idx + 1] - ts[idx]))[:, None]
-            out = _hermite_deriv(theta, h, Y[idx], F[idx], Y[idx + 1], F[idx + 1])
+            out = _quartic_deriv(*self._step_data(tq))
         return out[0] if np.ndim(t) == 0 else out
 
     def invert_col(self, col: int, y, sign: float, not_reached: float = math.inf) -> np.ndarray:
@@ -198,7 +247,7 @@ class DensePath:
         `not_reached` for positions beyond the range covered so far.
         """
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        ts, Y, F = self.arrays()
+        ts, Y, F, D = self.arrays()
         xk = Y[:, col]
         out = np.full(ys.shape, not_reached)
         xo = sign * xk
@@ -211,29 +260,10 @@ class DensePath:
         mid = (~pre) & (idx <= len(ts) - 1)
         if np.any(mid):
             i = idx[mid] - 1
-            h = ts[i + 1] - ts[i]
-            y0, f0 = Y[i, col], F[i, col]
-            y1, f1 = Y[i + 1, col], F[i + 1, col]
-            target = ys[mid]
-            lo = np.zeros(i.shape)
-            hi = np.ones(i.shape)
-            denom = y1 - y0
-            theta = np.clip((target - y0) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-            for _ in range(60):
-                val = _hermite(theta, h, y0, f0, y1, f1) - target
-                below = sign * val < 0.0
-                lo = np.where(below, np.maximum(lo, theta), lo)
-                hi = np.where(~below, np.minimum(hi, theta), hi)
-                slope = _hermite_deriv(theta, h, y0, f0, y1, f1)
-                step = val / np.where(slope == 0.0, np.inf, slope) / h
-                nt = theta - step
-                bad = ~np.isfinite(nt) | (nt < lo) | (nt > hi)
-                nt = np.where(bad, 0.5 * (lo + hi), nt)
-                if np.all(np.abs(nt - theta) * h <= 1e-14 * np.maximum(1.0, np.abs(ts[i]))):
-                    theta = nt
-                    break
-                theta = nt
-            out[mid] = ts[i] + theta * h
+            out[mid] = _invert_quartic(
+                ts[i], ts[i + 1] - ts[i], Y[i, col], F[i, col],
+                Y[i + 1, col], F[i + 1, col], D[i + 1, col], ys[mid], sign,
+            )
         return out
 
 
@@ -296,27 +326,57 @@ class InterfaceTrajectory:
         return out
 
 
-_RK_C2, _RK_C3 = 0.5, 0.75
-_RK_B = (2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0)
-_RK_E = (-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0)  # third-minus-second order weights
+# Dormand-Prince 5(4) (Dormand & Prince 1980): the nodes and stage rows of
+# stages 2..7 (stage 7 is the new point's slope, reused as the next step's
+# first), the 5th-order weights, the error weights (5th minus 4th order) and
+# the weights of d in the 4th-order continuous extension (Shampine 1986).
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_D = (
+    -12715105075 / 11282082432,
+    0.0,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
 
 
-def _bs3_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stats: SegmentStats):
-    """One accepted Bogacki-Shampine 3(2) step of y' = f(t, y) from (tn, yn).
+def _combine(weights, dk):
+    return sum(w * k for w, k in zip(weights, dk) if w != 0.0)
 
-    fn is f(tn, yn) (first same as last).  A trial step is accepted when its
-    error estimate is within tol * h, else retried shorter; StepFailure once
-    h reaches h_min.  An end within rounding of t_goal snaps onto it.
-    Counts steps and rejections in stats.  Returns (t_new, y_new, f(t_new,
-    y_new), the next trial h).
+
+def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stats: SegmentStats):
+    """One accepted Dormand-Prince 5(4) step of y' = f(t, y) from (tn, yn).
+
+    fn is f(tn, yn) (first same as last).  A trial step is accepted when
+    both its embedded error estimate and its interpolant bump |d|/16 (the
+    largest gap between the quartic dense output and the cubic Hermite one)
+    are within tol * h, else retried shorter; StepFailure once h reaches
+    h_min.  Every weighted sum runs over the stage slopes minus fn, so a
+    constant slope is integrated exactly.  An end within rounding of t_goal
+    snaps onto it.  Counts steps and rejections in stats.  Returns (t_new,
+    y_new, f(t_new, y_new), d, the next trial h).
     """
     h_min = 1e-13 * max(1.0, abs(tn))
     while True:
-        k2 = f(tn + _RK_C2 * h, yn + (_RK_C2 * h) * fn)
-        k3 = f(tn + _RK_C3 * h, yn + (_RK_C3 * h) * k2)
-        y_new = yn + h * (_RK_B[0] * fn + _RK_B[1] * k2 + _RK_B[2] * k3)
-        k4 = f(tn + h, y_new)
-        errs = np.abs(h * (_RK_E[0] * fn + _RK_E[1] * k2 + _RK_E[2] * k3 + _RK_E[3] * k4))
+        dk = [np.zeros_like(fn)]
+        for c, row in zip(_DP_C, _DP_A):
+            dk.append(f(tn + c * h, yn + h * (c * fn + _combine(row, dk))) - fn)
+        y_new = yn + h * (fn + _combine(_DP_B, dk))
+        f_new = f(tn + h, y_new)
+        dk.append(f_new - fn)
+        d = h * _combine(_DP_D, dk)
+        errs = np.maximum(np.abs(h * _combine(_DP_E, dk)), np.abs(d) / 16.0)
         err = float(np.max(errs))
         allowed = tol * h
         if err <= allowed:
@@ -328,13 +388,13 @@ def _bs3_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stats: 
                 f"largest at interface k={int(np.argmax(errs)) + 1}"
             )
         stats.rejected += 1
-        h = max(h * max(0.2, 0.9 * math.sqrt(allowed / err)), h_min)
+        h = max(h * max(0.2, 0.9 * (allowed / err) ** 0.25), h_min)
     stats.steps += 1
     t_new = tn + h
     if t_new >= t_goal - 1e-13 * max(1.0, abs(t_goal)):
         t_new = t_goal
-    grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * math.sqrt(allowed / err)))
-    return t_new, y_new, k4, h * grow
+    grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.25))
+    return t_new, y_new, f_new, d, h * grow
 
 
 class ClassicalSegment:
@@ -391,6 +451,10 @@ class ClassicalSegment:
             self._path = DensePath(self.t_start, np.zeros(0), np.zeros(0))
             self.finished = True
         self._h = min(math.sqrt(self.tol_step), 0.25 * (self.t_goal - self.t_start))
+        # The field's kinks never move (initial knots and endpoints, event
+        # positions; weak's surgery keeps them in the profile's knots), so a
+        # front's speed is smooth except where it crosses one of these.
+        self._kinks = np.unique(np.concatenate([np.asarray(profile_start.xs, dtype=float), x0]))
         self._degeneracy_flagged = False
         # A profile that continues a finished segment's field from this start
         # time (weak's surgery builds one) names that segment in `segment`;
@@ -455,7 +519,7 @@ class ClassicalSegment:
     def _arrivals(self, xs: np.ndarray) -> np.ndarray:
         """Crossing times at xs of every interface column of the history; inf
         where the interface never crossed the point after its segment began."""
-        _, Y, _ = self._path.arrays()
+        Y = self._path.arrays()[1]
         # an interface is monotone, so it can only have crossed the points its
         # motion swept; the rest stay unreached or behind its start
         ahead = self._col_sign * xs[:, None]
@@ -563,20 +627,27 @@ class ClassicalSegment:
         if self.finished:
             return False
         tn, xn, fn = self._path.last()
-        h = min(self._h, self.t_goal - tn)
+        h = min(self._h, self.t_goal - tn, self._step_cap(xn, fn))
         if dt_max is not None:
             h = min(h, float(dt_max))
-        h = min(h, self._event_cap(xn, fn))
-        t_new, x_new, k4, self._h = _bs3_step(
-            self._rhs, tn, xn, fn, h, self.tol_step, self.t_goal, self.stats
-        )
-        self._path.append(t_new, x_new, k4)
+        while True:
+            t_new, x_new, f_new, d, self._h = _dopri5_step(
+                self._rhs, tn, xn, fn, h, self.tol_step, self.t_goal, self.stats
+            )
+            t_kink = self._kink_crossing(tn, xn, fn, t_new, x_new, f_new, d)
+            if t_kink is None:
+                break
+            # the step carried a front across a kink: take it again, ending there
+            self.stats.steps -= 1
+            self.stats.rejected += 1
+            h = t_kink - tn
+        self._path.append(t_new, x_new, f_new, d)
         if x_new.size > 1:
             self.stats.min_gap = min(self.stats.min_gap, float(np.min(np.diff(x_new))))
-        self.stats.min_speed = min(self.stats.min_speed, float(np.min(np.abs(k4))))
-        if not self._degeneracy_flagged and np.min(np.abs(k4)) < self.margin:
+        self.stats.min_speed = min(self.stats.min_speed, float(np.min(np.abs(f_new))))
+        if not self._degeneracy_flagged and np.min(np.abs(f_new)) < self.margin:
             self._degeneracy_flagged = True
-            self.stats.degeneracy_events.append((t_new, float(np.min(np.abs(k4)))))
+            self.stats.degeneracy_events.append((t_new, float(np.min(np.abs(f_new)))))
             warnings.warn(
                 f"interface speed below margin {self.margin:g} at t={t_new:g}",
                 DegeneracyWarning,
@@ -591,53 +662,81 @@ class ClassicalSegment:
             self.finished = True
         return True
 
-    def _event_cap(self, xn: np.ndarray, fn: np.ndarray) -> float:
-        if xn.size < 2:
-            return math.inf
-        gaps = np.diff(xn)
-        approach = fn[:-1] - fn[1:]
-        closing = approach > 0.0
-        if not np.any(closing):
-            return math.inf
-        cap = float(np.min(gaps[closing] / approach[closing]))
-        return max(0.5 * cap, 16.0 * self.tol_event)
+    def _next_kink(self, xn: np.ndarray, fn: np.ndarray) -> np.ndarray:
+        """Per front, the nearest known kink ahead of it in its direction of
+        motion and farther than it moves in 16*tol_event; nan where none."""
+        reach = xn + fn * (16.0 * self.tol_event)
+        ahead = self._signs > 0
+        i = np.where(
+            ahead,
+            np.searchsorted(self._kinks, reach, side="right"),
+            np.searchsorted(self._kinks, reach, side="left") - 1,
+        )
+        found = (i >= 0) & (i < self._kinks.size)
+        return np.where(found, self._kinks[np.clip(i, 0, self._kinks.size - 1)], math.nan)
 
-    def _gap_cubic(self, i: int):
-        ts, Y, F = self._path.arrays()
-        h = ts[-1] - ts[-2]
-        g0 = Y[-2, i + 1] - Y[-2, i]
-        d0 = F[-2, i + 1] - F[-2, i]
-        g1 = Y[-1, i + 1] - Y[-1, i]
-        d1 = F[-1, i + 1] - F[-1, i]
-        return h, g0, d0, g1, d1
+    def _step_cap(self, xn: np.ndarray, fn: np.ndarray) -> float:
+        """Linear-predicted time to the next kink crossing, or to the next gap
+        closure plus 16*tol_event so that the closure falls inside the step.
+
+        A step that reaches a kink earlier than predicted is taken again
+        (see _kink_crossing); one that falls short leaves the kink so close
+        ahead that the next prediction is nearly exact.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kink = (self._next_kink(xn, fn) - xn) / fn
+            gap = np.diff(xn) / (fn[:-1] - fn[1:])
+        kink = kink[kink > 0.0]
+        gap = gap[gap > 0.0]
+        return min(float(np.min(kink, initial=math.inf)), float(np.min(gap, initial=math.inf)) + 16.0 * self.tol_event)
+
+    def _kink_crossing(self, tn, xn, fn, t_new, x_new, f_new, d) -> float | None:
+        """Earliest time at which the trial step (tn, t_new) carries a front
+        across a known kink, located on the step's quartic; None unless it
+        lies more than 16*tol_event inside the step."""
+        kink = self._next_kink(xn, fn)
+        crossed = self._signs * (x_new - kink) > 0.0
+        if not np.any(crossed):
+            return None
+        h = np.full(np.count_nonzero(crossed), t_new - tn)
+        t_cross = _invert_quartic(
+            np.full(h.shape, tn), h, xn[crossed], fn[crossed], x_new[crossed],
+            f_new[crossed], d[crossed], kink[crossed], self._signs[crossed],
+        )
+        t_kink = float(np.min(t_cross))
+        slack = 16.0 * self.tol_event
+        return t_kink if tn + slack < t_kink < t_new - slack else None
 
     def _scan_event(self) -> tuple[float, int] | None:
         """Earliest gap closure inside the last accepted step, if any."""
         n = self.n_interfaces
         if n < 2 or len(self._path) < 2:
             return None
-        ts, _, _ = self._path.arrays()
-        t0, t1 = ts[-2], ts[-1]
+        ts, Y, F, D = self._path.arrays()
+        t0 = ts[-2]
+        h = ts[-1] - t0
+        # gap i's quartic, from the differences of adjacent columns, and its
+        # monomial coefficients c1..c4 in theta (c0 is g0)
+        g0, s0, g1, s1, gd = (np.diff(a) for a in (Y[-2], F[-2], Y[-1], F[-1], D[-1]))
+        c = np.array([
+            h * s0,
+            -3 * g0 - 2 * h * s0 + 3 * g1 - h * s1 + gd,
+            2 * g0 + h * s0 - 2 * g1 + h * s1 - 2 * gd,
+            gd,
+        ])
+        powers = np.arange(1.0, 5.0)
+        samples = np.linspace(0.0, 1.0, 13)
+        # |gap'| <= sum_j j |c_j| on [0, 1], so between samples 1/12 apart a
+        # gap dips at most a 24th of that below the lower one
+        dip = powers @ np.abs(c) / 24.0
+        near = _quartic(samples[:, None], h, g0, s0, g1, s1, gd).min(axis=0) <= dip
         best: tuple[float, int] | None = None
-        for i in range(n - 1):
-            h, g0, d0, g1, d1 = self._gap_cubic(i)
-            gap = lambda th: _hermite(th, h, g0, d0, g1, d1)
-            thetas = list(np.linspace(0.0, 1.0, 13))
-            # stationary points of the cubic catch dips between samples
-            a3 = 2 * g0 + h * d0 - 2 * g1 + h * d1
-            a2 = -3 * g0 - 2 * h * d0 + 3 * g1 - h * d1
-            a1 = h * d0
-            disc = 4 * a2 * a2 - 12 * a3 * a1
-            if a3 != 0.0 and disc >= 0.0:
-                r = math.sqrt(disc)
-                for root in ((-2 * a2 - r) / (6 * a3), (-2 * a2 + r) / (6 * a3)):
-                    if 0.0 < root < 1.0:
-                        thetas.append(root)
-            elif a3 == 0.0 and a2 != 0.0:
-                root = -a1 / (2 * a2)
-                if 0.0 < root < 1.0:
-                    thetas.append(root)
-            thetas = sorted(set(thetas))
+        for i in np.flatnonzero(near):
+            gap = lambda th: _quartic(th, h, g0[i], s0[i], g1[i], s1[i], gd[i])
+            # the stationary points of the quartic catch dips between samples;
+            # any real part in (0, 1) is kept, an extra sample costs nothing
+            roots = np.polynomial.polynomial.polyroots(powers * c[:, i]).real
+            thetas = np.unique(np.concatenate([samples, roots[(roots > 0.0) & (roots < 1.0)]]))
             hit_th = None
             for j in range(1, len(thetas)):
                 if gap(thetas[j]) <= 0.0:
@@ -654,13 +753,14 @@ class ClassicalSegment:
                 continue
             t_a = t0 + hit_th * h
             if best is None or t_a < best[0] - self.tol_event:
-                best = (t_a, i)
+                best = (t_a, int(i))
             # ties within tol_event resolve to the leftmost pair, i.e. first i
         return best
 
     def _finalize_event(self, t_a: float, i: int) -> None:
-        if t_a <= self._path.arrays()[0][-2]:
-            t_a = np.nextafter(self._path.arrays()[0][-2], math.inf)
+        t_prev = self._path.arrays()[0][-2]
+        if t_a <= t_prev:
+            t_a = np.nextafter(t_prev, math.inf)
         self._path.truncate_last(t_a)
         x_final = self._path.last()[1]
         k = i + 1  # 1-based index of the left member of the colliding pair
@@ -719,7 +819,7 @@ def integrate_adaptive(
     tol: float = 1e-9,
     max_steps: int = 500_000,
 ) -> DensePath:
-    """Generic adaptive 3(2) integration of y' = f(t, y) with dense output."""
+    """Generic adaptive 5(4) integration of y' = f(t, y) with dense output."""
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     path = DensePath(t0, y, f(t0, y))
     stats = SegmentStats()
@@ -728,6 +828,6 @@ def integrate_adaptive(
         if stats.steps >= max_steps:
             raise StepFailure(f"step budget {max_steps} exhausted at t={path.t_end!r}")
         tn, yn, fn = path.last()
-        t_new, y_new, k4, h = _bs3_step(f, tn, yn, fn, min(h, t_end - tn), tol, t_end, stats)
-        path.append(t_new, y_new, k4)
+        t_new, y_new, f_new, d, h = _dopri5_step(f, tn, yn, fn, min(h, t_end - tn), tol, t_end, stats)
+        path.append(t_new, y_new, f_new, d)
     return path

@@ -8,10 +8,13 @@ from scipy.optimize import brentq
 from frontsim.kinetics import Phase, flow_inside, flow_outside, reaction_rate
 from frontsim.state import H2Violation, IntervalSet, Profile
 from frontsim.classical import (
+    ClassicalSegment,
+    DensePath,
     EventKind,
     NotReached,
     run_segment,
 )
+from frontsim.weak import run_weak
 
 from conftest import expanding_setup, merge_setup, shrinking_setup
 
@@ -259,3 +262,81 @@ class TestSolverBehavior:
         seg, ev = run_segment(pstar, IntervalSet.empty(), Profile.constant(1.0, (-2, 2)), 0.0, 3.0)
         assert ev is None and seg.finished
         assert seg.evaluate_v(0.0, 3.0) == pytest.approx(flow_outside(pstar, 1.0, 3.0), abs=1e-12)
+
+
+def _profiles_instances(n):
+    """The first n instances of the benchmark's profiles workload: 3
+    intervals with gaps of at least 2.5 on a random piecewise-linear v0 with
+    40 knots and values in [0, 0.45]."""
+    rng = np.random.default_rng([0, 2])
+    out = []
+    for _ in range(n):
+        lengths = rng.uniform(0.5, 2.0, 3)
+        gaps = rng.uniform(2.5, 4.0, 2)
+        xs = [0.0, lengths[0]]
+        for gap, length in zip(gaps, lengths[1:]):
+            xs += [xs[-1] + gap, xs[-1] + gap + length]
+        knots = np.linspace(xs[0] - 20.0, xs[-1] + 20.0, 40)
+        out.append((IntervalSet(tuple(xs)), Profile(knots, rng.uniform(0.0, 0.45, knots.size))))
+    return out
+
+
+class TestQuarticDenseOutput:
+    @pytest.fixture()
+    def one_step(self, rng):
+        path = DensePath(0.2, rng.normal(size=3), rng.normal(size=3))
+        path.append(0.7, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
+        return path
+
+    def test_truncate_last_keeps_the_polynomial(self, one_step):
+        ts = np.linspace(0.2, 0.45, 11)
+        before = one_step.eval(ts)
+        slopes = one_step.deriv(ts)
+        one_step.truncate_last(0.45)
+        assert one_step.t_end == 0.45
+        assert np.max(np.abs(one_step.eval(ts) - before)) <= 1e-14
+        assert np.max(np.abs(one_step.deriv(ts) - slopes)) <= 1e-13
+
+    def test_invert_col_inverts_eval(self, pstar):
+        # a kinked v0 makes the fronts' speeds vary from step to step
+        omega, v0 = _profiles_instances(1)[0]
+        seg, _ = run_segment(pstar, omega, v0, 0.0, 1.0)
+        path = seg._path
+        ts = np.linspace(0.0, 1.0, 201)[1:]
+        for traj in seg.trajectories:
+            got = path.invert_col(traj.k - 1, traj.position(ts), traj.sign)
+            assert np.max(np.abs(got - ts)) <= 1e-13
+
+    def test_scan_event_catches_a_dip_between_samples(self, pstar):
+        # a gap quartic that dips below zero between two of the 13 samples
+        # (and between the stationary points of its cubic part) and comes back
+        h, centre = 0.01, 0.5 + 1.0 / 24.0
+        gap = np.polynomial.Polynomial([centre**2, -2.0 * centre, 1.0]) * np.polynomial.Polynomial([1.0, 0.0, 1.0])
+        gap = gap - 1e-4
+        assert np.all(gap(np.linspace(0.0, 1.0, 13)) > 0.0)
+        slope = gap.deriv()
+        seg = ClassicalSegment(pstar, IntervalSet((-1.0, 1.0)), Profile.constant(0.0, (-5.0, 5.0)), 0.0, 1.0)
+        seg._path = DensePath(0.0, [0.0, gap(0.0)], [0.0, slope(0.0) / h])
+        seg._path.append(h, [0.0, gap(1.0)], [0.0, slope(1.0) / h], [0.0, gap.coef[4]])
+        assert np.allclose(seg._path.eval(h * np.linspace(0.0, 1.0, 7))[:, 1], gap(np.linspace(0.0, 1.0, 7)))
+        first = min(r.real for r in gap.roots() if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0)
+        t_hit, pair = seg._scan_event()
+        assert pair == 0
+        assert t_hit == pytest.approx(first * h, abs=2.0 * seg.tol_event)
+
+
+class TestStepperAccuracy:
+    def test_error_against_tight_reference(self, pstar):
+        # maxima of the Bogacki-Shampine 3(2) stepper this one replaced,
+        # on the same cases and samples: 5.4e-8 at tol 1e-6, 3.0e-11 at 1e-8
+        shrinking = (*shrinking_setup(pstar), 0.6)
+        cases = [shrinking] + [(omega, v0, 1.0) for omega, v0 in _profiles_instances(8)]
+
+        def samples(omega, v0, t_end, tol):
+            w = run_weak(pstar, omega, v0, t_end, tol_step=tol)
+            return np.concatenate([w.interface_positions(t) for t in np.linspace(0.0, t_end, 41)])
+
+        refs = [samples(*case, 1e-12) for case in cases]
+        for tol, bound in ((1e-6, 5.4e-8), (1e-8, 3.0e-11)):
+            err = max(np.max(np.abs(samples(*case, tol) - ref)) for case, ref in zip(cases, refs))
+            assert err <= bound, f"tol_step={tol:g}: error {err:.2e} > {bound:.1e}"
