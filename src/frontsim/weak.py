@@ -397,10 +397,9 @@ def _time_breakpoints(
     return np.asarray(sorted(pts))
 
 
-def _pieces_at(w: WeakSolution, t: float, x1: float, x2: float, cuts=None):
-    """Partition (x1, x2) at the interfaces alive at t plus any fixed kink
+def _pieces_at(pos: np.ndarray, x1: float, x2: float, cuts=None):
+    """Partition (x1, x2) at the interface positions pos plus any fixed kink
     locations; yields (lo, hi, inside)."""
-    pos = w.interface_positions(t)
     inner = [float(p) for p in pos if x1 < p < x2]
     if cuts is not None:
         inner.extend(float(c) for c in cuts if x1 < c < x2)
@@ -421,23 +420,49 @@ _G2_LO = 0.5 - 0.5 / math.sqrt(3.0)
 _G2_HI = 0.5 + 0.5 / math.sqrt(3.0)
 
 
-def _gauss_cells(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(a, b, n + 1)
-    widths = np.diff(edges)
-    nodes = np.concatenate([edges[:-1] + _G2_LO * widths, edges[:-1] + _G2_HI * widths])
-    weights = np.concatenate([0.5 * widths, 0.5 * widths])
-    return nodes, weights
+def _gauss_cells(lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-point Gauss nodes and weights on counts[j] uniform cells of each
+    piece (lo[j], hi[j]), all pieces in one array.
+
+    Piece j holds entries bounds[j]:bounds[j + 1]: the lower node of each of
+    its cells, then the upper ones.  The cell edges are np.linspace's
+    (k * step + lo, and hi exactly), so a piece gets the same values here as
+    on its own.  Returns (nodes, weights, bounds).
+    """
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    counts = np.atleast_1d(counts)
+    piece = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    k = np.arange(piece.size) - first[piece]
+    step = ((hi - lo) / counts)[piece]
+    left = k * step + lo[piece]
+    right = np.where(k + 1 == counts[piece], hi[piece], (k + 1) * step + lo[piece])
+    widths = right - left
+    nodes = np.empty(2 * piece.size)
+    weights = np.empty(2 * piece.size)
+    at = 2 * first[piece] + k
+    nodes[at] = left + _G2_LO * widths
+    nodes[at + counts[piece]] = left + _G2_HI * widths
+    weights[at] = weights[at + counts[piece]] = 0.5 * widths
+    return nodes, weights, np.concatenate([[0], 2 * np.cumsum(counts)])
+
+
+def _cell_counts(pieces, n_total: int, span: float) -> np.ndarray:
+    return np.asarray([max(2, int(round(n_total * (hi - lo) / span))) for lo, hi, _ in pieces], dtype=int)
 
 
 def _gauss_integral_1d(f, pieces, n_total: int, inside_only: bool) -> float:
-    total = 0.0
+    """Sum over the pieces of the Gauss rule for f, one piece at a time."""
     span = sum(hi - lo for lo, hi, _ in pieces) or 1.0
-    for lo, hi, inside in pieces:
-        if inside_only and not inside:
-            continue
-        n = max(2, int(round(n_total * (hi - lo) / span)))
-        xs, ws = _gauss_cells(lo, hi, n)
-        total += float(np.sum(np.asarray(f(xs)) * ws))
+    if inside_only:
+        pieces = [p for p in pieces if p[2]]
+    if not pieces:
+        return 0.0
+    lo, hi, _ = zip(*pieces)
+    xs, ws, bounds = _gauss_cells(lo, hi, _cell_counts(pieces, n_total, span))
+    total = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        total += float(np.sum(np.asarray(f(xs[a:b])) * ws[a:b]))
     return total
 
 
@@ -470,7 +495,7 @@ def weak_residual(
 
     def edge_terms(t: float) -> tuple[float, float]:
         """Integrals of phi over the excited set and of v*psi over (x1, x2) at t."""
-        pieces = _pieces_at(w, t, x1, x2, cuts)
+        pieces = _pieces_at(w.interface_positions(t), x1, x2, cuts)
         area = _gauss_integral_1d(lambda xs: phi.value(xs, t), pieces, nx, True)
         field = _gauss_integral_1d(
             lambda xs: np.asarray(w.evaluate_v(xs, t)) * psi.value(xs, t), pieces, nx, False
@@ -489,36 +514,32 @@ def weak_residual(
         if length <= 0.0:
             continue
         n_rows = max(4, int(round(nt * length / (t2 - t1))))
-        taus, tws = _gauss_cells(lo, hi, n_rows)
-        xs_all: list[np.ndarray] = []
-        ts_all: list[np.ndarray] = []
-        wq_all: list[np.ndarray] = []
-        inside_all: list[np.ndarray] = []
-        for tau, tw in zip(taus, tws):
-            pieces = _pieces_at(w, float(tau), x1, x2, cuts)
+        taus, tws, _ = _gauss_cells(lo, hi, n_rows)
+        # no segment starts or ends inside (lo, hi): one segment holds every row
+        seg = w.segment_at(float(0.5 * (lo + hi)))
+        pos = seg.positions(taus)
+        rows = [_pieces_at(row, x1, x2, cuts) for row in pos]
+        for tau, tw, pieces in zip(taus, tws, rows):
             b_term += tw * _gauss_integral_1d(
                 lambda xs: phi.dt(xs, tau), pieces, nx, True
             )
-            for plo, phi_, inside in pieces:
-                n = max(2, int(round(nx * (phi_ - plo) / span)))
-                xs, ws = _gauss_cells(plo, phi_, n)
-                xs_all.append(xs)
-                ts_all.append(np.full(xs.size, tau))
-                wq_all.append(tw * ws)
-                inside_all.append(np.full(xs.size, inside, dtype=bool))
-        seg = w.segment_at(float(0.5 * (lo + hi)))
-        for traj in seg.trajectories:
-            xs = np.asarray(traj.position(taus))
+        # the field identity's nodes: every piece of every row, in row order
+        p_lo, p_hi, inside = zip(*(p for pieces in rows for p in pieces))
+        counts = _cell_counts(zip(p_lo, p_hi, inside), nx, span)
+        xs_f, ws, _ = _gauss_cells(p_lo, p_hi, counts)
+        row_of_piece = np.repeat(np.arange(len(rows)), [len(pieces) for pieces in rows])
+        row_of_node = np.repeat(row_of_piece, 2 * counts)
+        ts_f = taus[row_of_node]
+        wq_f = tws[row_of_node] * ws
+        in_f = np.repeat(inside, 2 * counts)
+        for j in range(seg.n_interfaces):
+            xs = pos[:, j]
             present = (xs > x1) & (xs < x2)
             if not np.any(present):
                 continue
             vs = np.asarray(seg.evaluate_v(xs[present], taus[present]))
             wv = front_speed(w.params, vs)
             c_term += float(np.sum(tws[present] * wv * phi.value(xs[present], taus[present])))
-        xs_f = np.concatenate(xs_all)
-        ts_f = np.concatenate(ts_all)
-        wq_f = np.concatenate(wq_all)
-        in_f = np.concatenate(inside_all)
         v_f = np.asarray(w.evaluate_v(xs_f, ts_f))
         g_f = np.where(
             in_f,
