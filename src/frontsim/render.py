@@ -27,11 +27,12 @@ class _Mapper:
         self.xmin, self.xmax = xmin, xmax
         self.tmin, self.tmax = tmin, tmax
 
-    def px(self, x):
-        return PAD + (x - self.xmin) / (self.xmax - self.xmin) * (WIDTH - 2 * PAD)
-
-    def py(self, t):
-        return HEIGHT - PAD - (t - self.tmin) / (self.tmax - self.tmin) * (HEIGHT - 2 * PAD)
+    def points(self, xt) -> str:
+        """SVG "px,py" pairs of an (n, 2) array of (x, t) points."""
+        xt = np.asarray(xt, dtype=float)
+        px = PAD + (xt[:, 0] - self.xmin) / (self.xmax - self.xmin) * (WIDTH - 2 * PAD)
+        py = HEIGHT - PAD - (xt[:, 1] - self.tmin) / (self.tmax - self.tmin) * (HEIGHT - 2 * PAD)
+        return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist()))
 
 
 def weak_solution_curves(w, samples_per_segment: int = 160):
@@ -73,11 +74,11 @@ def spacetime_svg(
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for poly in polygons:
-        pts = " ".join(f"{_fmt(m.px(x))},{_fmt(m.py(t))}" for x, t in poly)
+        pts = m.points(poly)
         parts.append(f'<polygon points="{pts}" fill="{FILL}" fill-opacity="0.55" stroke="none"/>')
     palette = [STROKE, ALT_STROKE]
     for i, (label, pts) in enumerate(curves):
-        d = " ".join(f"{_fmt(m.px(x))},{_fmt(m.py(t))}" for x, t in pts)
+        d = m.points(pts)
         color = palette[i % len(palette)] if len(curves) <= 2 else STROKE
         parts.append(
             f'<polyline points="{d}" fill="none" stroke="{color}" stroke-width="1.6"/>'
