@@ -6,10 +6,15 @@ The 2m interface positions satisfy the coupled ODE system
 
 where v(x, t) is reconstructed semi-analytically: each spatial point evolves
 by the exact inside/outside flow maps, switching branch at the arrival times
-of the interfaces that cross it.  The system is integrated with an embedded
-Bogacki-Shampine 3(2) pair under error-per-unit-step control, with cubic
-Hermite dense output; gap closures (collisions of adjacent interfaces) are
-localized on the dense output by bisection.
+of the interfaces that cross it.  The system is integrated with the
+Dormand-Prince 5(4) pair under error-per-unit-step control, with its quartic
+dense output (Shampine 1986): a step is accepted when both the embedded error
+and the gap between the quartic and the cubic Hermite interpolant are within
+tol_step * h.  The right-hand side is smooth except where a front crosses a
+kink of the field, whose positions never move; steps are capped to end at the
+predicted crossing, and a step that still crosses one is taken again to end
+there.  Gap closures (collisions of adjacent interfaces) are localized on the
+dense output by bisection.
 """
 from __future__ import annotations
 
@@ -129,7 +134,8 @@ def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign):
         nt = theta - step
         bad = ~np.isfinite(nt) | (nt < lo) | (nt > hi)
         nt = np.where(bad, 0.5 * (lo + hi), nt)
-        done = (np.abs(nt - theta) * h <= 1e-14 * np.maximum(1.0, np.abs(t0))) | (np.abs(val) <= rounding)
+        converged = np.abs(nt - theta) * h <= 1e-14 * np.maximum(1.0, np.abs(t0))
+        done = converged | (np.abs(val) <= rounding)
         theta = nt
         if np.all(done):
             break
@@ -327,9 +333,10 @@ class InterfaceTrajectory:
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980): the nodes and stage rows of
-# stages 2..7 (stage 7 is the new point's slope, reused as the next step's
-# first), the 5th-order weights, the error weights (5th minus 4th order) and
-# the weights of d in the 4th-order continuous extension (Shampine 1986).
+# stages 2..6, the 5th-order weights (stage 7 is the slope at the new point,
+# reused as the next step's first), the error weights of stages 1..7 (5th
+# minus 4th order) and their weights of d in the 4th-order continuous
+# extension (Shampine 1986).
 _DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _DP_A = (
     (1 / 5,),
@@ -686,9 +693,9 @@ class ClassicalSegment:
         with np.errstate(divide="ignore", invalid="ignore"):
             kink = (self._next_kink(xn, fn) - xn) / fn
             gap = np.diff(xn) / (fn[:-1] - fn[1:])
-        kink = kink[kink > 0.0]
-        gap = gap[gap > 0.0]
-        return min(float(np.min(kink, initial=math.inf)), float(np.min(gap, initial=math.inf)) + 16.0 * self.tol_event)
+        to_kink = float(np.min(kink[kink > 0.0], initial=math.inf))
+        to_gap = float(np.min(gap[gap > 0.0], initial=math.inf))
+        return min(to_kink, to_gap + 16.0 * self.tol_event)
 
     def _kink_crossing(self, tn, xn, fn, t_new, x_new, f_new, d) -> float | None:
         """Earliest time at which the trial step (tn, t_new) carries a front
@@ -828,6 +835,7 @@ def integrate_adaptive(
         if stats.steps >= max_steps:
             raise StepFailure(f"step budget {max_steps} exhausted at t={path.t_end!r}")
         tn, yn, fn = path.last()
-        t_new, y_new, f_new, d, h = _dopri5_step(f, tn, yn, fn, min(h, t_end - tn), tol, t_end, stats)
+        h = min(h, t_end - tn)
+        t_new, y_new, f_new, d, h = _dopri5_step(f, tn, yn, fn, h, tol, t_end, stats)
         path.append(t_new, y_new, f_new, d)
     return path

@@ -448,7 +448,8 @@ def _gauss_cells(lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cell_counts(pieces, n_total: int, span: float) -> np.ndarray:
-    return np.asarray([max(2, int(round(n_total * (hi - lo) / span))) for lo, hi, _ in pieces], dtype=int)
+    """Uniform cells per piece: the piece's share of n_total, at least 2."""
+    return np.asarray([max(2, int(round(n_total * (hi - lo) / span))) for lo, hi, _ in pieces])
 
 
 def _gauss_integral_1d(f, pieces, n_total: int, inside_only: bool) -> float:
