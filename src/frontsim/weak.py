@@ -525,8 +525,9 @@ def weak_residual(
                 lambda xs: phi.dt(xs, tau), pieces, nx, True
             )
         # the field identity's nodes: every piece of every row, in row order
-        p_lo, p_hi, inside = zip(*(p for pieces in rows for p in pieces))
-        counts = _cell_counts(zip(p_lo, p_hi, inside), nx, span)
+        flat = [p for pieces in rows for p in pieces]
+        p_lo, p_hi, inside = zip(*flat)
+        counts = _cell_counts(flat, nx, span)
         xs_f, ws, _ = _gauss_cells(p_lo, p_hi, counts)
         row_of_piece = np.repeat(np.arange(len(rows)), [len(pieces) for pieces in rows])
         row_of_node = np.repeat(row_of_piece, 2 * counts)

@@ -186,8 +186,8 @@ def _admissible_draw(rng, params, m):
     The 40 knots lie 0.3 to 0.7 apart and the endpoints sit on knots 8 to
     31, with v0 at least 0.025 away from v* = a/b there (|W| >= 0.05).  The
     other knots take any value in [0, 1], so fronts run into rising and
-    falling v and slow down as often as they speed up, and a pulse with one
-    front in each phase travels across points its neighbours already swept.
+    falling v and slow down as often as they speed up, and an interval whose
+    ends lie on both sides of v* travels over points a neighbour swept.
     """
     knots = np.cumsum(rng.uniform(0.3, 0.7, 40))
     ends = np.sort(rng.choice(np.arange(8, 32), 2 * m, replace=False))
