@@ -785,6 +785,10 @@ class ClassicalSegment:
         self.finished = True
 
 
+# steps allowed to one segment or one integrate_adaptive call
+MAX_STEPS = 500_000
+
+
 def run_segment(
     params: Parameters,
     omega_start: IntervalSet,
@@ -796,7 +800,6 @@ def run_segment(
     tol_event: float = 1e-10,
     margin: float | None = None,
     labels: tuple[int, ...] | None = None,
-    max_steps: int = 500_000,
 ) -> tuple[ClassicalSegment, EventRecord | None]:
     """Integrate from t_start until t_end or the first annihilation."""
     seg = ClassicalSegment(
@@ -811,8 +814,8 @@ def run_segment(
         labels=labels,
     )
     while not seg.finished:
-        if seg.stats.steps >= max_steps:
-            raise StepFailure(f"step budget {max_steps} exhausted at t={seg.t_end!r}")
+        if seg.stats.steps >= MAX_STEPS:
+            raise StepFailure(f"step budget {MAX_STEPS} exhausted at t={seg.t_end!r}")
         seg.advance()
     return seg, seg.event
 
@@ -824,7 +827,6 @@ def integrate_adaptive(
     t_end: float,
     *,
     tol: float = 1e-9,
-    max_steps: int = 500_000,
 ) -> DensePath:
     """Generic adaptive 5(4) integration of y' = f(t, y) with dense output."""
     y = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -832,8 +834,8 @@ def integrate_adaptive(
     stats = SegmentStats()
     h = min(math.sqrt(tol), 0.25 * (t_end - t0))
     while path.t_end < t_end:
-        if stats.steps >= max_steps:
-            raise StepFailure(f"step budget {max_steps} exhausted at t={path.t_end!r}")
+        if stats.steps >= MAX_STEPS:
+            raise StepFailure(f"step budget {MAX_STEPS} exhausted at t={path.t_end!r}")
         tn, yn, fn = path.last()
         h = min(h, t_end - tn)
         t_new, y_new, f_new, d, h = _dopri5_step(f, tn, yn, fn, h, tol, t_end, stats)

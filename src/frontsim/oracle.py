@@ -55,7 +55,8 @@ class InterfaceCountMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class FHNConfig:
-    """Discretization of the two-component model on a truncated line.
+    """Discretization of the two-component model on a truncated line with
+    homogeneous Neumann boundaries.
 
     Stability requires dt <= dx^2/2 (explicit diffusion) and dt <= eps^2/4
     (stiff reaction); both are enforced.  `freeze_v` pins v at its initial
@@ -73,7 +74,6 @@ class FHNConfig:
     x_right: float
     dx: float
     dt: float
-    bc: str = "neumann"
     freeze_v: bool = False
 
     def __post_init__(self) -> None:
@@ -87,8 +87,6 @@ class FHNConfig:
             raise ValueError("stability requires dt <= dx^2/2")
         if self.dt > 0.25 * self.eps**2:
             raise ValueError("stiff reaction requires dt <= eps^2/4")
-        if self.bc != "neumann":
-            raise ValueError("only homogeneous Neumann boundaries are supported")
 
     @property
     def a(self) -> float:
@@ -256,8 +254,6 @@ def compare_trajectories(
     trace: FHNTrace,
     weak: WeakSolution,
     t_max: float,
-    *,
-    count_guard: float | None = None,
 ) -> ComparisonReport:
     """Matched-interface sup errors between a finite-difference run and the
     tracked solution.
@@ -267,7 +263,7 @@ def compare_trajectories(
     or after annihilations only skip the sample (the diffuse model loses its
     interfaces slightly early).
     """
-    guard = math.sqrt(trace.eps) if count_guard is None else count_guard
+    guard = math.sqrt(trace.eps)
     first_event = min((ev.time for ev in weak.events), default=math.inf)
     times, errs = [], []
     skipped = 0
@@ -313,18 +309,14 @@ def eps_sweep(
     eps_list,
     t_end: float,
     *,
-    domain: tuple[float, float] | None = None,
     sample_dt: float = 0.02,
 ) -> list[ComparisonReport]:
     """Run the finite-difference model for each eps and compare with `weak`."""
     reports = []
+    speed = p.a + p.b * max(1.0, profile.bound)
     for eps in eps_list:
-        if domain is None:
-            speed = p.a + p.b * max(1.0, profile.bound)
-            lo = min(l for l, _ in omega.pairs) - (10.0 * eps + speed * t_end + 1.0)
-            hi = max(r for _, r in omega.pairs) + (10.0 * eps + speed * t_end + 1.0)
-        else:
-            lo, hi = domain
+        lo = min(l for l, _ in omega.pairs) - (10.0 * eps + speed * t_end + 1.0)
+        hi = max(r for _, r in omega.pairs) + (10.0 * eps + speed * t_end + 1.0)
         cfg = FHNConfig.for_front_model(p, eps, lo, hi)
         trace = run_fhn(cfg, omega, profile, t_end, sample_dt=sample_dt)
         reports.append(compare_trajectories(trace, weak, t_end))

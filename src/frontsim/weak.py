@@ -24,6 +24,7 @@ from .classical import (
     DensePath,
     EventKind,
     EventRecord,
+    NotReached,
     integrate_adaptive,
     run_segment,
 )
@@ -211,26 +212,33 @@ def annihilation_surgery(
     return omega_new, profile_new, extra_events, dead
 
 
-def glue(w: WeakSolution, seg: ClassicalSegment, *, tol: float = 1e-8) -> WeakSolution:
-    """Append a segment, verifying junction continuity of time and field."""
+_GLUE_TOL = 1e-8  # largest jump of the field allowed across a junction
+
+
+def glue(w: WeakSolution, seg: ClassicalSegment) -> WeakSolution:
+    """Append a segment, verifying junction continuity of time and field.
+
+    A _ContinuedField of prev is prev's own field, so it is not compared.
+    """
     if not w.segments:
         return WeakSolution(w.params, [seg], list(w.events))
     prev = w.segments[-1]
     t_j = seg.t_start
     if abs(prev.t_end - t_j) > 1e-10 * max(1.0, abs(t_j)):
         raise GlueMismatch(f"segment starts at {t_j!r} but previous ends at {prev.t_end!r}")
-    grid = np.asarray(seg.profile_start.xs, dtype=float)
-    if grid.size >= 2:
-        grid = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-    v_prev = np.atleast_1d(np.asarray(prev.evaluate_v(grid, prev.t_end)))
-    v_next = np.atleast_1d(np.asarray(seg.profile_start.eval(grid)))
-    jumps = np.abs(v_prev - v_next)
-    i = int(np.argmax(jumps))
-    if jumps[i] > tol:
-        raise GlueMismatch(
-            f"recovery field jumps by {jumps[i]:.3e} (tol {tol:.1e}) across the junction at "
-            f"t={t_j!r}, x={grid[i]!r}: v={v_prev[i]!r} before, {v_next[i]!r} after"
-        )
+    if getattr(seg.profile_start, "segment", None) is not prev:
+        grid = np.asarray(seg.profile_start.xs, dtype=float)
+        if grid.size >= 2:
+            grid = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+        v_prev = np.atleast_1d(np.asarray(prev.evaluate_v(grid, prev.t_end)))
+        v_next = np.atleast_1d(np.asarray(seg.profile_start.eval(grid)))
+        jumps = np.abs(v_prev - v_next)
+        i = int(np.argmax(jumps))
+        if jumps[i] > _GLUE_TOL:
+            raise GlueMismatch(
+                f"recovery field jumps by {jumps[i]:.3e} (tol {_GLUE_TOL:.1e}) across the junction at "
+                f"t={t_j!r}, x={grid[i]!r}: v={v_prev[i]!r} before, {v_next[i]!r} after"
+            )
     return WeakSolution(w.params, list(w.segments) + [seg], list(w.events))
 
 
@@ -243,8 +251,6 @@ def run_weak(
     tol_step: float = 1e-8,
     tol_event: float = 1e-10,
     margin: float | None = None,
-    glue_tol: float = 1e-8,
-    max_steps: int = 500_000,
 ) -> WeakSolution:
     """Evolve (omega0, v0) to t_end, continuing through every annihilation."""
     w = WeakSolution(params)
@@ -263,9 +269,8 @@ def run_weak(
             tol_event=tol_event,
             margin=margin,
             labels=labels,
-            max_steps=max_steps,
         )
-        w = glue(w, seg, tol=glue_tol)
+        w = glue(w, seg)
         if ev is None:
             break
         omega, prof, extras, dead = annihilation_surgery(seg, ev, margin=margin)
@@ -390,28 +395,11 @@ def _time_breakpoints(
             for xb in markers:
                 try:
                     ta = traj.arrival_time(float(xb))
-                except Exception:
+                except NotReached:
                     continue
                 if t1 < ta < t2:
                     pts.add(ta)
     return np.asarray(sorted(pts))
-
-
-def _pieces_at(pos: np.ndarray, x1: float, x2: float, cuts=None):
-    """Partition (x1, x2) at the interface positions pos plus any fixed kink
-    locations; yields (lo, hi, inside)."""
-    inner = [float(p) for p in pos if x1 < p < x2]
-    if cuts is not None:
-        inner.extend(float(c) for c in cuts if x1 < c < x2)
-    edges = np.unique(np.asarray([x1, *inner, x2]))
-    out = []
-    for lo, hi in zip(edges, edges[1:]):
-        if hi - lo <= 1e-13:
-            continue
-        mid = 0.5 * (lo + hi)
-        inside = bool(np.count_nonzero(pos < mid) % 2 == 1)
-        out.append((float(lo), float(hi), inside))
-    return out
 
 
 # two-point Gauss nodes per uniform cell; the integrand is smooth within each
@@ -420,14 +408,14 @@ _G2_LO = 0.5 - 0.5 / math.sqrt(3.0)
 _G2_HI = 0.5 + 0.5 / math.sqrt(3.0)
 
 
-def _gauss_cells(lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gauss_cells(lo, hi, counts) -> tuple[np.ndarray, np.ndarray]:
     """Two-point Gauss nodes and weights on counts[j] uniform cells of each
     piece (lo[j], hi[j]), all pieces in one array.
 
-    Piece j holds entries bounds[j]:bounds[j + 1]: the lower node of each of
-    its cells, then the upper ones.  The cell edges are np.linspace's
+    Piece j holds 2 * counts[j] consecutive entries: the lower node of each
+    of its cells, then the upper ones.  The cell edges are np.linspace's
     (k * step + lo, and hi exactly), so a piece gets the same values here as
-    on its own.  Returns (nodes, weights, bounds).
+    on its own.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
     counts = np.atleast_1d(counts)
@@ -444,27 +432,32 @@ def _gauss_cells(lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nodes[at] = left + _G2_LO * widths
     nodes[at + counts[piece]] = left + _G2_HI * widths
     weights[at] = weights[at + counts[piece]] = 0.5 * widths
-    return nodes, weights, np.concatenate([[0], 2 * np.cumsum(counts)])
+    return nodes, weights
 
 
-def _cell_counts(pieces, n_total: int, span: float) -> np.ndarray:
-    """Uniform cells per piece: the piece's share of n_total, at least 2."""
-    return np.asarray([max(2, int(round(n_total * (hi - lo) / span))) for lo, hi, _ in pieces])
+def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: int):
+    """Gauss nodes of (x1, x2) at each time taus[r], weighted by tws[r].
 
-
-def _gauss_integral_1d(f, pieces, n_total: int, inside_only: bool) -> float:
-    """Sum over the pieces of the Gauss rule for f, one piece at a time."""
-    span = sum(hi - lo for lo, hi, _ in pieces) or 1.0
-    if inside_only:
-        pieces = [p for p in pieces if p[2]]
-    if not pieces:
-        return 0.0
-    lo, hi, _ = zip(*pieces)
-    xs, ws, bounds = _gauss_cells(lo, hi, _cell_counts(pieces, n_total, span))
-    total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        total += float(np.sum(np.asarray(f(xs[a:b])) * ws[a:b]))
-    return total
+    Row r of pos holds the interface positions at taus[r]; they, clipped to
+    the window, and the cuts inside it partition (x1, x2).  Pieces of length
+    <= 1e-13 are dropped; a piece is inside the excited set when an odd
+    number of the row's positions lie below its midpoint.  Each piece gets
+    its share of nx cells, at least 2.  Returns the nodes' x, t, weight and
+    inside flag, rows in order, pieces left to right.
+    """
+    n_rows = pos.shape[0]
+    inner = np.tile(cuts[(cuts > x1) & (cuts < x2)], (n_rows, 1))
+    ends = np.full((n_rows, 1), x1), np.full((n_rows, 1), x2)
+    edges = np.sort(np.hstack([ends[0], np.clip(pos, x1, x2), inner, ends[1]]), axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = hi - lo > 1e-13
+    row = np.nonzero(keep)[0]
+    lo, hi = lo[keep], hi[keep]
+    inside = np.count_nonzero(pos[row] < (0.5 * (lo + hi))[:, None], axis=1) % 2 == 1
+    counts = np.maximum(2, np.round(nx * (hi - lo) / (x2 - x1)).astype(int))
+    xs, ws = _gauss_cells(lo, hi, counts)
+    node = np.repeat(np.arange(counts.size), 2 * counts)
+    return xs, taus[row[node]], tws[row[node]] * ws, inside[node]
 
 
 def weak_residual(
@@ -492,67 +485,38 @@ def weak_residual(
         raise ValueError("window exceeds the solution horizon")
     cuts = _structural_x(w)
     brk = _time_breakpoints(w, t1, t2, x1, x2, cuts)
-    span = x2 - x1
 
-    def edge_terms(t: float) -> tuple[float, float]:
-        """Integrals of phi over the excited set and of v*psi over (x1, x2) at t."""
-        pieces = _pieces_at(w.interface_positions(t), x1, x2, cuts)
-        area = _gauss_integral_1d(lambda xs: phi.value(xs, t), pieces, nx, True)
-        field = _gauss_integral_1d(
-            lambda xs: np.asarray(w.evaluate_v(xs, t)) * psi.value(xs, t), pieces, nx, False
-        )
-        return area, field
+    # each window edge is one row of weight 1: phi over the excited set, v*psi
+    # over the whole window
+    area, field = [], []
+    for t in (t1, t2):
+        pos = np.atleast_2d(w.interface_positions(t))
+        xs, ts, wq, inside = _window_nodes(pos, np.asarray([t]), np.ones(1), x1, x2, cuts, nx)
+        area.append(np.sum(phi.value(xs[inside], ts[inside]) * wq[inside]))
+        field.append(np.sum(w.evaluate_v(xs, ts) * psi.value(xs, ts) * wq))
 
-    (a_lo, d_lo), (a_hi, d_hi) = edge_terms(t1), edge_terms(t2)
-
-    # One pass over the quadrature rows feeds both identities: b_term and
-    # c_term for the excited measure, e_term for the field equation.
-    b_term = 0.0
-    c_term = 0.0
-    e_term = 0.0
+    # one node set per breakpoint interval: its inside nodes give b_term, all
+    # of them e_term; c_term reads the fronts inside the window
+    b_term = c_term = e_term = 0.0
     for lo, hi in zip(brk, brk[1:]):
-        length = hi - lo
-        if length <= 0.0:
-            continue
-        n_rows = max(4, int(round(nt * length / (t2 - t1))))
-        taus, tws, _ = _gauss_cells(lo, hi, n_rows)
+        taus, tws = _gauss_cells(lo, hi, max(4, int(round(nt * (hi - lo) / (t2 - t1)))))
         # no segment starts or ends inside (lo, hi): one segment holds every row
         seg = w.segment_at(float(0.5 * (lo + hi)))
         pos = seg.positions(taus)
-        rows = [_pieces_at(row, x1, x2, cuts) for row in pos]
-        for tau, tw, pieces in zip(taus, tws, rows):
-            b_term += tw * _gauss_integral_1d(
-                lambda xs: phi.dt(xs, tau), pieces, nx, True
-            )
-        # the field identity's nodes: every piece of every row, in row order
-        flat = [p for pieces in rows for p in pieces]
-        p_lo, p_hi, inside = zip(*flat)
-        counts = _cell_counts(flat, nx, span)
-        xs_f, ws, _ = _gauss_cells(p_lo, p_hi, counts)
-        row_of_piece = np.repeat(np.arange(len(rows)), [len(pieces) for pieces in rows])
-        row_of_node = np.repeat(row_of_piece, 2 * counts)
-        ts_f = taus[row_of_node]
-        wq_f = tws[row_of_node] * ws
-        in_f = np.repeat(inside, 2 * counts)
-        for j in range(seg.n_interfaces):
-            xs = pos[:, j]
-            present = (xs > x1) & (xs < x2)
-            if not np.any(present):
-                continue
-            vs = np.asarray(seg.evaluate_v(xs[present], taus[present]))
-            wv = front_speed(w.params, vs)
-            c_term += float(np.sum(tws[present] * wv * phi.value(xs[present], taus[present])))
-        v_f = np.asarray(w.evaluate_v(xs_f, ts_f))
-        g_f = np.where(
-            in_f,
-            np.asarray(reaction_rate(w.params, Phase.INSIDE, v_f)),
-            np.asarray(reaction_rate(w.params, Phase.OUTSIDE, v_f)),
+        xs, ts, wq, inside = _window_nodes(pos, taus, tws, x1, x2, cuts, nx)
+        b_term += np.sum(phi.dt(xs[inside], ts[inside]) * wq[inside])
+        r, k = np.nonzero((pos > x1) & (pos < x2))
+        if r.size:
+            wv = front_speed(w.params, seg.evaluate_v(pos[r, k], taus[r]))
+            c_term += np.sum(tws[r] * wv * phi.value(pos[r, k], taus[r]))
+        v = w.evaluate_v(xs, ts)
+        g = np.where(
+            inside, reaction_rate(w.params, Phase.INSIDE, v), reaction_rate(w.params, Phase.OUTSIDE, v)
         )
-        integrand = v_f * np.asarray(psi.dt(xs_f, ts_f)) + g_f * np.asarray(psi.value(xs_f, ts_f))
-        e_term += float(np.sum(integrand * wq_f))
-    r1 = abs((a_hi - a_lo) - b_term - c_term)
-    r2 = abs((d_hi - d_lo) - e_term)
-    return r1, r2
+        e_term += np.sum((v * psi.dt(xs, ts) + g * psi.value(xs, ts)) * wq)
+    r1 = abs((area[1] - area[0]) - b_term - c_term)
+    r2 = abs((field[1] - field[0]) - e_term)
+    return float(r1), float(r2)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)

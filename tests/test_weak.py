@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -21,6 +22,7 @@ from frontsim.weak import (
     run_weak,
     tensor_test_functions,
     weak_residual,
+    _window_nodes,
 )
 
 from conftest import merge_setup, shrinking_setup
@@ -372,6 +374,82 @@ class TestWeakResidual:
         x, t, h = 1.3, 2.1, 1e-6
         fd = (f.value(x, t + h) - f.value(x, t - h)) / (2 * h)
         assert f.dt(x, t) == pytest.approx(fd, rel=1e-8)
+
+    def test_arrival_errors_propagate(self, merge_run, monkeypatch):
+        # only NotReached means "no breakpoint"; any other error is a fault
+        def broken(self, y):
+            raise RuntimeError("arrival_time failed")
+
+        monkeypatch.setattr(classical.InterfaceTrajectory, "arrival_time", broken)
+        window = (-1.5, 1.5, 0.5, 1.5)
+        one = SpaceTimePolynomial([[1.0]], window)
+        with pytest.raises(RuntimeError, match="arrival_time failed"):
+            weak_residual(merge_run, window, one, one)
+
+    def test_detects_wrong_parameters(self, merge_run):
+        # the field and fronts stay those of the true run; residuals read with
+        # a wrong front speed (a) or recovery rate (g2) must not vanish
+        window = (-4.0, 4.0, 0.5, 1.5)
+        one = SpaceTimePolynomial([[1.0]], window)
+
+        def residual(**change):
+            params = dataclasses.replace(merge_run.params, **change)
+            return weak_residual(WeakSolution(params, merge_run.segments, merge_run.events), window, one, one)
+
+        r1, r2 = residual()
+        assert r1 <= 1e-5 and r2 <= 1e-5
+        assert residual(a=1.1)[0] >= 0.1
+        assert residual(g2=1.1)[1] >= 0.1
+
+
+def _reference_nodes(row, tau, tw, x1, x2, cuts, nx):
+    """(x, t, weight, inside) of each node of one row, piece by piece."""
+    inner = [p for p in (*row, *cuts) if x1 < p < x2]
+    edges = sorted({x1, x2, *inner})
+    g = 0.5 / math.sqrt(3.0)
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        if hi - lo <= 1e-13:
+            continue
+        inside = sum(p < 0.5 * (lo + hi) for p in row) % 2 == 1
+        cells = np.linspace(lo, hi, max(2, round(nx * (hi - lo) / (x2 - x1))) + 1)
+        left, width = cells[:-1], np.diff(cells)
+        nodes = np.concatenate([left + (0.5 - g) * width, left + (0.5 + g) * width])
+        out += [(x, tau, tw * 0.5 * wd, inside) for x, wd in zip(nodes, np.tile(width, 2))]
+    return out
+
+
+class TestWindowNodes:
+    """The partition of the window at each row's positions and the cuts."""
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(7)
+        x1, x2, nx = -2.0, 3.0, 40
+        cuts = np.array([-2.5, -1.0, 0.5, 2.0, 4.0])  # two outside the window
+        pos = np.sort(rng.uniform(-3.5, 4.5, (30, 4)), axis=1)
+        pos[0, 1] = 0.5  # a position on a cut
+        pos[1, 2] = 2.0 + 5e-14  # a piece shorter than 1e-13
+        pos[2, :2] = -1.0 - 3e-14, -1.0 + 4e-14  # two of them around a cut
+        pos[3, 0] = x1  # a position on the window edge
+        pos[4] = -3.0, -2.5, 3.5, 4.0  # all outside: the cuts only
+        pos.sort(axis=1)
+        taus = np.linspace(0.1, 0.9, pos.shape[0])
+        tws = rng.uniform(0.01, 0.1, pos.shape[0])
+        xs, ts, wq, inside = _window_nodes(pos, taus, tws, x1, x2, cuts, nx)
+        want = [
+            node
+            for row, tau, tw in zip(pos, taus, tws)
+            for node in _reference_nodes(list(row), tau, tw, x1, x2, list(cuts), nx)
+        ]
+        ref_x, ref_t, ref_w, ref_in = (np.asarray(c) for c in zip(*want))
+        assert xs.shape == ref_x.shape
+        np.testing.assert_allclose(xs, ref_x, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(ts, ref_t)
+        np.testing.assert_allclose(wq, ref_w, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(inside, ref_in)
+        # each row's weights add up to tw times the window, less dropped pieces
+        totals = np.bincount(np.searchsorted(taus, ts), weights=wq)
+        np.testing.assert_allclose(totals, tws * (x2 - x1), rtol=1e-12)
 
 
 class TestIllPosedDemo:
