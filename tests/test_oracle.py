@@ -6,6 +6,7 @@ import pytest
 from frontsim.state import IntervalSet, Profile
 from frontsim.oracle import (
     DomainTooSmall,
+    FHNBlowUp,
     FHNConfig,
     InterfaceCountMismatch,
     FHNState,
@@ -86,6 +87,45 @@ class TestStep:
         assert np.ptp(s2.u) == 0.0
         assert np.ptp(s2.v) == 0.0
 
+    def test_negative_recovery_raises(self, pstar):
+        # u < 0 on v = 0 drives v below zero in one step
+        cfg = small_cfg(pstar)
+        x = cfg.grid
+        s = FHNState(x=x, u=np.full_like(x, -0.05), v=np.zeros_like(x), t=0.0)
+        with pytest.raises(FHNBlowUp, match="recovery field went negative"):
+            step_fhn(cfg, s)
+
+    def test_u_blow_up_raises(self, pstar):
+        cfg = small_cfg(pstar)
+        x = cfg.grid
+        s = FHNState(x=x, u=np.full_like(x, 11.0), v=np.zeros_like(x), t=0.0)
+        with pytest.raises(FHNBlowUp, match="u exceeded the blow-up bound"):
+            step_fhn(cfg, s)
+
+    def test_frozen_negative_recovery_is_kept(self, pstar):
+        cfg = small_cfg(pstar, freeze_v=True)
+        x = cfg.grid
+        v = np.full_like(x, -1e-3)
+        s2 = step_fhn(cfg, FHNState(x=x, u=np.zeros_like(x), v=v, t=0.0))
+        assert np.array_equal(s2.v, v)
+
+    def test_run_is_repeated_steps(self, pstar):
+        # run_fhn and step_fhn share one kernel: same bits, input left alone
+        cfg = small_cfg(pstar)
+        omega, v0 = IntervalSet((-1.0, 1.0)), Profile.constant(0.2, (-4, 4))
+        n = 200
+        t_end = n * cfg.dt
+        assert math.ceil(t_end / cfg.dt) == n
+        trace = run_fhn(cfg, omega, v0, t_end)
+        s = init_fhn(cfg, omega, v0)
+        for _ in range(n):
+            u, v = s.u.copy(), s.v.copy()
+            s_next = step_fhn(cfg, s)
+            assert np.array_equal(s.u, u) and np.array_equal(s.v, v)
+            s = s_next
+        assert np.array_equal(trace.final.u, s.u)
+        assert np.array_equal(trace.final.v, s.v)
+
 
 class TestExtract:
     def test_single_step_location(self, pstar):
@@ -151,6 +191,22 @@ class TestDynamics:
             drops.append(abs(t_drop - t_track))
         assert drops[1] < drops[0]
         assert drops[1] < math.sqrt(0.02)
+
+    def test_pinned_positions(self, pstar):
+        # reference positions from the step computed term by term (f(u) and
+        # the Laplacian apart); the Horner form rounds differently, ~1e-14
+        cfg = small_cfg(pstar)
+        omega = IntervalSet((-2.0, -0.8, 0.6, 2.0))
+        v0 = Profile(np.array([-4.0, 0.0, 4.0]), np.array([0.1, 0.3, 0.05]))
+        trace = run_fhn(cfg, omega, v0, 0.5, sample_dt=0.2)
+        expected = [
+            [-2.1110741584476576, -0.7149742120058705, 0.5162018711680526, 2.1213282323144202],
+            [-2.212829647242028, -0.6453309490183664, 0.4482930254845229, 2.2348124558771887],
+            [-2.2638930555265655, -0.6133274556808825, 0.41736344925741425, 2.292285033975116],
+        ]
+        assert len(trace.interfaces) == 4
+        for pos, want in zip(trace.interfaces[1:], expected):
+            assert np.max(np.abs(pos - np.array(want))) <= 1e-10
 
 
 class TestCompare:
