@@ -29,7 +29,6 @@ from .kinetics import Parameters, flow_inside, flow_outside, front_speed
 from .state import IntervalSet, Profile, validate_initial, default_margin
 
 __all__ = [
-    "NotReached",
     "StepFailure",
     "DegeneracyWarning",
     "EventKind",
@@ -41,10 +40,6 @@ __all__ = [
     "run_segment",
     "integrate_adaptive",
 ]
-
-
-class NotReached(ValueError):
-    """The queried position is never attained by the trajectory in this segment."""
 
 
 class StepFailure(RuntimeError):
@@ -246,16 +241,16 @@ class DensePath:
             out = _quartic_deriv(*self._step_data(tq))
         return out[0] if np.ndim(t) == 0 else out
 
-    def invert_col(self, col: int, y, sign: float, not_reached: float = math.inf) -> np.ndarray:
+    def invert_col(self, col: int, y, sign: float) -> np.ndarray:
         """Arrival times of the (strictly monotone) component `col` at positions y.
 
         Returns t_start for positions already passed at the initial time and
-        `not_reached` for positions beyond the range covered so far.
+        inf for positions beyond the range covered so far.
         """
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         ts, Y, F, D = self.arrays()
         xk = Y[:, col]
-        out = np.full(ys.shape, not_reached)
+        out = np.full(ys.shape, math.inf)
         xo = sign * xk
         yo = sign * ys
         pre = yo <= xo[0]
@@ -293,17 +288,6 @@ class InterfaceTrajectory:
         return self._seg.labels[self._col]
 
     @property
-    def birth(self) -> float:
-        return self._seg.t_start
-
-    @property
-    def death(self) -> float | None:
-        ev = self._seg.event
-        if ev is not None and self.k in ev.indices:
-            return ev.time
-        return None
-
-    @property
     def sign(self) -> int:
         return int(self._seg._signs[self._col])
 
@@ -319,17 +303,12 @@ class InterfaceTrajectory:
         out = self._seg._path.deriv(t)[..., self._col]
         return float(out) if np.ndim(t) == 0 else out
 
-    def arrival_time(self, y: float) -> float:
-        """Time at which the interface reaches y; the segment start time for
-        positions already behind the motion; NotReached beyond its range."""
-        out = float(
-            self._seg._path.invert_col(self._col, float(y), self.sign, not_reached=math.nan)[0]
-        )
-        if math.isnan(out):
-            raise NotReached(
-                f"interface k={self.k} never reaches x={y!r} within [{self.birth}, {self._seg.t_end}]"
-            )
-        return out
+    def arrival_time(self, y) -> np.ndarray | float:
+        """Times at which the interface reaches the position(s) y: the segment
+        start time for positions already behind its motion, inf for positions
+        beyond the range it covers."""
+        out = self._seg._path.invert_col(self._col, y, self.sign)
+        return float(out[0]) if np.ndim(y) == 0 else out
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980): the nodes and stage rows of
@@ -428,7 +407,7 @@ class ClassicalSegment:
             raise ValueError("segment needs t_end > t_start")
         if not (tol_step > 0.0 and tol_event > 0.0):
             raise ValueError("tolerances must be positive")
-        self.report = validate_initial(params, omega_start, profile_start, margin)
+        validate_initial(params, omega_start, profile_start, margin)
         self.params = params
         self.omega_start = omega_start
         self.profile_start = profile_start
@@ -515,8 +494,9 @@ class ClassicalSegment:
         self._col_sign = np.concatenate([s._signs for s in segs])
         self._col_from = self._col_sign * self._col_x0
         self._col_t0 = np.concatenate([np.full(s.n_interfaces, s.t_start) for s in segs])
-        # a left end (parity -1) expands moving left, a right end moving right
-        self._col_expanding = np.concatenate([s._signs == s._parity for s in segs])
+        # right after its start an interface that moves left lies below a
+        # point on its start position, one that moves right above it
+        self._col_tie = self._col_sign < 0
         self._seg_cols = np.cumsum([0] + [s.n_interfaces for s in segs])
         self._past_to = np.concatenate(
             [np.zeros(0)] + [s._signs * s._path.arrays()[1][-1] for s in self._chain]
@@ -545,18 +525,16 @@ class ClassicalSegment:
         """Membership of each point in each segment's excited set for
         t -> t_start+, one column per segment of the history.
 
-        Interior/exterior points keep their open-set membership.  A point
-        exactly at an endpoint is absorbed into the interior immediately when
-        its interface moves away from the component it bounds (expanding
-        motion), and stays exterior otherwise; this is the limit the exact
+        A point is inside when an odd number of its segment's endpoints lie
+        below it.  An endpoint equal to the point counts as below it when its
+        interface moves left, i.e. lies below the point for t > t_start: the
+        point is then absorbed into the interior exactly when the interface
+        moves away from the component it bounds.  This is the limit the exact
         flow composition needs for continuity of v.
         """
         X = xs[:, None]
         ends = self._col_x0
-        # open membership: an odd count of endpoints below x, none equal to it
-        inside = self._odd_per_segment(X > ends) & self._odd_per_segment(X >= ends)
-        # endpoints increase, so at most one per segment equals x
-        return inside | self._odd_per_segment((X == ends) & self._col_expanding)
+        return self._odd_per_segment((X > ends) | ((X == ends) & self._col_tie))
 
     def _odd_per_segment(self, mask: np.ndarray) -> np.ndarray:
         """Whether each row of a (points, columns) mask holds an odd number

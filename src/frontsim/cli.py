@@ -70,18 +70,10 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _trajectories_csv(w: WeakSolution, t_end: float, n_samples: int, labels) -> str:
+def _trajectories_csv(w: WeakSolution, t_end: float, n_samples: int) -> str:
     times = np.linspace(0.0, t_end, n_samples)
-    column = {lab: j for j, lab in enumerate(labels)}
-    table = np.full((times.size, len(labels)), math.nan)
-    owner = w.segment_index(times)
-    for i, seg in enumerate(w.segments):
-        rows = np.flatnonzero(owner == i)
-        if rows.size and seg.n_interfaces:
-            cols = [column[lab] for lab in seg.labels]
-            table[np.ix_(rows, cols)] = seg.positions(times[rows])
-    lines = ["t," + ",".join(f"x_{lab}" for lab in labels)]
-    for t, row in zip(times, table):
+    lines = ["t," + ",".join(f"x_{lab}" for lab in w.segments[0].labels)]
+    for t, row in zip(times, w.positions(times)):
         lines.append(",".join([_fmt(t)] + [_fmt(x) for x in row]))
     return "\n".join(lines) + "\n"
 
@@ -118,10 +110,9 @@ def _run_standard(cfg: RunConfig, out_dir: str) -> None:
         tol_event=cfg.tol_event,
         margin=cfg.eta,
     )
-    labels = tuple(range(1, len(cfg.omega.endpoints) + 1))
     _write_text(
         os.path.join(out_dir, "trajectories.csv"),
-        _trajectories_csv(w, cfg.t_end, cfg.trajectory_samples, labels),
+        _trajectories_csv(w, cfg.t_end, cfg.trajectory_samples),
     )
     xs = _field_grid(cfg)
     ts = np.linspace(0.0, cfg.t_end, cfg.field_t)

@@ -72,74 +72,45 @@ def _auto_span(pairs, pad: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _preset_expanding(out_dir: str) -> RunConfig:
-    p = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
-    return RunConfig(
-        params=p,
+_PRESET_PARAMS = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
+
+# per-preset fields of the RunConfig; the illposed half-line start has the
+# degenerate endpoint, and its arctan profile is built into the demo itself,
+# so the placeholder profile below is never integrated
+PRESETS = {
+    "expanding": dict(
         omega=IntervalSet((-1.0, 1.0)),
         profile=Profile.constant(0.0, (-16.0, 16.0)),
         t_end=2.0,
-        out_dir=out_dir,
-        scenario="expanding",
         field_x=(-5.0, 5.0, 101),
-    )
-
-
-def _preset_shrinking(out_dir: str) -> RunConfig:
-    p = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
-    return RunConfig(
-        params=p,
+    ),
+    "shrinking": dict(
         omega=IntervalSet((-1.0, 1.0)),
         profile=Profile.constant(1.0, (-16.0, 16.0)),
         t_end=2.0,
-        out_dir=out_dir,
-        scenario="shrinking",
         field_x=(-3.0, 3.0, 101),
-    )
-
-
-def _preset_merge(out_dir: str) -> RunConfig:
-    p = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
-    return RunConfig(
-        params=p,
+    ),
+    "merge": dict(
         omega=IntervalSet((-3.0, -1.0, 1.0, 3.0)),
         profile=Profile.constant(0.0, (-16.0, 16.0)),
         t_end=3.0,
-        out_dir=out_dir,
-        scenario="merge",
         field_x=(-7.0, 7.0, 141),
-    )
-
-
-def _preset_illposed(out_dir: str) -> RunConfig:
-    p = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
-    # the half-line start with the degenerate endpoint; the arctan profile is
-    # built into the demo itself, the placeholder below is never integrated
-    return RunConfig(
-        params=p,
+    ),
+    "illposed": dict(
         omega=IntervalSet((0.0, math.inf), allow_half_infinite=True),
-        profile=Profile.constant(p.v_star, (-1.0, 1.0)),
+        profile=Profile.constant(_PRESET_PARAMS.v_star, (-1.0, 1.0)),
         t_end=0.1,
-        out_dir=out_dir,
-        scenario="illposed",
         field_x=(-0.5, 0.5, 101),
-    )
-
-
-PRESETS = {
-    "expanding": _preset_expanding,
-    "shrinking": _preset_shrinking,
-    "merge": _preset_merge,
-    "illposed": _preset_illposed,
+    ),
 }
 
 
 def preset_config(name: str, out_dir: str = "out") -> RunConfig:
     try:
-        builder = PRESETS[name]
+        fields = PRESETS[name]
     except KeyError:
         raise ConfigError([f"unknown preset {name!r}; choose from {sorted(PRESETS)}"]) from None
-    return builder(out_dir)
+    return RunConfig(params=_PRESET_PARAMS, **fields, out_dir=out_dir, scenario=name)
 
 
 def apply_env_overrides(cp: configparser.ConfigParser, environ=None) -> None:

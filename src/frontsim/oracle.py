@@ -322,10 +322,10 @@ def compare_trajectories(
     times, errs = [], []
     skipped = 0
     sup_rel = 0.0
-    for t, pos_fhn in zip(trace.times, trace.interfaces):
-        if t > t_max:
-            break
-        pos_w = weak.interface_positions(float(t))
+    # positions raises past the solution's end, so only times <= t_max
+    sampled = trace.times[trace.times <= t_max]
+    for t, pos_fhn, row in zip(sampled, trace.interfaces, weak.positions(sampled)):
+        pos_w = row[~np.isnan(row)]
         if len(pos_fhn) != len(pos_w):
             if t < first_event - guard:
                 raise InterfaceCountMismatch(

@@ -47,8 +47,8 @@ def weak_solution_curves(w, samples_per_segment: int = 160):
             continue
         ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
         pos = seg.positions(ts)
-        for j, traj in enumerate(seg.trajectories):
-            curves.setdefault(traj.label, []).extend(zip(pos[:, j], ts))
+        for j, label in enumerate(seg.labels):
+            curves.setdefault(label, []).extend(zip(pos[:, j], ts))
         for comp in range(seg.n_interfaces // 2):
             left = pos[:, 2 * comp]
             right = pos[:, 2 * comp + 1]

@@ -68,13 +68,6 @@ class IntervalSet:
                 raise ValueError("endpoints must be finite (half-infinite only in demo mode)")
 
     @classmethod
-    def from_pairs(cls, pairs, allow_half_infinite: bool = False) -> "IntervalSet":
-        flat: list[float] = []
-        for l, r in pairs:
-            flat.extend((float(l), float(r)))
-        return cls(tuple(flat), allow_half_infinite)
-
-    @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
 
@@ -152,8 +145,6 @@ class Profile:
         out = np.interp(xs, self.xs, self.vs)
         return float(out) if xs.ndim == 0 else out
 
-    __call__ = eval
-
 
 @dataclass(frozen=True)
 class EndpointCheck:
@@ -162,10 +153,6 @@ class EndpointCheck:
     v0: float
     speed: float            # W(v0) at the endpoint
     velocity: float         # actual endpoint velocity (-1)^k * W(v0)
-
-    @property
-    def side(self) -> str:
-        return "left" if self.k % 2 == 1 else "right"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .classical import (
     DensePath,
     EventKind,
     EventRecord,
-    NotReached,
     integrate_adaptive,
     run_segment,
 )
@@ -57,7 +56,12 @@ class GlueMismatch(ValueError):
 
 @dataclass
 class WeakSolution:
-    """Ordered classical segments with the annihilation events joining them."""
+    """Ordered classical segments with the annihilation events joining them.
+
+    Readers take positions from one table (positions) and the field from one
+    evaluate_v call per batch; a time on an event belongs to the segment
+    after it.
+    """
 
     params: Parameters
     segments: list[ClassicalSegment] = dc_field(default_factory=list)
@@ -78,9 +82,6 @@ class WeakSolution:
         starts = np.asarray([seg.t_start for seg in self.segments])
         return np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
 
-    def segment_at(self, t: float) -> ClassicalSegment:
-        return self.segments[int(self.segment_index(t))]
-
     def evaluate_v(self, x, t) -> np.ndarray | float:
         xs, ts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         shape = xs.shape
@@ -96,17 +97,30 @@ class WeakSolution:
             return float(out)
         return out
 
+    def positions(self, t) -> np.ndarray:
+        """Interface positions at the time(s) t: one row per time, one column
+        per label of the first segment, nan where that interface is not alive.
+
+        A scalar t gives one row.  Raises for a time outside the solution.
+        """
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        owner = self.segment_index(times)
+        column = {lab: j for j, lab in enumerate(self.segments[0].labels)}
+        table = np.full((times.size, len(column)), math.nan)
+        for i, seg in enumerate(self.segments):
+            rows = np.flatnonzero(owner == i)
+            if rows.size:
+                cols = [column[lab] for lab in seg.labels]
+                table[np.ix_(rows, cols)] = seg.positions(times[rows])
+        return table[0] if np.ndim(t) == 0 else table
+
     def interface_positions(self, t: float) -> np.ndarray:
         """Sorted positions of the interfaces alive at time t."""
-        return np.atleast_1d(self.segment_at(t).positions(float(t)))
+        row = self.positions(float(t))
+        return row[~np.isnan(row)]
 
     def component_count(self, t: float) -> int:
-        return self.segment_at(t).n_interfaces // 2
-
-    def trajectories(self):
-        for i, seg in enumerate(self.segments):
-            for traj in seg.trajectories:
-                yield i, traj
+        return self.segments[int(self.segment_index(t))].n_interfaces // 2
 
 
 def events_as_json(w: WeakSolution) -> str:
@@ -145,8 +159,6 @@ class _ContinuedField:
 
     def eval(self, x) -> np.ndarray | float:
         return self.segment.evaluate_v(x, self.segment.t_end)
-
-    __call__ = eval
 
 
 def annihilation_surgery(
@@ -385,21 +397,15 @@ def _structural_x(w: WeakSolution) -> np.ndarray:
 def _time_breakpoints(
     w: WeakSolution, t1: float, t2: float, x1: float, x2: float, cuts: np.ndarray
 ) -> np.ndarray:
-    pts = {t1, t2}
+    """Sorted unique times in [t1, t2] at which a segment starts or ends or
+    a front reaches a window edge or a cut, t1 and t2 included."""
     markers = np.concatenate([np.asarray([x1, x2]), cuts])
+    pts = [np.asarray([t1, t2])]
     for seg in w.segments:
-        for t in (seg.t_start, seg.t_end):
-            if t1 < t < t2:
-                pts.add(t)
-        for traj in seg.trajectories:
-            for xb in markers:
-                try:
-                    ta = traj.arrival_time(float(xb))
-                except NotReached:
-                    continue
-                if t1 < ta < t2:
-                    pts.add(ta)
-    return np.asarray(sorted(pts))
+        pts.append(np.asarray([seg.t_start, seg.t_end]))
+        pts.extend(traj.arrival_time(markers) for traj in seg.trajectories)
+    pts = np.concatenate(pts)
+    return np.unique(pts[(pts >= t1) & (pts <= t2)])
 
 
 # two-point Gauss nodes per uniform cell; the integrand is smooth within each
@@ -439,11 +445,13 @@ def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: in
     """Gauss nodes of (x1, x2) at each time taus[r], weighted by tws[r].
 
     Row r of pos holds the interface positions at taus[r]; they, clipped to
-    the window, and the cuts inside it partition (x1, x2).  Pieces of length
+    the window, and the cuts inside it partition (x1, x2).  nan entries (the
+    interfaces not alive at that time) are ignored.  Pieces of length
     <= 1e-13 are dropped; a piece is inside the excited set when an odd
     number of the row's positions lie below its midpoint.  Each piece gets
-    its share of nx cells, at least 2.  Returns the nodes' x, t, weight and
-    inside flag, rows in order, pieces left to right.
+    its share of nx cells, at least 2.  Returns the nodes' x, taus entry,
+    weight and inside flag, rows in order, pieces left to right; taus may be
+    any per-row label, such as the row index.
     """
     n_rows = pos.shape[0]
     inner = np.tile(cuts[(cuts > x1) & (cuts < x2)], (n_rows, 1))
@@ -485,37 +493,39 @@ def weak_residual(
         raise ValueError("window exceeds the solution horizon")
     cuts = _structural_x(w)
     brk = _time_breakpoints(w, t1, t2, x1, x2, cuts)
+    counts = np.maximum(4, np.round(nt * np.diff(brk) / (t2 - t1)).astype(int))
+    taus, tws = _gauss_cells(brk[:-1], brk[1:], counts)
 
-    # each window edge is one row of weight 1: phi over the excited set, v*psi
-    # over the whole window
-    area, field = [], []
-    for t in (t1, t2):
-        pos = np.atleast_2d(w.interface_positions(t))
-        xs, ts, wq, inside = _window_nodes(pos, np.asarray([t]), np.ones(1), x1, x2, cuts, nx)
-        area.append(np.sum(phi.value(xs[inside], ts[inside]) * wq[inside]))
-        field.append(np.sum(w.evaluate_v(xs, ts) * psi.value(xs, ts) * wq))
+    # one node set for the window: rows 0 and 1 are its edges t1 and t2, of
+    # weight -1 and +1 so that their sums are changes from t1 to t2; the
+    # Gauss rows of the breakpoint intervals follow
+    times = np.concatenate([[t1, t2], taus])
+    pos = w.positions(times)
+    xs, row, wq, inside = _window_nodes(
+        pos, np.arange(times.size), np.concatenate([[-1.0, 1.0], tws]), x1, x2, cuts, nx
+    )
+    ts = times[row]
+    # the fronts inside the window on the Gauss rows, for c_term
+    r, k = np.nonzero((pos[2:] > x1) & (pos[2:] < x2))
+    fx, ft = pos[2:][r, k], taus[r]
+    v_all = w.evaluate_v(np.concatenate([xs, fx]), np.concatenate([ts, ft]))
+    v, wv = v_all[: xs.size], front_speed(w.params, v_all[xs.size :])
 
-    # one node set per breakpoint interval: its inside nodes give b_term, all
-    # of them e_term; c_term reads the fronts inside the window
-    b_term = c_term = e_term = 0.0
-    for lo, hi in zip(brk, brk[1:]):
-        taus, tws = _gauss_cells(lo, hi, max(4, int(round(nt * (hi - lo) / (t2 - t1)))))
-        # no segment starts or ends inside (lo, hi): one segment holds every row
-        seg = w.segment_at(float(0.5 * (lo + hi)))
-        pos = seg.positions(taus)
-        xs, ts, wq, inside = _window_nodes(pos, taus, tws, x1, x2, cuts, nx)
-        b_term += np.sum(phi.dt(xs[inside], ts[inside]) * wq[inside])
-        r, k = np.nonzero((pos > x1) & (pos < x2))
-        if r.size:
-            wv = front_speed(w.params, seg.evaluate_v(pos[r, k], taus[r]))
-            c_term += np.sum(tws[r] * wv * phi.value(pos[r, k], taus[r]))
-        v = w.evaluate_v(xs, ts)
-        g = np.where(
-            inside, reaction_rate(w.params, Phase.INSIDE, v), reaction_rate(w.params, Phase.OUTSIDE, v)
-        )
-        e_term += np.sum((v * psi.dt(xs, ts) + g * psi.value(xs, ts)) * wq)
-    r1 = abs((area[1] - area[0]) - b_term - c_term)
-    r2 = abs((field[1] - field[0]) - e_term)
+    # the edges give phi over the excited set and v*psi over the window; the
+    # Gauss rows' inside nodes give b_term, all of them e_term
+    edge = row < 2
+    at_edge, within = inside & edge, inside & ~edge
+    d_area = np.sum(phi.value(xs[at_edge], ts[at_edge]) * wq[at_edge])
+    pv = psi.value(xs, ts)
+    d_field = np.sum((v * pv * wq)[edge])
+    b_term = np.sum(phi.dt(xs[within], ts[within]) * wq[within])
+    c_term = np.sum(tws[r] * wv * phi.value(fx, ft))
+    g = np.where(
+        inside, reaction_rate(w.params, Phase.INSIDE, v), reaction_rate(w.params, Phase.OUTSIDE, v)
+    )
+    e_term = np.sum(((v * psi.dt(xs, ts) + g * pv) * wq)[~edge])
+    r1 = abs(d_area - b_term - c_term)
+    r2 = abs(d_field - e_term)
     return float(r1), float(r2)
 
 
@@ -523,24 +533,23 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 def interface_speed_integral(w: WeakSolution, label: int, t1: float, t2: float) -> float:
-    """Quadrature of W(v(x_k(t), t)) dt along the labeled interface."""
+    """Quadrature of W(v(x_k(t), t)) dt along the labeled interface: 6-point
+    Gauss-Legendre on each knot interval, one field call per segment."""
     total = 0.0
     for seg in w.segments:
-        traj = next((tr for tr in seg.trajectories if tr.label == label), None)
-        if traj is None:
-            continue
         lo = max(t1, seg.t_start)
         hi = min(t2, seg.t_end)
-        if hi <= lo:
+        if label not in seg.labels or hi <= lo:
             continue
+        traj = seg.trajectories[seg.labels.index(label)]
         knots = traj.times
         cuts = np.unique(np.concatenate([[lo, hi], knots[(knots > lo) & (knots < hi)]]))
-        for a, b in zip(cuts, cuts[1:]):
-            half = 0.5 * (b - a)
-            ts = 0.5 * (a + b) + half * _GL_NODES
-            xs = np.asarray(traj.position(ts))
-            vs = np.asarray(seg.evaluate_v(xs, ts))
-            total += half * float(np.sum(_GL_WEIGHTS * front_speed(w.params, vs)))
+        half = 0.5 * np.diff(cuts)[:, None]
+        ts = (0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half * _GL_NODES
+        ts = ts.ravel()
+        xs = traj.position(ts)
+        speeds = front_speed(w.params, seg.evaluate_v(xs, ts)).reshape(half.size, -1)
+        total += float(np.sum(half[:, 0] * np.sum(_GL_WEIGHTS * speeds, axis=1)))
     return total
 
 

@@ -11,7 +11,6 @@ from frontsim.classical import (
     ClassicalSegment,
     DensePath,
     EventKind,
-    NotReached,
     run_segment,
 )
 from frontsim.weak import run_weak
@@ -81,8 +80,17 @@ class TestExpanding:
         right = expanding_segment.trajectories[1]
         assert right.arrival_time(3.0) == pytest.approx(2.0, abs=1e-10)
         assert right.arrival_time(0.5) == 0.0  # already passed at start
-        with pytest.raises(NotReached):
-            right.arrival_time(1e6)
+        assert right.arrival_time(1e6) == math.inf
+
+    def test_arrival_times_batched(self, expanding_segment):
+        ys = np.array([-1e6, -3.0, -1.5, -0.5, 0.5, 1.0, 1.7, 2.9, 3.0, 1e6])
+        for tr in expanding_segment.trajectories:
+            got = tr.arrival_time(ys)
+            assert got.shape == ys.shape
+            np.testing.assert_array_equal(got, [tr.arrival_time(float(y)) for y in ys])
+            # far ahead of the front: never reached; far behind it: passed at start
+            ahead, behind = (-1, 0) if tr.sign > 0 else (0, -1)
+            assert got[ahead] == math.inf and got[behind] == 0.0
 
     def test_interface_velocities(self, expanding_segment):
         assert expanding_segment.interface_velocity(2, 0.0) == pytest.approx(1.0)

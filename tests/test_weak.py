@@ -9,7 +9,7 @@ import pytest
 from frontsim.kinetics import flow_inside, flow_outside
 from frontsim.state import H2Violation, IntervalSet, Profile
 from frontsim import classical
-from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, NotReached, run_segment
+from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, run_segment
 from frontsim.weak import (
     GlueMismatch,
     SpaceTimePolynomial,
@@ -167,6 +167,38 @@ def cascade16(pstar):
     return xs, gaps, v0, run_weak(pstar, IntervalSet(tuple(xs)), v0, 3.0)
 
 
+class TestPositionTable:
+    """WeakSolution.positions: one column per label, nan where not alive."""
+
+    @pytest.mark.parametrize("run", ["merge_run", "shrinking_run"])
+    def test_rows_follow_the_owning_segment(self, run, request):
+        w = request.getfixturevalue(run)
+        labels = w.segments[0].labels
+        ts = np.concatenate([np.linspace(w.t_start, w.t_end, 37), [ev.time for ev in w.events]])
+        table = w.positions(ts)
+        assert table.shape == (ts.size, len(labels))
+        for t, row in zip(ts, table):
+            seg = w.segments[int(w.segment_index(t))]
+            alive = [labels.index(lab) for lab in seg.labels]
+            dead = [j for j in range(len(labels)) if j not in alive]
+            np.testing.assert_array_equal(row[alive], seg.positions(t))
+            assert np.all(np.isnan(row[dead]))
+            np.testing.assert_array_equal(w.interface_positions(t), row[alive])
+            np.testing.assert_array_equal(w.positions(float(t)), row)
+
+    @pytest.mark.parametrize("run", ["merge_run", "shrinking_run"])
+    def test_event_time_belongs_to_the_next_segment(self, run, request):
+        w = request.getfixturevalue(run)
+        ev = w.events[0]
+        row = w.positions(ev.time)
+        assert np.count_nonzero(np.isnan(row)) == 2
+        np.testing.assert_array_equal(row[~np.isnan(row)], w.segments[1].positions(ev.time))
+
+    def test_past_the_end_raises(self, merge_run):
+        with pytest.raises(ValueError):
+            merge_run.positions([1.0, merge_run.t_end + 1.0])
+
+
 class TestGeneratedCascade:
     def test_random_intervals_all_merge(self, cascade16):
         xs, gaps, v0, w = cascade16
@@ -231,10 +263,7 @@ def _crossings(seg, x: float, end: float) -> list[float]:
     """Times in (seg.t_start, end] at which an interface of seg crosses x."""
     out = []
     for tr in seg.trajectories:
-        try:
-            ta = tr.arrival_time(x)
-        except NotReached:
-            continue
+        ta = tr.arrival_time(x)
         if seg.t_start < ta <= end:
             out.append(ta)
     return sorted(out)
@@ -376,7 +405,7 @@ class TestWeakResidual:
         assert f.dt(x, t) == pytest.approx(fd, rel=1e-8)
 
     def test_arrival_errors_propagate(self, merge_run, monkeypatch):
-        # only NotReached means "no breakpoint"; any other error is a fault
+        # an error while finding the breakpoints is a fault, never skipped
         def broken(self, y):
             raise RuntimeError("arrival_time failed")
 
@@ -450,6 +479,20 @@ class TestWindowNodes:
         # each row's weights add up to tw times the window, less dropped pieces
         totals = np.bincount(np.searchsorted(taus, ts), weights=wq)
         np.testing.assert_allclose(totals, tws * (x2 - x1), rtol=1e-12)
+
+    def test_nan_entries_are_ignored(self):
+        rng = np.random.default_rng(8)
+        x1, x2, nx = -2.0, 3.0, 40
+        cuts = np.array([-1.0, 0.5, 2.0])
+        full = np.sort(rng.uniform(-3.0, 4.0, (6, 4)), axis=1)
+        padded = np.full((6, 6), np.nan)
+        padded[:, [0, 2, 3, 5]] = full  # nan columns between and after the positions
+        taus = np.linspace(0.1, 0.9, 6)
+        tws = rng.uniform(0.01, 0.1, 6)
+        want = _window_nodes(full, taus, tws, x1, x2, cuts, nx)
+        got = _window_nodes(padded, taus, tws, x1, x2, cuts, nx)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestIllPosedDemo:
