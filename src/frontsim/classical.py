@@ -407,7 +407,7 @@ class ClassicalSegment:
             raise ValueError("segment needs t_end > t_start")
         if not (tol_step > 0.0 and tol_event > 0.0):
             raise ValueError("tolerances must be positive")
-        validate_initial(params, omega_start, profile_start, margin)
+        report = validate_initial(params, omega_start, profile_start, margin)
         self.params = params
         self.omega_start = omega_start
         self.profile_start = profile_start
@@ -426,9 +426,8 @@ class ClassicalSegment:
         self._parity = np.array([(-1.0) ** k for k in range(1, n + 1)])
         x0 = np.asarray(omega_start.endpoints, dtype=float)
         if n:
-            # at the initial time the field is the profile itself
-            v0_at = np.atleast_1d(np.asarray(profile_start.eval(x0), dtype=float))
-            f0 = self._parity * (params.a - params.b * v0_at)
+            # the initial slopes are the endpoint velocities the validation read
+            f0 = np.array([c.velocity for c in report.checks])
             self._signs = np.sign(f0)
             self._path = DensePath(self.t_start, x0, f0)
             self.finished = False
@@ -469,16 +468,14 @@ class ClassicalSegment:
         return [InterfaceTrajectory(self, j) for j in range(self.n_interfaces)]
 
     def positions(self, t) -> np.ndarray:
-        self._check_time(t)
+        self._check_time(t, self.t_start)
         return self._path.eval(t)
 
-    def _check_time(self, t) -> None:
+    def _check_time(self, t, t_from: float) -> None:
         tq = np.asarray(t, dtype=float)
         slack = 1e-12 * max(1.0, abs(self.t_end))
-        if np.any(tq < self.t_start - slack) or np.any(tq > self.t_end + slack):
-            raise ValueError(
-                f"time outside segment [{self.t_start}, {self.t_end}]"
-            )
+        if np.any(tq < t_from - slack) or np.any(tq > self.t_end + slack):
+            raise ValueError(f"time outside [{t_from}, {self.t_end}]")
 
     # -- field reconstruction ---------------------------------------------
 
@@ -580,8 +577,9 @@ class ClassicalSegment:
         return v
 
     def evaluate_v(self, x, t) -> np.ndarray | float:
-        """Recovery field v(x, t) for t inside the segment (x, t broadcastable)."""
-        self._check_time(t)
+        """Recovery field v(x, t) for any t from the start of the history this
+        segment continues to its own end (x, t broadcastable)."""
+        self._check_time(t, self._t_origin)
         xs, ts = np.broadcast_arrays(
             np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         )
@@ -607,14 +605,12 @@ class ClassicalSegment:
         v = self._v_field(np.asarray(x, dtype=float), tq)
         return self._parity * (self.params.a - self.params.b * v)
 
-    def advance(self, dt_max: float | None = None) -> bool:
+    def advance(self) -> bool:
         """Take one accepted adaptive step; returns False once finished."""
         if self.finished:
             return False
         tn, xn, fn = self._path.last()
         h = min(self._h, self.t_goal - tn, self._step_cap(xn, fn))
-        if dt_max is not None:
-            h = min(h, float(dt_max))
         while True:
             t_new, x_new, f_new, d, self._h = _dopri5_step(
                 self._rhs, tn, xn, fn, h, self.tol_step, self.t_goal, self.stats

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -60,8 +59,6 @@ environment overrides: FRONTSIM_<SECTION>__<KEY>=value, e.g.
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
 
 
@@ -168,15 +165,13 @@ def _run_standard(cfg: RunConfig, out_dir: str) -> None:
 def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
     front, back = ill_posedness_demo(cfg.params, cfg.t_end)
     times = np.linspace(0.0, cfg.t_end, cfg.trajectory_samples)
+    x_front, x_back = front.position(times), back.position(times)
     lines = ["t,x_1,x_2"]
-    for t in times:
-        lines.append(f"{_fmt(t)},{_fmt(front.position(float(t)))},{_fmt(back.position(float(t)))}")
+    lines.extend(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}" for t, a, b in zip(times, x_front, x_back))
     _write_text(os.path.join(out_dir, "trajectories.csv"), "\n".join(lines) + "\n")
 
     div = ["t,separation"]
-    for t in times:
-        sep = back.position(float(t)) - front.position(float(t))
-        div.append(f"{_fmt(t)},{_fmt(sep)}")
+    div.extend(f"{_fmt(t)},{_fmt(sep)}" for t, sep in zip(times, x_back - x_front))
     _write_text(os.path.join(out_dir, "divergence.csv"), "\n".join(div) + "\n")
 
     xs = _field_grid(cfg)
@@ -184,10 +179,7 @@ def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
     _write_text(os.path.join(out_dir, "field.csv"), _field_csv(front.v, xs, ts))
     _write_text(os.path.join(out_dir, "events.json"), json.dumps([]) + "\n")
 
-    curves = [
-        (1, np.column_stack([np.array([front.position(float(t)) for t in times]), times])),
-        (2, np.column_stack([np.array([back.position(float(t)) for t in times]), times])),
-    ]
+    curves = [(1, np.column_stack([x_front, times])), (2, np.column_stack([x_back, times]))]
     svg = spacetime_svg(
         curves,
         [],

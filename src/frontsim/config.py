@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 import os
 from dataclasses import dataclass
 
@@ -74,9 +73,9 @@ def _auto_span(pairs, pad: float) -> tuple[float, float]:
 
 _PRESET_PARAMS = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
 
-# per-preset fields of the RunConfig; the illposed half-line start has the
-# degenerate endpoint, and its arctan profile is built into the demo itself,
-# so the placeholder profile below is never integrated
+# per-preset fields of the RunConfig; the illposed demo builds its half-line
+# start (0, inf) with the degenerate endpoint and its arctan profile itself,
+# so its omega and profile below are placeholders the demo never reads
 PRESETS = {
     "expanding": dict(
         omega=IntervalSet((-1.0, 1.0)),
@@ -97,7 +96,7 @@ PRESETS = {
         field_x=(-7.0, 7.0, 141),
     ),
     "illposed": dict(
-        omega=IntervalSet((0.0, math.inf), allow_half_infinite=True),
+        omega=IntervalSet.empty(),
         profile=Profile.constant(_PRESET_PARAMS.v_star, (-1.0, 1.0)),
         t_end=0.1,
         field_x=(-0.5, 0.5, 101),

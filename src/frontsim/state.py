@@ -36,14 +36,10 @@ class H2Violation(ValueError):
 @dataclass(frozen=True)
 class IntervalSet:
     """Finite union of disjoint open intervals, stored as a flat strictly
-    increasing endpoint sequence (l1, r1, l2, r2, ...).
-
-    A single half-infinite right endpoint (math.inf) is tolerated only in the
-    ill-posedness demo; everything else requires finite endpoints.
+    increasing endpoint sequence (l1, r1, l2, r2, ...) of finite numbers.
     """
 
     endpoints: tuple[float, ...]
-    allow_half_infinite: bool = False
 
     def __post_init__(self) -> None:
         pts = tuple(float(x) for x in self.endpoints)
@@ -56,16 +52,8 @@ class IntervalSet:
                     f"endpoints must be strictly increasing; got {pts[i]!r} >= {pts[i + 1]!r} "
                     "(overlapping or degenerate intervals)"
                 )
-        finite = all(math.isfinite(x) for x in pts)
-        if not finite:
-            half_inf_ok = (
-                self.allow_half_infinite
-                and len(pts) >= 2
-                and pts[-1] == math.inf
-                and all(math.isfinite(x) for x in pts[:-1])
-            )
-            if not half_inf_ok:
-                raise ValueError("endpoints must be finite (half-infinite only in demo mode)")
+        if not all(math.isfinite(x) for x in pts):
+            raise ValueError("endpoints must be finite")
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -178,23 +166,19 @@ def validate_initial(
     Accepts iff the interval set is a valid disjoint finite union, the profile
     is non-negative, and |W(v0(x))| >= margin at every endpoint of omega.  The
     returned report records W at each endpoint, whose sign fixes the initial
-    direction of motion.  Raises H2Violation listing the degenerate endpoints.
+    direction of motion.  v0 is evaluated once, at all endpoints together.
+    Raises H2Violation listing the degenerate endpoints.
     """
     eta = default_margin(p) if margin is None else float(margin)
     if eta <= 0.0:
         raise ValueError("degeneracy margin must be positive")
-    if not omega.allow_half_infinite and omega.endpoints:
-        if not all(math.isfinite(x) for x in omega.endpoints):
-            raise ValueError("initial interval set must have finite endpoints")
 
     checks = []
-    for i, x in enumerate(omega.endpoints):
-        if not math.isfinite(x):
-            continue  # demo-mode infinite endpoint carries no interface
-        k = i + 1
-        v_here = float(v0.eval(x))
-        w = float(front_speed(p, v_here))
-        checks.append(EndpointCheck(k=k, position=x, v0=v_here, speed=w, velocity=(-1.0) ** k * w))
+    if omega.endpoints:
+        v_at = np.asarray(v0.eval(np.asarray(omega.endpoints)), dtype=float).tolist()
+        for k, (x, v_here) in enumerate(zip(omega.endpoints, v_at), start=1):
+            w = float(front_speed(p, v_here))
+            checks.append(EndpointCheck(k=k, position=x, v0=v_here, speed=w, velocity=(-1.0) ** k * w))
     offenders = tuple(c for c in checks if abs(c.speed) < eta)
     if offenders:
         where = ", ".join(f"x_{c.k}={c.position:g} (W={c.speed:.3e})" for c in offenders)

@@ -59,8 +59,8 @@ class WeakSolution:
     """Ordered classical segments with the annihilation events joining them.
 
     Readers take positions from one table (positions) and the field from one
-    evaluate_v call per batch; a time on an event belongs to the segment
-    after it.
+    evaluate_v call per batch, which is one fold of the last segment over
+    the whole history; a time on an event belongs to the segment after it.
     """
 
     params: Parameters
@@ -83,19 +83,9 @@ class WeakSolution:
         return np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
 
     def evaluate_v(self, x, t) -> np.ndarray | float:
-        xs, ts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        shape = xs.shape
-        xf = xs.ravel().astype(float)
-        tf = ts.ravel().astype(float)
-        idx = self.segment_index(tf)
-        out = np.empty(xf.shape)
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = np.asarray(self.segments[j].evaluate_v(xf[mask], tf[mask]))
-        out = out.reshape(shape)
-        if np.ndim(x) == 0 and np.ndim(t) == 0:
-            return float(out)
-        return out
+        if not self.segments:
+            raise ValueError("empty weak solution")
+        return self.segments[-1].evaluate_v(x, t)
 
     def positions(self, t) -> np.ndarray:
         """Interface positions at the time(s) t: one row per time, one column
@@ -148,14 +138,12 @@ class _ContinuedField:
     Through `segment` that next segment folds its field over the whole
     history from the first profile, so no evaluation recurses through
     earlier segments.  xs are the structural knots (the kinks of the field);
-    vs and bound are read off them.
+    nothing is evaluated until eval is called.
     """
 
     def __init__(self, seg: ClassicalSegment, xs: np.ndarray):
         self.segment = seg
         self.xs = xs
-        self.vs = self.eval(xs)
-        self.bound = float(np.max(self.vs))
 
     def eval(self, x) -> np.ndarray | float:
         return self.segment.evaluate_v(x, self.segment.t_end)
@@ -231,6 +219,9 @@ def glue(w: WeakSolution, seg: ClassicalSegment) -> WeakSolution:
     """Append a segment, verifying junction continuity of time and field.
 
     A _ContinuedField of prev is prev's own field, so it is not compared.
+    The solution's field is read from the last segment's fold, which covers
+    the history that segment continues: after a segment that starts from a
+    fresh profile, evaluate_v raises ValueError for times before its start.
     """
     if not w.segments:
         return WeakSolution(w.params, [seg], list(w.events))
@@ -389,7 +380,7 @@ def _structural_x(w: WeakSolution) -> np.ndarray:
     if w.segments:
         pts.extend(float(x) for x in np.asarray(w.segments[0].profile_start.xs))
     for seg in w.segments:
-        pts.extend(float(x) for x in seg.omega_start.endpoints if math.isfinite(x))
+        pts.extend(seg.omega_start.endpoints)
     pts.extend(ev.position for ev in w.events)
     return np.unique(np.asarray(pts, dtype=float))
 

@@ -226,14 +226,6 @@ class TestSolverBehavior:
         with pytest.raises(H2Violation):
             run_segment(pstar, omega, Profile.constant(0.5, (-5, 5)), 0.0, 1.0)
 
-    def test_advance_respects_dt_max(self, pstar):
-        omega, v0 = expanding_setup(pstar)
-        from frontsim.classical import ClassicalSegment
-
-        seg = ClassicalSegment(pstar, omega, v0, 0.0, 2.0)
-        seg.advance(dt_max=1e-3)
-        assert seg.t_end <= 1e-3 + 1e-12
-
     def test_self_convergence_order(self, pstar):
         # quartering the tolerance must shrink trajectory differences by
         # at least 4x per level (observed order two under log2 scaling)

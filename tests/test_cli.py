@@ -3,6 +3,7 @@ import json
 import pytest
 
 import frontsim.cli
+from frontsim.classical import DegeneracyWarning
 from frontsim.cli import main, run_scenario
 from frontsim.config import ConfigError, preset_config, validate_config
 
@@ -137,6 +138,21 @@ class TestMainExitCodes:
         cfg = tmp_path / "stall.ini"
         cfg.write_text(GOOD_CONFIG.replace("profile_value = 0.0", "profile_value = 0.5"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_degenerate_surgery_is_three(self, tmp_path, capsys):
+        # the fronts that survive the t = 1 merge stand where |W| < eta = 0.5
+        cfg = tmp_path / "ramp.ini"
+        cfg.write_text(
+            GOOD_CONFIG.replace("intervals = -1 1", "intervals = -3 -1 1 3")
+            .replace(
+                "profile = constant\nprofile_value = 0.0",
+                "profile = samples\nprofile_samples = -8 0.45; -3.5 0.45; -3 0; 3 0; 3.5 0.45; 8 0.45",
+            )
+            .replace("t_end = 1.0", "t_end = 3.0\neta = 0.5")
+        )
+        with pytest.warns(DegeneracyWarning):
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "post-surgery data" in capsys.readouterr().err
 
     def test_invariant_violation_propagates(self, tmp_path, monkeypatch):
         # a plain RuntimeError is a bug, not a numerical failure with exit 3

@@ -30,12 +30,6 @@ class TestIntervalSet:
         with pytest.raises(ValueError):
             IntervalSet((0.0, math.inf))
 
-    def test_half_infinite_demo_mode(self):
-        omega = IntervalSet((0.0, math.inf), allow_half_infinite=True)
-        assert omega.m == 1
-        assert omega.contains(5.0)
-        assert not omega.contains(-1.0)
-
     def test_membership_examples(self):
         omega = IntervalSet((-1.0, 1.0))
         assert omega.membership(0.0) == (Phase.INSIDE, 1)

@@ -8,11 +8,12 @@ import pytest
 
 from frontsim.kinetics import flow_inside, flow_outside
 from frontsim.state import H2Violation, IntervalSet, Profile
-from frontsim import classical
+from frontsim import classical, weak
 from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, run_segment
 from frontsim.weak import (
     GlueMismatch,
     SpaceTimePolynomial,
+    SurgeryH2Failure,
     WeakSolution,
     annihilation_surgery,
     check_no_nucleation,
@@ -28,6 +29,14 @@ from frontsim.weak import (
 from conftest import merge_setup, shrinking_setup
 
 SHRINK_TA = 0.66862646601575981
+
+
+def ramp_merge_setup(p):
+    """The merge intervals on a v0 that is 0 under them and rises to 0.45
+    (W = 0.1) just outside, so the fronts that survive the t = 1 merge stand
+    where |W| is below a margin of 0.5."""
+    knots = np.array([-8.0, -3.5, -3.0, 3.0, 3.5, 8.0])
+    return IntervalSet((-3.0, -1.0, 1.0, 3.0)), Profile(knots, np.array([0.45, 0.45, 0.0, 0.0, 0.45, 0.45]))
 
 
 class TestSurgery:
@@ -70,6 +79,14 @@ class TestSurgery:
             old_knots = seg.profile_start.xs.size
             assert new_profile.xs.size <= old_knots + 2 * seg.n_interfaces + 1
 
+    def test_degenerate_survivors_raise_surgery_failure(self, pstar):
+        omega, v0 = ramp_merge_setup(pstar)
+        with pytest.warns(DegeneracyWarning), pytest.raises(SurgeryH2Failure) as err:
+            run_weak(pstar, omega, v0, 3.0, margin=0.5)
+        assert [c.k for c in err.value.__cause__.offenders] == [1, 2]
+        t_a = float(str(err.value).split("t=")[1].split(" ")[0])
+        assert t_a == pytest.approx(1.0, abs=1e-6)
+
 
 class TestGlue:
     def test_identity_embedding(self, pstar):
@@ -86,10 +103,23 @@ class TestGlue:
         good = ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=(1, 4))
         glue(w, good)  # continuous junction passes
 
-        bumped = Profile(new_profile.xs, np.asarray(new_profile.vs) + 1e-3)
+        bumped = Profile(new_profile.xs, new_profile.eval(new_profile.xs) + 1e-3)
         bad = ClassicalSegment(pstar, new_omega, bumped, ev.time, 3.0, labels=(1, 4))
         with pytest.raises(GlueMismatch, match=r"x=\S+: v=\S+ before, \S+ after"):
             glue(w, bad)
+
+    def test_fresh_start_reads_only_its_own_times(self, pstar):
+        # a segment glued from a fresh profile, not a continuation, starts a
+        # new history: the solution's field reads from its start onward only
+        empty = IntervalSet.empty()
+        seg1, _ = run_segment(pstar, empty, Profile.constant(1.0, (-5.0, 5.0)), 0.0, 0.5)
+        fresh = Profile.constant(flow_outside(pstar, 1.0, 0.5), (-5.0, 5.0))
+        w = glue(glue(WeakSolution(pstar), seg1), ClassicalSegment(pstar, empty, fresh, 0.5, 1.0))
+        assert w.evaluate_v(0.0, 0.75) == pytest.approx(flow_outside(pstar, 1.0, 0.75), abs=1e-12)
+        with pytest.raises(ValueError):
+            w.evaluate_v(0.0, 0.25)
+        with pytest.raises(ValueError):
+            w.evaluate_v([0.0, 0.0], [0.25, 0.75])
 
     def test_time_mismatch_rejected(self, pstar):
         omega, v0 = shrinking_setup(pstar)
@@ -339,6 +369,44 @@ class TestFlatFold:
             counts.append(len(calls))
         assert len(w.segments) == 16
         assert counts[0] > 0 and counts[1] == counts[0]
+
+
+class TestEvaluationCounts:
+    """Each field value at a segment start, and each batch read of a
+    finished solution, comes from one evaluation."""
+
+    def test_two_field_reads_per_surgery(self, pstar, cascade16, monkeypatch):
+        # one for the surgery's validation, one for the next segment's; the
+        # segment takes its initial slopes from its validation report
+        xs, _, v0, _ = cascade16
+        calls = {"evaluate_v": 0, "surgery": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(ClassicalSegment, "evaluate_v", counted("evaluate_v", ClassicalSegment.evaluate_v))
+        monkeypatch.setattr(weak, "annihilation_surgery", counted("surgery", weak.annihilation_surgery))
+        w = run_weak(pstar, IntervalSet(tuple(xs)), v0, 3.0)
+        assert len(w.events) == calls["surgery"] == 15
+        assert calls["evaluate_v"] == 2 * calls["surgery"]
+
+    def test_one_fold_per_batch(self, cascade16, monkeypatch):
+        _, _, v0, w = cascade16
+        calls = []
+        fold = ClassicalSegment._v_field
+        monkeypatch.setattr(
+            ClassicalSegment, "_v_field", lambda self, *a: calls.append(self) or fold(self, *a)
+        )
+        # a time inside every segment, plus each event time
+        ts = [0.5 * (seg.t_start + seg.t_end) for seg in w.segments] + [ev.time for ev in w.events]
+        X, T = np.meshgrid(np.linspace(v0.xs[0], v0.xs[-1], 101), ts)
+        assert np.unique(w.segment_index(T)).size == len(w.segments) == 16
+        w.evaluate_v(X, T)
+        assert calls == [w.segments[-1]]
 
 
 class TestNoNucleation:
