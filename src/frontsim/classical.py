@@ -79,19 +79,24 @@ class SegmentStats:
 
 # --- quartic dense output ------------------------------------------------
 
-def _quartic(theta, h, y0, f0, y1, f1, d):
-    """The cubic Hermite interpolant of (y0, f0) and (y1, f1) on a step of
-    length h, plus theta^2 (1 - theta)^2 d."""
+def _quartic_weights(theta):
+    """The factors of y0, h*f0, y1, h*f1 and d in _quartic at theta."""
     t2 = theta * theta
     t3 = t2 * theta
     s = theta - t2
-    return (
-        (2 * t3 - 3 * t2 + 1) * y0
-        + (t3 - 2 * t2 + theta) * h * f0
-        + (-2 * t3 + 3 * t2) * y1
-        + (t3 - t2) * h * f1
-        + s * s * d
-    )
+    return 2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + theta, -2 * t3 + 3 * t2, t3 - t2, s * s
+
+
+def _quartic_at(weights, h, y0, f0, y1, f1, d):
+    """_quartic from the weights of its theta."""
+    w0, w1, w2, w3, w4 = weights
+    return w0 * y0 + w1 * h * f0 + w2 * y1 + w3 * h * f1 + w4 * d
+
+
+def _quartic(theta, h, y0, f0, y1, f1, d):
+    """The cubic Hermite interpolant of (y0, f0) and (y1, f1) on a step of
+    length h, plus theta^2 (1 - theta)^2 d."""
+    return _quartic_at(_quartic_weights(theta), h, y0, f0, y1, f1, d)
 
 
 def _quartic_deriv(theta, h, y0, f0, y1, f1, d):
@@ -137,6 +142,14 @@ def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign):
     return t0 + theta * h
 
 
+# _scan_event samples each gap's quartic at these thetas (a column, with its
+# weights made once); the derivative of sum_j c_j theta^j has the
+# coefficients j c_j, j = 1..4
+_SAMPLES = np.linspace(0.0, 1.0, 13)
+_SAMPLE_WEIGHTS = _quartic_weights(_SAMPLES[:, None])
+_POWERS = np.arange(1.0, 5.0)
+
+
 class DensePath:
     """Accepted integration knots (t_i, y_i, f_i, d_i) with C1 quartic dense output.
 
@@ -147,7 +160,8 @@ class DensePath:
     (Shampine 1986).  The first knot's d is zero and never read.
 
     The knots live in arrays that double when full; arrays() returns
-    read-only views of the filled rows, so appending costs O(1) amortized.
+    read-only views of the filled rows, so appending costs O(1) amortized;
+    the views are made once per change of the knots.
     """
 
     def __init__(self, t0: float, y0, f0):
@@ -158,9 +172,11 @@ class DensePath:
         self._F = np.empty((16, y0.size))
         self._D = np.empty((16, y0.size))
         self._n = 0
+        self._views = None
         self._put(float(t0), y0, f0, np.zeros(y0.size))
 
     def _put(self, t: float, y, f, d) -> None:
+        self._views = None
         if self._n == self._t.size:
             self._t = np.resize(self._t, 2 * self._n)
             self._Y = np.resize(self._Y, (2 * self._n, self.dim))
@@ -202,16 +218,19 @@ class DensePath:
         # theta^2 (1 - theta)^2 carries the only quartic term, so the cut step
         # keeps the polynomial with d scaled by the fourth power of its length
         s = (t_cut - self._t[n - 2]) / (self._t[n - 1] - self._t[n - 2])
+        self._views = None
         self._t[n - 1] = float(t_cut)
         self._Y[n - 1] = y_cut
         self._F[n - 1] = f_cut
         self._D[n - 1] *= s**4
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        views = (self._t[: self._n], self._Y[: self._n], self._F[: self._n], self._D[: self._n])
-        for a in views:
-            a.flags.writeable = False
-        return views
+        if self._views is None:
+            n = self._n
+            self._views = (self._t[:n], self._Y[:n], self._F[:n], self._D[:n])
+            for a in self._views:
+                a.flags.writeable = False
+        return self._views
 
     def last(self) -> tuple[float, np.ndarray, np.ndarray]:
         n = self._n - 1
@@ -337,8 +356,23 @@ _DP_D = (
 )
 
 
-def _combine(weights, dk):
-    return sum(w * k for w, k in zip(weights, dk) if w != 0.0)
+def _terms(weights) -> tuple[tuple[float, int], ...]:
+    """The (weight, stage index) pairs of a row's nonzero weights after the
+    first stage, in order (see _combine)."""
+    return tuple((w, i) for i, w in enumerate(weights) if w != 0.0 and i > 0)
+
+
+_DP_ROWS = tuple((c, _terms(row)) for c, row in zip(_DP_C, _DP_A))
+_DP_B_TERMS, _DP_E_TERMS, _DP_D_TERMS = _terms(_DP_B), _terms(_DP_E), _terms(_DP_D)
+
+
+def _combine(terms, dk):
+    """sum(w_i dk_i) in stage order.  dk[0] is +0, so the first stage's term
+    only starts the sum at +0, and the sum starts from dk[0] instead."""
+    total = dk[0]
+    for w, i in terms:
+        total = total + w * dk[i]
+    return total
 
 
 def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stats: SegmentStats):
@@ -356,13 +390,13 @@ def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stat
     h_min = 1e-13 * max(1.0, abs(tn))
     while True:
         dk = [np.zeros_like(fn)]
-        for c, row in zip(_DP_C, _DP_A):
+        for c, row in _DP_ROWS:
             dk.append(f(tn + c * h, yn + h * (c * fn + _combine(row, dk))) - fn)
-        y_new = yn + h * (fn + _combine(_DP_B, dk))
+        y_new = yn + h * (fn + _combine(_DP_B_TERMS, dk))
         f_new = f(tn + h, y_new)
         dk.append(f_new - fn)
-        d = h * _combine(_DP_D, dk)
-        errs = np.maximum(np.abs(h * _combine(_DP_E, dk)), np.abs(d) / 16.0)
+        d = h * _combine(_DP_D_TERMS, dk)
+        errs = np.maximum(np.abs(h * _combine(_DP_E_TERMS, dk)), np.abs(d) / 16.0)
         err = float(np.max(errs))
         allowed = tol * h
         if err <= allowed:
@@ -492,23 +526,32 @@ class ClassicalSegment:
         self._col_from = self._col_sign * self._col_x0
         self._col_t0 = np.concatenate([np.full(s.n_interfaces, s.t_start) for s in segs])
         # right after its start an interface that moves left lies below a
-        # point on its start position, one that moves right above it
-        self._col_tie = self._col_sign < 0
-        self._seg_cols = np.cumsum([0] + [s.n_interfaces for s in segs])
-        self._past_to = np.concatenate(
-            [np.zeros(0)] + [s._signs * s._path.arrays()[1][-1] for s in self._chain]
-        )
+        # point on its start position, one that moves right above it; a point
+        # counts an endpoint as below it when it exceeds this bound (x >= x0
+        # is x > the float just below x0)
+        self._col_below = np.where(self._col_sign < 0, np.nextafter(self._col_x0, -math.inf), self._col_x0)
+        seg_cols = np.cumsum([0] + [s.n_interfaces for s in segs])
+        # reduceat runs over the segments with columns (it would give an
+        # empty block the next column); None when that is every segment
+        filled = np.diff(seg_cols) > 0
+        self._seg_first = seg_cols[:-1][filled]
+        self._seg_filled = None if filled.all() else np.flatnonzero(filled)
+        self._own_cols = slice(seg_cols[-2], None)
+        # how far each column's motion has reached: the end of a finished
+        # segment, the last accepted step of this one (kept by advance)
+        self._swept_to = np.concatenate([s._signs * s._path.arrays()[1][-1] for s in segs])
         self._resets = np.asarray([s.t_start for s in segs[1:]], dtype=float)
 
-    def _arrivals(self, xs: np.ndarray) -> np.ndarray:
+    def _arrivals(self, xs: np.ndarray) -> np.ndarray | None:
         """Crossing times at xs of every interface column of the history; inf
-        where the interface never crossed the point after its segment began."""
-        Y = self._path.arrays()[1]
+        where the interface never crossed the point after its segment began.
+        None when no interface swept any of the points."""
         # an interface is monotone, so it can only have crossed the points its
         # motion swept; the rest stay unreached or behind its start
         ahead = self._col_sign * xs[:, None]
-        beyond = ahead > np.concatenate([self._past_to, self._signs * Y[-1]])
-        swept = (ahead > self._col_from) & ~beyond
+        swept = (ahead > self._col_from) & (ahead <= self._swept_to)
+        if not np.count_nonzero(swept):
+            return None
         T = np.full(ahead.shape, math.inf)
         for c in np.flatnonzero(swept.any(axis=0)):
             rows = swept[:, c]
@@ -529,52 +572,73 @@ class ClassicalSegment:
         moves away from the component it bounds.  This is the limit the exact
         flow composition needs for continuity of v.
         """
-        X = xs[:, None]
-        ends = self._col_x0
-        return self._odd_per_segment((X > ends) | ((X == ends) & self._col_tie))
+        return self._odd_per_segment(xs[:, None] > self._col_below)
 
     def _odd_per_segment(self, mask: np.ndarray) -> np.ndarray:
         """Whether each row of a (points, columns) mask holds an odd number
         of True in each segment's block of columns."""
-        prefix = np.zeros((mask.shape[0], mask.shape[1] + 1), dtype=bool)
-        np.logical_xor.accumulate(mask, axis=1, out=prefix[:, 1:])
-        return prefix[:, self._seg_cols[1:]] ^ prefix[:, self._seg_cols[:-1]]
+        if self._seg_filled is None:
+            return np.logical_xor.reduceat(mask, self._seg_first, axis=1)
+        odd = np.zeros((mask.shape[0], len(self._chain) + 1), dtype=bool)
+        if self._seg_first.size:
+            odd[:, self._seg_filled] = np.logical_xor.reduceat(mask, self._seg_first, axis=1)
+        return odd
 
-    def _v_field(self, xs: np.ndarray, tq: np.ndarray) -> np.ndarray:
+    def _v_field(self, xs: np.ndarray, tq) -> np.ndarray:
         """v(xs, tq): the exact flows folded from the first segment's profile
         over each point's whole in/out history, whatever the segment.
 
-        Every event of the history is a phase toggle: a crossing, or a segment
+        tq is one time for all points (a float) or one per point.  Every
+        event of the history is a phase toggle: a crossing, or a segment
         start whose phase differs from the one the crossings before it carry
         (the points between two colliding fronts).  Pieces of equal phase
         across a segment start thus flow in one call, so the work follows a
-        point's phase changes, not the number of segments.
+        point's phase changes, not the number of segments.  Where no point
+        has an event, the fold is its first slot alone: each point flows
+        from the origin to tq in its start phase.
         """
         phases = self._start_phases(xs)
         T = self._arrivals(xs)
         if self._resets.size:
-            carried = phases[:, :-1] ^ self._odd_per_segment(np.isfinite(T))[:, :-1]
+            carried = phases[:, :-1]
+            if T is not None:
+                carried = carried ^ self._odd_per_segment(np.isfinite(T))[:, :-1]
             resets = np.where(carried != phases[:, 1:], self._resets, math.inf)
-            T = np.concatenate([T, resets], axis=1)
-        T.sort(axis=1)
+            T = resets if T is None else np.concatenate([T, resets], axis=1)
+        n_cross = 0
+        if T is not None:
+            T.sort(axis=1)
+            n_cross = int(np.max(np.count_nonzero(np.isfinite(T), axis=1), initial=0))
         phase0 = phases[:, 0]
-        v = np.atleast_1d(np.asarray(self._origin.eval(xs), dtype=float)).copy()
-        n = T.shape[1]
-        prev = np.full(xs.shape, self._t_origin)
+        v = np.array(self._origin.eval(xs), dtype=float, ndmin=1)
+        prev = self._t_origin
         # past the last finite event every point has flowed up to tq
-        n_cross = int(np.max(np.count_nonzero(np.isfinite(T), axis=1), initial=0))
         for slot in range(n_cross + 1):
-            bend = tq if slot == n else np.minimum(T[:, slot], tq)
-            dt = np.maximum(bend - prev, 0.0)
-            inside = phase0 ^ (slot % 2 == 1)
-            m_in = inside & (dt > 0.0)
-            m_out = (~inside) & (dt > 0.0)
-            if np.any(m_in):
-                v[m_in] = flow_inside(self.params, v[m_in], dt[m_in])
-            if np.any(m_out):
-                v[m_out] = flow_outside(self.params, v[m_out], dt[m_out])
-            prev = bend if slot < n else prev
+            bend = tq if slot == n_cross else np.minimum(T[:, slot], tq)
+            self._flow(v, phase0 if slot % 2 == 0 else ~phase0, bend - prev)
+            prev = bend
         return v
+
+    def _flow(self, v: np.ndarray, inside: np.ndarray, dt) -> None:
+        """Flow each entry of v in place by dt (a float, or one per entry) in
+        the phase inside marks; entries with dt <= 0 stay."""
+        if isinstance(dt, float):
+            if not dt > 0.0:
+                return
+            m_in, m_out = inside, ~inside
+            dt_in = dt_out = dt
+        else:
+            moving = dt > 0.0
+            m_in, m_out = inside & moving, ~inside & moving
+            dt_in, dt_out = dt[m_in], dt[m_out]
+        for mask, flow, t in ((m_in, flow_inside, dt_in), (m_out, flow_outside, dt_out)):
+            n = np.count_nonzero(mask)
+            if not n:
+                continue
+            if n == v.size:
+                v[:] = flow(self.params, v, t)
+            else:
+                v[mask] = flow(self.params, v[mask], t)
 
     def evaluate_v(self, x, t) -> np.ndarray | float:
         """Recovery field v(x, t) for any t from the start of the history this
@@ -601,8 +665,7 @@ class ClassicalSegment:
     # -- integration -------------------------------------------------------
 
     def _rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        tq = np.full(x.shape, t)
-        v = self._v_field(np.asarray(x, dtype=float), tq)
+        v = self._v_field(x, t)
         return self._parity * (self.params.a - self.params.b * v)
 
     def advance(self) -> bool:
@@ -610,12 +673,13 @@ class ClassicalSegment:
         if self.finished:
             return False
         tn, xn, fn = self._path.last()
-        h = min(self._h, self.t_goal - tn, self._step_cap(xn, fn))
+        kink = self._next_kink(xn, fn)
+        h = min(self._h, self.t_goal - tn, self._step_cap(xn, fn, kink))
         while True:
             t_new, x_new, f_new, d, self._h = _dopri5_step(
                 self._rhs, tn, xn, fn, h, self.tol_step, self.t_goal, self.stats
             )
-            t_kink = self._kink_crossing(tn, xn, fn, t_new, x_new, f_new, d)
+            t_kink = self._kink_crossing(tn, xn, fn, kink, t_new, x_new, f_new, d)
             if t_kink is None:
                 break
             # the step carried a front across a kink: take it again, ending there
@@ -624,11 +688,12 @@ class ClassicalSegment:
             h = t_kink - tn
         self._path.append(t_new, x_new, f_new, d)
         if x_new.size > 1:
-            self.stats.min_gap = min(self.stats.min_gap, float(np.min(np.diff(x_new))))
-        self.stats.min_speed = min(self.stats.min_speed, float(np.min(np.abs(f_new))))
-        if not self._degeneracy_flagged and np.min(np.abs(f_new)) < self.margin:
+            self.stats.min_gap = min(self.stats.min_gap, float(np.min(x_new[1:] - x_new[:-1])))
+        speed = float(np.min(np.abs(f_new)))
+        self.stats.min_speed = min(self.stats.min_speed, speed)
+        if not self._degeneracy_flagged and speed < self.margin:
             self._degeneracy_flagged = True
-            self.stats.degeneracy_events.append((t_new, float(np.min(np.abs(f_new)))))
+            self.stats.degeneracy_events.append((t_new, speed))
             warnings.warn(
                 f"interface speed below margin {self.margin:g} at t={t_new:g}",
                 DegeneracyWarning,
@@ -641,6 +706,7 @@ class ClassicalSegment:
             self._finalize_event(t_a, pair)
         elif t_new >= self.t_goal:
             self.finished = True
+        self._swept_to[self._own_cols] = self._signs * self._path.arrays()[1][-1]
         return True
 
     def _next_kink(self, xn: np.ndarray, fn: np.ndarray) -> np.ndarray:
@@ -656,26 +722,27 @@ class ClassicalSegment:
         found = (i >= 0) & (i < self._kinks.size)
         return np.where(found, self._kinks[np.clip(i, 0, self._kinks.size - 1)], math.nan)
 
-    def _step_cap(self, xn: np.ndarray, fn: np.ndarray) -> float:
-        """Linear-predicted time to the next kink crossing, or to the next gap
-        closure plus 16*tol_event so that the closure falls inside the step.
+    def _step_cap(self, xn: np.ndarray, fn: np.ndarray, kink: np.ndarray) -> float:
+        """Linear-predicted time to the crossing of each front's next kink
+        (from _next_kink), or to the next gap closure plus 16*tol_event so
+        that the closure falls inside the step.
 
         A step that reaches a kink earlier than predicted is taken again
         (see _kink_crossing); one that falls short leaves the kink so close
         ahead that the next prediction is nearly exact.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
-            kink = (self._next_kink(xn, fn) - xn) / fn
-            gap = np.diff(xn) / (fn[:-1] - fn[1:])
-        to_kink = float(np.min(kink[kink > 0.0], initial=math.inf))
+            to_kinks = (kink - xn) / fn
+            gap = (xn[1:] - xn[:-1]) / (fn[:-1] - fn[1:])
+        to_kink = float(np.min(to_kinks[to_kinks > 0.0], initial=math.inf))
         to_gap = float(np.min(gap[gap > 0.0], initial=math.inf))
         return min(to_kink, to_gap + 16.0 * self.tol_event)
 
-    def _kink_crossing(self, tn, xn, fn, t_new, x_new, f_new, d) -> float | None:
+    def _kink_crossing(self, tn, xn, fn, kink, t_new, x_new, f_new, d) -> float | None:
         """Earliest time at which the trial step (tn, t_new) carries a front
-        across a known kink, located on the step's quartic; None unless it
-        lies more than 16*tol_event inside the step."""
-        kink = self._next_kink(xn, fn)
+        across its next kink (_next_kink at the step's start), located on the
+        step's quartic; None unless it lies more than 16*tol_event inside the
+        step."""
         crossed = self._signs * (x_new - kink) > 0.0
         if not np.any(crossed):
             return None
@@ -698,26 +765,24 @@ class ClassicalSegment:
         h = ts[-1] - t0
         # gap i's quartic, from the differences of adjacent columns, and its
         # monomial coefficients c1..c4 in theta (c0 is g0)
-        g0, s0, g1, s1, gd = (np.diff(a) for a in (Y[-2], F[-2], Y[-1], F[-1], D[-1]))
+        g0, s0, g1, s1, gd = (a[1:] - a[:-1] for a in (Y[-2], F[-2], Y[-1], F[-1], D[-1]))
         c = np.array([
             h * s0,
             -3 * g0 - 2 * h * s0 + 3 * g1 - h * s1 + gd,
             2 * g0 + h * s0 - 2 * g1 + h * s1 - 2 * gd,
             gd,
         ])
-        powers = np.arange(1.0, 5.0)
-        samples = np.linspace(0.0, 1.0, 13)
         # |gap'| <= sum_j j |c_j| on [0, 1], so between samples 1/12 apart a
         # gap dips at most a 24th of that below the lower one
-        dip = powers @ np.abs(c) / 24.0
-        near = _quartic(samples[:, None], h, g0, s0, g1, s1, gd).min(axis=0) <= dip
+        dip = _POWERS @ np.abs(c) / 24.0
+        near = _quartic_at(_SAMPLE_WEIGHTS, h, g0, s0, g1, s1, gd).min(axis=0) <= dip
         best: tuple[float, int] | None = None
         for i in np.flatnonzero(near):
             gap = lambda th: _quartic(th, h, g0[i], s0[i], g1[i], s1[i], gd[i])
             # the stationary points of the quartic catch dips between samples;
             # any real part in (0, 1) is kept, an extra sample costs nothing
-            roots = np.polynomial.polynomial.polyroots(powers * c[:, i]).real
-            thetas = np.unique(np.concatenate([samples, roots[(roots > 0.0) & (roots < 1.0)]]))
+            roots = np.polynomial.polynomial.polyroots(_POWERS * c[:, i]).real
+            thetas = np.unique(np.concatenate([_SAMPLES, roots[(roots > 0.0) & (roots < 1.0)]]))
             hit_th = None
             for j in range(1, len(thetas)):
                 if gap(thetas[j]) <= 0.0:

@@ -58,8 +58,13 @@ environment overrides: FRONTSIM_<SECTION>__<KEY>=value, e.g.
 """
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv(header: str, *columns) -> str:
+    """The header line, then one row per entry of the columns (1-D arrays,
+    or 2-D blocks of columns), each value as "%.17g" (the text of
+    format(x, ".17g")), all rows in one formatting operation."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 def _write_text(path: str, text: str) -> None:
@@ -69,20 +74,15 @@ def _write_text(path: str, text: str) -> None:
 
 def _trajectories_csv(w: WeakSolution, t_end: float, n_samples: int) -> str:
     times = np.linspace(0.0, t_end, n_samples)
-    lines = ["t," + ",".join(f"x_{lab}" for lab in w.segments[0].labels)]
-    for t, row in zip(times, w.positions(times)):
-        lines.append(",".join([_fmt(t)] + [_fmt(x) for x in row]))
-    return "\n".join(lines) + "\n"
+    header = "t," + ",".join(f"x_{lab}" for lab in w.segments[0].labels)
+    return _csv(header, times, w.positions(times))
 
 
 def _field_csv(value_at, xs, ts) -> str:
     """Rows t,x,v on the grid ts x xs, from one value_at call over all of it."""
     X, T = np.meshgrid(xs, ts)
     X, T = X.ravel(), T.ravel()
-    vs = np.asarray(value_at(X, T))
-    lines = ["t,x,v"]
-    lines.extend(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}" for t, x, v in zip(T, X, vs))
-    return "\n".join(lines) + "\n"
+    return _csv("t,x,v", T, X, np.asarray(value_at(X, T)))
 
 
 def _field_grid(cfg: RunConfig):
@@ -149,12 +149,9 @@ def _run_standard(cfg: RunConfig, out_dir: str) -> None:
                     "skipped_samples": report.skipped_times,
                 }
             )
-            lines = ["t,error"]
-            for t, e in zip(report.times, report.abs_errors):
-                lines.append(f"{_fmt(t)},{_fmt(e)}")
             _write_text(
                 os.path.join(oracle_dir, f"errors_eps_{report.eps:g}.csv"),
-                "\n".join(lines) + "\n",
+                _csv("t,error", report.times, report.abs_errors),
             )
         _write_text(
             os.path.join(oracle_dir, "summary.json"),
@@ -166,13 +163,8 @@ def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
     front, back = ill_posedness_demo(cfg.params, cfg.t_end)
     times = np.linspace(0.0, cfg.t_end, cfg.trajectory_samples)
     x_front, x_back = front.position(times), back.position(times)
-    lines = ["t,x_1,x_2"]
-    lines.extend(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}" for t, a, b in zip(times, x_front, x_back))
-    _write_text(os.path.join(out_dir, "trajectories.csv"), "\n".join(lines) + "\n")
-
-    div = ["t,separation"]
-    div.extend(f"{_fmt(t)},{_fmt(sep)}" for t, sep in zip(times, x_back - x_front))
-    _write_text(os.path.join(out_dir, "divergence.csv"), "\n".join(div) + "\n")
+    _write_text(os.path.join(out_dir, "trajectories.csv"), _csv("t,x_1,x_2", times, x_front, x_back))
+    _write_text(os.path.join(out_dir, "divergence.csv"), _csv("t,separation", times, x_back - x_front))
 
     xs = _field_grid(cfg)
     ts = np.linspace(0.0, cfg.t_end, cfg.field_t)

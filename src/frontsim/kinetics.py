@@ -150,13 +150,25 @@ _FSC_STEPS = 2
 _HALLEY_STEPS = 3
 
 
-def _flow_args(name: str, v0, t) -> tuple[np.ndarray, np.ndarray]:
-    v0a, ta = np.broadcast_arrays(_as_float_array(v0), _as_float_array(t))
-    if np.any(v0a < 0.0):
+def _flow_args(name: str, v0, t) -> tuple[np.ndarray, np.ndarray | float]:
+    """v0 as a float array and t as a float array or, when it is a Python or
+    numpy float, a float; both checked non-negative.
+
+    Neither is broadcast here: the flows' arithmetic broadcasts them, so a
+    float t (one time for a batch of v0) costs nothing per entry.
+    """
+    v0a = _as_float_array(v0)
+    ta = float(t) if isinstance(t, float) else _as_float_array(t)
+    if np.count_nonzero(v0a < 0.0):
         raise ValueError(f"{name} requires v0 >= 0")
-    if np.any(ta < 0.0):
+    if np.count_nonzero(ta < 0.0):
         raise ValueError(f"{name} requires t >= 0")
     return v0a, ta
+
+
+def _positive_float(ta) -> bool:
+    """Whether t is one time after 0, so that no entry keeps its v0."""
+    return isinstance(ta, float) and ta > 0.0
 
 
 def _wright_omega(L: np.ndarray) -> np.ndarray:
@@ -165,20 +177,33 @@ def _wright_omega(L: np.ndarray) -> np.ndarray:
     Starts from e^L below L = -1.5, from the quadratic Taylor polynomial
     about L = 1 on [-1.5, 1] and from L - ln L above, then takes
     Fritsch-Shafer-Crowley steps (fourth order).  y = 0 where e^L underflows,
-    L = -inf included.
+    L = -inf included.  The start is built by copying each piece over the
+    one before it, and each step updates y in place, with the operations of
+    y * (1 + r/s * (q - r/2) / (q - r)), r = L - y - ln y, s = 1 + y and
+    q = s*(s + 2r/3).  Call it under np.errstate(divide, invalid and over
+    "ignore"): the pieces not taken and the underflowed entries give inf and
+    nan.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = L - 1.0
-        start = np.where(
-            L < -1.5, np.exp(L), np.where(L <= 1.0, 1.0 + d * (0.5 + d / 16.0), L - np.log(L))
-        )
-        y = start
-        for _ in range(_FSC_STEPS):
-            r = L - y - np.log(y)
-            s = 1.0 + y
-            q = s * (s + (2.0 / 3.0) * r)
-            y = y * (1.0 + r / s * (q - 0.5 * r) / (q - r))
-    return np.where(start > 0.0, y, 0.0)
+    y = np.asarray(L - np.log(L))  # an array even for a 0-d L
+    d = L - 1.0
+    np.copyto(y, 1.0 + d * (0.5 + d / 16.0), where=L <= 1.0)
+    np.copyto(y, np.exp(L), where=L < -1.5)
+    live = y > 0.0
+    for _ in range(_FSC_STEPS):
+        r = L - y
+        r -= np.log(y)
+        s = y + 1.0
+        q = r * (2.0 / 3.0)
+        q += s
+        q *= s
+        u = q - r * 0.5
+        q -= r
+        r /= s
+        r *= u
+        r /= q
+        r += 1.0
+        y *= r
+    return np.where(live, y, 0.0)
 
 
 def _log1p_root(kappa: float, u0: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -214,9 +239,11 @@ def flow_outside(p: Parameters, v0, t) -> np.ndarray | float:
     """
     v0a, ta = _flow_args("flow_outside", v0, t)
     y0 = (p.g3 / p.g4) * v0a
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         L = y0 + np.log(y0) - (p.g2 / p.g4) * ta
-    out = np.where(ta > 0.0, (p.g4 / p.g3) * _wright_omega(L), v0a)
+        out = (p.g4 / p.g3) * _wright_omega(L)
+    if not _positive_float(ta):
+        out = np.where(ta > 0.0, out, v0a)
     return _scalar_like(out, v0, t)
 
 
@@ -232,5 +259,7 @@ def flow_inside(p: Parameters, v0, t) -> np.ndarray | float:
     kappa = p.g1 * p.g3 / p.g2
     u0 = (A / B) * v0a
     R = kappa * u0 - np.log1p(u0) + (A * A / (p.g2 * p.g4)) * ta
-    out = np.where(ta > 0.0, (B / A) * _log1p_root(kappa, u0, R), v0a)
+    out = (B / A) * _log1p_root(kappa, u0, R)
+    if not _positive_float(ta):
+        out = np.where(ta > 0.0, out, v0a)
     return _scalar_like(out, v0, t)

@@ -28,11 +28,13 @@ class _Mapper:
         self.tmin, self.tmax = tmin, tmax
 
     def points(self, xt) -> str:
-        """SVG "px,py" pairs of an (n, 2) array of (x, t) points."""
+        """SVG "px,py" pairs of an (n, 2) array of (x, t) points, formatted
+        in one operation."""
         xt = np.asarray(xt, dtype=float)
         px = PAD + (xt[:, 0] - self.xmin) / (self.xmax - self.xmin) * (WIDTH - 2 * PAD)
         py = HEIGHT - PAD - (xt[:, 1] - self.tmin) / (self.tmax - self.tmin) * (HEIGHT - 2 * PAD)
-        return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist()))
+        pairs = np.column_stack([px, py]).ravel().tolist()
+        return " ".join(["%.2f,%.2f"] * px.size) % tuple(pairs)
 
 
 def weak_solution_curves(w, samples_per_segment: int = 160):

@@ -325,6 +325,53 @@ class TestQuarticDenseOutput:
         assert t_hit == pytest.approx(first * h, abs=2.0 * seg.tol_event)
 
 
+class TestRhsMatchesFold:
+    """_rhs passes one time for all fronts, and the fold skips its slots
+    where no point was crossed; the values must be the general fold's, bit
+    for bit.  The states are mid-run: t is the last accepted time, and the
+    points lie ahead of the fronts (nothing swept them) or behind them
+    (_arrivals inverts the crossings)."""
+
+    @staticmethod
+    def _check(seg, x, swept):
+        t = seg.t_end
+        assert (seg._arrivals(x) is not None) == swept
+        want = seg._parity * (seg.params.a - seg.params.b * seg.evaluate_v(x, np.full(x.shape, t)))
+        np.testing.assert_array_equal(seg._rhs(t, x), want)
+
+    @staticmethod
+    def _advanced(seg, steps):
+        for _ in range(steps):
+            seg.advance()
+        assert not seg.finished
+        return seg
+
+    def test_single_segment(self, pstar):
+        omega, v0 = _profiles_instances(1)[0]
+        seg = self._advanced(ClassicalSegment(pstar, omega, v0, 0.0, 1.0), 12)
+        _, xn, fn = seg._path.last()
+        self._check(seg, xn + 1e-3 * fn, swept=False)
+        behind = seg.positions(0.5 * seg.t_end)
+        self._check(seg, behind, swept=True)
+        self._check(seg, np.where(np.arange(xn.size) % 2 == 0, behind, xn + 1e-3 * fn), swept=True)
+
+    def test_segment_after_a_surgery(self, pstar):
+        from frontsim.weak import annihilation_surgery
+
+        omega, v0 = merge_setup(pstar)
+        first, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
+        new_omega, new_profile, _, dead = annihilation_surgery(first, ev)
+        labels = tuple(lab for lab in first.labels if lab not in dead)
+        seg = self._advanced(ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=labels), 3)
+        assert seg._chain == (first,)
+        _, xn, fn = seg._path.last()
+        self._check(seg, xn + 1e-3 * fn, swept=False)
+        self._check(seg, seg.positions(0.5 * (ev.time + seg.t_end)), swept=True)
+        # crossed in the first segment, and the sliver the collision closed
+        for x in ([-3.5, 3.5], [-0.5, 0.5], [0.0, 0.25]):
+            self._check(seg, np.array(x), swept=True)
+
+
 class TestStepperAccuracy:
     def test_error_against_tight_reference(self, pstar):
         # maxima of the Bogacki-Shampine 3(2) stepper this one replaced,

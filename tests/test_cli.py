@@ -1,10 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 import frontsim.cli
 from frontsim.classical import DegeneracyWarning
-from frontsim.cli import main, run_scenario
+from frontsim.cli import _csv, main, run_scenario
 from frontsim.config import ConfigError, preset_config, validate_config
 
 GOOD_CONFIG = """\
@@ -115,6 +117,15 @@ class TestRunScenario:
         seps = [float(r.split(",")[1]) for r in div[1:]]
         assert all(b >= a for a, b in zip(seps, seps[1:]))
         assert seps[-1] > 0
+
+    def test_csv_text_is_the_per_value_format(self, rng):
+        # all rows in one formatting operation read as format(x, ".17g")
+        table = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        table[0] = [math.nan, math.inf, -0.0]
+        table[1] = [-math.inf, 5e-324, 0.0]
+        want = "t,a,b\n" + "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
+        assert _csv("t,a,b", table[:, 0], table[:, 1:]) == want
+        assert _csv("t,a", np.zeros(0), np.zeros(0)) == "t,a\n"
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -218,6 +218,12 @@ class TestFlows:
         for flow in (flow_inside, flow_outside):
             vec = flow(pstar, v0, t)
             assert [flow(pstar, a, b) for a, b in zip(v0, t)] == vec.tolist()
+            # one time for the whole batch, as a float or a 0-d array, and t = 0
+            for one in (1.7, np.float64(1.7), np.asarray(1.7), 0.0, np.asarray(0.0)):
+                vec = flow(pstar, v0, one)
+                assert vec.shape == v0.shape
+                assert [flow(pstar, a, float(one)) for a in v0] == vec.tolist()
+            assert flow(pstar, v0, 0.0).tolist() == v0.tolist()
 
 
 def _random_parameters(rng, n):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frontsim.kinetics import flow_inside, flow_outside
+from frontsim.kinetics import flow_inside, flow_outside, front_speed
 from frontsim.state import H2Violation, IntervalSet, Profile
 from frontsim import classical, weak
 from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, run_segment
@@ -375,9 +375,9 @@ class TestEvaluationCounts:
     """Each field value at a segment start, and each batch read of a
     finished solution, comes from one evaluation."""
 
-    def test_two_field_reads_per_surgery(self, pstar, cascade16, monkeypatch):
-        # one for the surgery's validation, one for the next segment's; the
-        # segment takes its initial slopes from its validation report
+    def test_one_field_read_per_surgery(self, pstar, cascade16, monkeypatch):
+        # the next segment's validation; the segment takes its initial slopes
+        # from its validation report, and the surgery evaluates nothing
         xs, _, v0, _ = cascade16
         calls = {"evaluate_v": 0, "surgery": 0}
 
@@ -392,7 +392,28 @@ class TestEvaluationCounts:
         monkeypatch.setattr(weak, "annihilation_surgery", counted("surgery", weak.annihilation_surgery))
         w = run_weak(pstar, IntervalSet(tuple(xs)), v0, 3.0)
         assert len(w.events) == calls["surgery"] == 15
-        assert calls["evaluate_v"] == 2 * calls["surgery"]
+        assert calls["evaluate_v"] == calls["surgery"]
+
+    def test_speed_integral_is_one_fold(self, cascade16, monkeypatch):
+        # label 1 lives in all 16 segments; the segment-by-segment sum of the
+        # same quadrature, each segment reading its own fold, is the reference
+        _, _, _, w = cascade16
+        want = 0.0
+        for seg in w.segments:
+            knots = seg.trajectories[0].times
+            cuts = np.unique(np.concatenate([[seg.t_start, seg.t_end], knots]))
+            half = 0.5 * np.diff(cuts)[:, None]
+            ts = ((0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half * weak._GL_NODES).ravel()
+            speeds = front_speed(w.params, seg.evaluate_v(seg.trajectories[0].position(ts), ts))
+            want += float(np.sum(half[:, 0] * np.sum(weak._GL_WEIGHTS * speeds.reshape(half.size, -1), axis=1)))
+        calls = []
+        fold = ClassicalSegment._v_field
+        monkeypatch.setattr(
+            ClassicalSegment, "_v_field", lambda self, *a: calls.append(self) or fold(self, *a)
+        )
+        assert all(seg.labels[0] == 1 for seg in w.segments)
+        assert weak.interface_speed_integral(w, 1, 0.0, w.t_end) == want
+        assert calls == [w.segments[-1]]
 
     def test_one_fold_per_batch(self, cascade16, monkeypatch):
         _, _, v0, w = cascade16
