@@ -774,7 +774,13 @@ class ClassicalSegment:
         ])
         # |gap'| <= sum_j j |c_j| on [0, 1], so between samples 1/12 apart a
         # gap dips at most a 24th of that below the lower one
-        dip = _POWERS @ np.abs(c) / 24.0
+        abs_c = np.abs(c)
+        dip = _POWERS @ abs_c / 24.0
+        # each gap stays above g0 - sum_j |c_j| on [0, 1]; where that clears
+        # the dip by far more than the samples' rounding, no sample is near
+        spread = abs_c.sum(axis=0)
+        if np.all(g0 - spread > dip + 1e-12 * (g0 + spread)):
+            return None
         near = _quartic_at(_SAMPLE_WEIGHTS, h, g0, s0, g1, s1, gd).min(axis=0) <= dip
         best: tuple[float, int] | None = None
         for i in np.flatnonzero(near):

@@ -29,6 +29,7 @@ from .config import (
     RunConfig,
     load_config_file,
     preset_config,
+    schema_help,
 )
 from .render import spacetime_svg, weak_solution_curves
 
@@ -41,19 +42,19 @@ _NUMERICAL_ERRORS = (
     InterfaceCountMismatch,
 )
 
-_EPILOG = """\
-presets: expanding, shrinking, merge, illposed
+_EPILOG = f"""\
+presets: {", ".join(PRESETS)}
 
-config file format (INI; non-preset values):
-  [parameters] g1 g2 g3 g4 a b [m=auto]
-  [initial]    intervals = x1 x2 [x3 x4 ...]
-               profile = constant|samples, profile_value, profile_samples,
-               profile_file, profile_span
-  [run]        t_end [tol_step=1e-8] [tol_event=1e-10] [eta=auto]
-  [output]     [dir=out] [trajectory_samples=401] [field_x="xmin xmax n"] [field_t=21]
-  [oracle]     [eps = 0.05 0.02 ...] [sample_dt=0.02]
+config file keys (INI): a bare key is required, [key=default] is optional,
+and a [key] left out is computed from the other keys or not used:
+{schema_help()}
 
-environment overrides: FRONTSIM_<SECTION>__<KEY>=value, e.g.
+values: intervals = x1 x2 [x3 x4 ...]; profile = constant|samples;
+  profile_samples = x v; x v; ... or profile_file = a two-column CSV;
+  profile_span = xmin xmax; field_x = xmin xmax n; eps = 0.05 0.02 ...
+
+environment overrides, for config files and sweeps (not --preset):
+  FRONTSIM_<SECTION>__<KEY>=value, e.g.
   FRONTSIM_RUN__TOL_STEP=1e-9 frontsim run config.ini
 """
 
@@ -211,12 +212,12 @@ def _sweep(args) -> int:
     if not configs:
         print(f"no .ini configs in {args.sweep}", file=sys.stderr)
         return 1
-    base_out = args.out or "out"
+    base_out = args.out or RunConfig.out_dir
 
     codes = []
     for name in configs:
         try:
-            cfg = load_config_file(os.path.join(args.sweep, name))
+            cfg = load_config_file(os.path.join(args.sweep, name), environ=os.environ)
         except ConfigError as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             codes.append(1)
@@ -268,20 +269,17 @@ def main(argv=None) -> int:
         if args.preset and args.config:
             raise ConfigError(["give either a config file or --preset, not both"])
         if args.preset:
-            cfg = preset_config(args.preset, out_dir=args.out or "out")
+            cfg = preset_config(args.preset)
         elif args.config:
-            cfg = load_config_file(args.config)
-            if args.out:
-                cfg.out_dir = args.out
+            cfg = load_config_file(args.config, environ=os.environ)
         else:
             raise ConfigError(["nothing to run: give a config file, --preset, or --sweep"])
+        if args.out:
+            cfg.out_dir = args.out
         if args.oracle:
             cfg.oracle_eps = _parse_oracle_arg(args.oracle)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot read configuration: {exc}", file=sys.stderr)
         return 1
 
     return _dispatch(cfg, cfg.scenario or args.config or "run")

@@ -1,10 +1,15 @@
-"""Run configuration: flat INI-style config files, presets, validation."""
+"""Run configuration: flat INI-style config files, presets, validation.
+
+Each config key is one _SCHEMA entry: its parser, its check and its default
+(a RunConfig field's own default where the key fills that field).
+"""
 from __future__ import annotations
 
 import configparser
-import io
 import os
-from dataclasses import dataclass
+import textwrap
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -19,18 +24,11 @@ __all__ = [
     "validate_config",
     "load_config_file",
     "apply_env_overrides",
+    "schema_help",
     "ENV_PREFIX",
 ]
 
 ENV_PREFIX = "FRONTSIM_"
-
-_KNOWN_KEYS = {
-    "parameters": {"g1", "g2", "g3", "g4", "a", "b", "m"},
-    "initial": {"intervals", "profile", "profile_value", "profile_samples", "profile_file", "profile_span"},
-    "run": {"t_end", "tol_step", "tol_event", "eta"},
-    "output": {"dir", "trajectory_samples", "field_x", "field_t"},
-    "oracle": {"eps", "sample_dt"},
-}
 
 
 class ConfigError(ValueError):
@@ -63,12 +61,6 @@ class RunConfig:
             raise ValueError("t_end must be positive")
         if self.tol_step <= 0 or self.tol_event <= 0:
             raise ValueError("tolerances must be positive")
-
-
-def _auto_span(pairs, pad: float) -> tuple[float, float]:
-    lo = min(l for l, _ in pairs)
-    hi = max(r for _, r in pairs)
-    return lo - pad, hi + pad
 
 
 _PRESET_PARAMS = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
@@ -104,227 +96,241 @@ PRESETS = {
 }
 
 
-def preset_config(name: str, out_dir: str = "out") -> RunConfig:
+def preset_config(name: str, out_dir: str = RunConfig.out_dir) -> RunConfig:
     try:
-        fields = PRESETS[name]
+        fields_ = PRESETS[name]
     except KeyError:
         raise ConfigError([f"unknown preset {name!r}; choose from {sorted(PRESETS)}"]) from None
-    return RunConfig(params=_PRESET_PARAMS, **fields, out_dir=out_dir, scenario=name)
+    return RunConfig(params=_PRESET_PARAMS, **fields_, out_dir=out_dir, scenario=name)
 
 
-def apply_env_overrides(cp: configparser.ConfigParser, environ=None) -> None:
-    """Apply FRONTSIM_<SECTION>__<KEY>=value overrides onto parsed config."""
-    env = os.environ if environ is None else environ
-    for name, value in env.items():
-        if not name.startswith(ENV_PREFIX) or "__" not in name:
-            continue
-        section, key = name[len(ENV_PREFIX):].split("__", 1)
-        section, key = section.lower(), key.lower()
-        if section not in _KNOWN_KEYS:
-            continue
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, value)
+# --- the schema --------------------------------------------------------------
+# A parser turns a key's text into its value or raises ValueError with the
+# message; a check returns the message for a parsed value it rejects.
 
+def _parser(convert: Callable[[str], Any], message: str) -> Callable[[str], Any]:
+    """convert(raw), or ValueError(message with raw as {0!r}); floats must be finite."""
 
-class _Collector:
-    def __init__(self, cp: configparser.ConfigParser):
-        self.cp = cp
-        self.errors: list[str] = []
-
-    def fail(self, sec: str, key: str, msg: str) -> None:
-        self.errors.append(f"{sec}.{key}: {msg}")
-
-    def get_float(self, sec, key, default=None, *, required=False, positive=False):
-        raw = self.cp.get(sec, key, fallback=None)
-        if raw is None:
-            if required:
-                self.fail(sec, key, "required value is missing")
-            return default
+    def parse(raw: str) -> Any:
         try:
-            val = float(raw)
+            val = convert(raw)
         except ValueError:
-            self.fail(sec, key, f"not a number: {raw!r}")
-            return default
-        if positive and not val > 0:
-            self.fail(sec, key, f"must be positive, got {val!r}")
-            return default
-        return val
+            raise ValueError(message.format(raw)) from None
+        if isinstance(val, int) or np.all(np.isfinite(val)):
+            return val
+        raise ValueError(f"must be finite, got {raw!r}")
 
-    def get_int(self, sec, key, default=None, *, minimum=None):
-        raw = self.cp.get(sec, key, fallback=None)
-        if raw is None:
-            return default
+    return parse
+
+
+_number = _parser(float, "not a number: {0!r}")
+_integer = _parser(int, "not an integer: {0!r}")
+_numbers = _parser(
+    lambda raw: tuple(map(float, raw.replace(",", " ").split())), "expected a list of numbers, got {0!r}"
+)
+
+
+def _number_or_auto(raw: str) -> float | None:
+    return None if raw.strip().lower() == "auto" else _number(raw)
+
+
+def _grid(raw: str) -> tuple[float, float, int]:
+    vals = _numbers(raw)
+    if len(vals) != 3 or vals[0] >= vals[1] or vals[2] < 2:
+        raise ValueError("expected 'xmin xmax n' with xmin < xmax and n >= 2")
+    if not vals[2].is_integer():
+        raise ValueError(f"n must be an integer, got {vals[2]!r}")
+    return vals[0], vals[1], int(vals[2])
+
+
+def _check(ok: Callable[[Any], bool], message: str) -> Callable[[Any], str | None]:
+    """A check giving message, with the value in place of {0!r}, unless ok(value)."""
+    return lambda val: None if ok(val) else message.format(val)
+
+
+_POSITIVE = _check(lambda v: v > 0, "must be positive, got {0!r}")
+_AT_LEAST_2 = _check(lambda n: n >= 2, "must be >= 2")
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _key(parse, check=None, field: str | None = None, default: Any = MISSING) -> tuple:
+    """A schema entry (parse, check, field, default).  A key that fills
+    RunConfig field takes that field's default; MISSING marks a required key."""
+    return parse, check, field, _RUN_DEFAULTS[field] if field else default
+
+
+_KINETICS = ("g1", "g2", "g3", "g4", "a", "b")
+
+_SCHEMA = {
+    **{("parameters", name): _key(_number, _POSITIVE) for name in _KINETICS},
+    ("parameters", "m"): _key(_number_or_auto, _POSITIVE, default=None),
+    ("initial", "intervals"): _key(
+        _numbers, _check(lambda xs: xs and len(xs) % 2 == 0, "need a non-empty, even-length endpoint list")
+    ),
+    ("initial", "profile"): _key(
+        lambda raw: raw.strip().lower(),
+        _check(lambda kind: kind in ("constant", "samples"), "unknown profile kind {0!r} (constant or samples)"),
+        default="constant",
+    ),
+    ("initial", "profile_value"): _key(
+        _number, _check(lambda v: v >= 0, "profile values must be non-negative"), default=0.0
+    ),
+    ("initial", "profile_samples"): _key(str, default=None),
+    ("initial", "profile_file"): _key(str, default=None),
+    ("initial", "profile_span"): _key(_numbers, _check(lambda s: len(s) == 2, "expected two numbers"), default=None),
+    ("run", "t_end"): _key(_number, _POSITIVE, "t_end"),
+    ("run", "tol_step"): _key(_number, _POSITIVE, "tol_step"),
+    ("run", "tol_event"): _key(_number, _POSITIVE, "tol_event"),
+    ("run", "eta"): _key(_number_or_auto, _POSITIVE, "eta"),
+    ("output", "dir"): _key(str, field="out_dir"),
+    ("output", "trajectory_samples"): _key(_integer, _AT_LEAST_2, "trajectory_samples"),
+    ("output", "field_x"): _key(_grid, field="field_x"),
+    ("output", "field_t"): _key(_integer, _AT_LEAST_2, "field_t"),
+    ("oracle", "eps"): _key(
+        _numbers, _check(lambda eps: all(e > 0 for e in eps), "all eps must be positive"), "oracle_eps"
+    ),
+    ("oracle", "sample_dt"): _key(_number, _POSITIVE, "oracle_sample_dt"),
+}
+_SECTIONS = dict.fromkeys(sec for sec, _ in _SCHEMA)
+
+
+def schema_help() -> str:
+    """The keys of each section: a bare key is required, [key=default] is
+    optional, and a [key] left out is computed from the other keys or not used."""
+
+    def entry(key: str, parse, default) -> str:
+        if default is MISSING:
+            return key
+        shown = "auto" if parse is _number_or_auto else default
+        return f"[{key}]" if shown in (None, ()) else f"[{key}={shown}]"
+
+    return "\n".join(
+        textwrap.fill(
+            " ".join(entry(key, parse, default) for (s, key), (parse, _, _, default) in _SCHEMA.items() if s == sec),
+            initial_indent=f"  [{sec}]".ljust(15),
+            subsequent_indent=" " * 15,
+            break_on_hyphens=False,
+        )
+        for sec in _SECTIONS
+    )
+
+
+def apply_env_overrides(cp: configparser.ConfigParser, environ: Mapping[str, str]) -> None:
+    """Apply the FRONTSIM_<SECTION>__<KEY>=value entries of environ onto parsed config."""
+    for name, value in environ.items():
+        section, _, key = name[len(ENV_PREFIX):].lower().partition("__")
+        if name.startswith(ENV_PREFIX) and key and section in _SECTIONS:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key, value)
+
+
+def _sampled_profile(values: dict, base_dir: str, errors: list[str]) -> Profile | None:
+    """The profile of profile_samples, else of profile_file; None after an error."""
+    samples, file_ref = values["profile_samples"], values["profile_file"]
+    if samples is not None:
+        pts, n_errors = [], len(errors)
+        for tok in filter(None, map(str.strip, samples.split(";"))):
+            try:
+                x, v = map(float, tok.replace(",", " ").split())
+                pts.append((x, v))
+            except ValueError:
+                errors.append(f"initial.profile_samples: bad sample pair {tok!r}")
+        if len(errors) > n_errors:
+            return None
+    elif file_ref is not None:
+        path = os.path.join(base_dir, file_ref)
         try:
-            val = int(raw)
+            pts = [(float(x), float(v)) for x, v in np.loadtxt(path, delimiter=",", ndmin=2)]
+        except OSError:
+            errors.append(f"initial.profile_file: cannot read {path!r}")
+            return None
         except ValueError:
-            self.fail(sec, key, f"not an integer: {raw!r}")
-            return default
-        if minimum is not None and val < minimum:
-            self.fail(sec, key, f"must be >= {minimum}")
-            return default
-        return val
-
-    def get_floats(self, sec, key, default=None):
-        raw = self.cp.get(sec, key, fallback=None)
-        if raw is None:
-            return default
-        try:
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        except ValueError:
-            self.fail(sec, key, f"expected a list of numbers, got {raw!r}")
-            return default
+            errors.append(f"initial.profile_file: {path!r} is not two-column numeric CSV")
+            return None
+    else:
+        errors.append("initial.profile_samples: profile=samples needs profile_samples or profile_file")
+        return None
+    try:
+        return Profile(np.array([x for x, _ in pts]), np.array([v for _, v in pts]))
+    except ValueError as exc:
+        errors.append(f"initial.profile_samples: {exc}")
 
 
-def validate_config(text: str, base_dir: str = ".") -> RunConfig:
-    """Parse and validate a config; collects all violations before raising."""
+def validate_config(text: str, base_dir: str = ".", environ: Mapping[str, str] | None = None) -> RunConfig:
+    """Parse and validate a config; collects all violations before raising.
+    environ holds FRONTSIM_<SECTION>__<KEY> overrides; nothing else but a
+    profile_file under base_dir is read."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"parse error: {exc}"]) from None
-    apply_env_overrides(cp)
-    col = _Collector(cp)
+    apply_env_overrides(cp, environ or {})
 
+    errors: list[str] = []
     for sec in cp.sections():
-        if sec not in _KNOWN_KEYS:
-            col.errors.append(f"{sec}: unknown section")
+        if sec not in _SECTIONS:
+            errors.append(f"{sec}: unknown section")
             continue
-        for key in cp.options(sec):
-            if key not in _KNOWN_KEYS[sec]:
-                col.fail(sec, key, "unknown key")
+        errors += [f"{sec}.{key}: unknown key" for key in cp.options(sec) if (sec, key) not in _SCHEMA]
+    values = {}
+    for (sec, key), (parse, check, _, default) in _SCHEMA.items():
+        try:
+            raw = cp.get(sec, key, fallback=None)
+            if raw is None and default is MISSING:
+                raise ValueError("required value is missing")
+            val = default if raw is None else parse(raw)
+            problem = check and val is not None and check(val)
+            if problem:
+                raise ValueError(problem)
+            values[key] = val
+        except (ValueError, configparser.Error) as exc:
+            errors.append(f"{sec}.{key}: {exc}")
 
-    g1 = col.get_float("parameters", "g1", required=True, positive=True)
-    g2 = col.get_float("parameters", "g2", required=True, positive=True)
-    g3 = col.get_float("parameters", "g3", required=True, positive=True)
-    g4 = col.get_float("parameters", "g4", required=True, positive=True)
-    a = col.get_float("parameters", "a", required=True, positive=True)
-    b = col.get_float("parameters", "b", required=True, positive=True)
-    m_raw = cp.get("parameters", "m", fallback="auto")
-
-    intervals = col.get_floats("initial", "intervals")
-    if intervals is None:
-        col.fail("initial", "intervals", "required value is missing")
-
-    kind = cp.get("initial", "profile", fallback="constant").strip().lower()
-    profile = None
-    span = col.get_floats("initial", "profile_span", default=None)
-    if kind == "constant":
-        value = col.get_float("initial", "profile_value", default=0.0)
-        if value is not None and value < 0:
-            col.fail("initial", "profile_value", "profile values must be non-negative")
-            value = 0.0
-        if span is not None and len(span) != 2:
-            col.fail("initial", "profile_span", "expected two numbers")
-            span = None
-    elif kind == "samples":
-        samples = cp.get("initial", "profile_samples", fallback=None)
-        file_ref = cp.get("initial", "profile_file", fallback=None)
-        pts = []
-        if samples is not None:
-            for tok in samples.split(";"):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                parts = tok.replace(",", " ").split()
-                if len(parts) != 2:
-                    col.fail("initial", "profile_samples", f"bad sample pair {tok!r}")
-                    continue
-                pts.append((float(parts[0]), float(parts[1])))
-        elif file_ref is not None:
-            path = os.path.join(base_dir, file_ref)
-            try:
-                data = np.loadtxt(path, delimiter=",", ndmin=2)
-                pts = [(float(x), float(v)) for x, v in data]
-            except OSError:
-                col.fail("initial", "profile_file", f"cannot read {path!r}")
-            except ValueError:
-                col.fail("initial", "profile_file", f"{path!r} is not two-column numeric CSV")
-        else:
-            col.fail("initial", "profile_samples", "profile=samples needs profile_samples or profile_file")
-        if pts:
-            try:
-                profile = Profile(np.array([x for x, _ in pts]), np.array([v for _, v in pts]))
-            except ValueError as exc:
-                col.fail("initial", "profile_samples", str(exc))
-    else:
-        col.fail("initial", "profile", f"unknown profile kind {kind!r} (constant or samples)")
-
-    t_end = col.get_float("run", "t_end", required=True, positive=True)
-    tol_step = col.get_float("run", "tol_step", default=1e-8, positive=True)
-    tol_event = col.get_float("run", "tol_event", default=1e-10, positive=True)
-    eta_raw = cp.get("run", "eta", fallback="auto").strip().lower()
-    eta = None
-    if eta_raw != "auto":
-        eta = col.get_float("run", "eta", positive=True)
-
-    out_dir = cp.get("output", "dir", fallback="out")
-    traj_samples = col.get_int("output", "trajectory_samples", default=401, minimum=2)
-    field_t = col.get_int("output", "field_t", default=21, minimum=2)
-    field_x_raw = col.get_floats("output", "field_x", default=None)
-    field_x = None
-    if field_x_raw is not None:
-        if len(field_x_raw) != 3 or field_x_raw[0] >= field_x_raw[1] or field_x_raw[2] < 2:
-            col.fail("output", "field_x", "expected 'xmin xmax n' with xmin < xmax and n >= 2")
-        else:
-            field_x = (field_x_raw[0], field_x_raw[1], int(field_x_raw[2]))
-
-    oracle_eps = col.get_floats("oracle", "eps", default=())
-    if oracle_eps and any(e <= 0 for e in oracle_eps):
-        col.fail("oracle", "eps", "all eps must be positive")
-        oracle_eps = ()
-    oracle_sample_dt = col.get_float("oracle", "sample_dt", default=0.02, positive=True)
-
-    omega = None
-    if intervals is not None:
-        if len(intervals) == 0 or len(intervals) % 2 != 0:
-            col.fail("initial", "intervals", "need a non-empty, even-length endpoint list")
-        else:
-            try:
-                omega = IntervalSet(tuple(intervals))
-            except ValueError as exc:
-                col.fail("initial", "intervals", str(exc))
-
-    if profile is None and kind == "constant":
+    # the parts built from several keys; a value that failed is absent
+    omega = profile = params = None
+    if "intervals" in values:
+        try:
+            omega = IntervalSet(values["intervals"])
+        except ValueError as exc:
+            errors.append(f"initial.intervals: {exc}")
+    kind = values.get("profile")
+    if kind == "samples":
+        profile = _sampled_profile(values, base_dir, errors)
+    elif kind == "constant" and omega is not None and "profile_value" in values and "profile_span" in values:
+        span = values["profile_span"]
         if span is None:
-            pad = 2.0 + (abs(a or 1.0) + abs(b or 1.0)) * (t_end or 1.0)
-            span = _auto_span(omega.pairs, pad) if omega is not None and omega.m else (-10.0, 10.0)
-        profile = Profile.constant(max(value or 0.0, 0.0), tuple(span))
+            pad = 2.0 + (values.get("a", 1.0) + values.get("b", 1.0)) * values.get("t_end", 1.0)
+            span = (omega.endpoints[0] - pad, omega.endpoints[-1] + pad)
+        try:
+            profile = Profile.constant(values["profile_value"], span)
+        except ValueError as exc:
+            errors.append(f"initial.profile_span: {exc}")
+    if all(name in values for name in _KINETICS + ("m",)):
+        m = values["m"]
+        if m is None:
+            m = max(1.0, profile.bound) if profile is not None else 1.0
+        try:
+            params = Parameters(**{name: values[name] for name in _KINETICS}, M=m)
+        except ValueError as exc:
+            errors.append(f"parameters: {exc}")
 
-    params = None
-    if None not in (g1, g2, g3, g4, a, b):
-        m_ref = None
-        if m_raw.strip().lower() == "auto":
-            m_ref = max(1.0, profile.bound) if profile is not None else 1.0
-        else:
-            m_ref = col.get_float("parameters", "m", positive=True)
-        if m_ref is not None:
-            try:
-                params = Parameters(g1=g1, g2=g2, g3=g3, g4=g4, a=a, b=b, M=m_ref)
-            except ValueError as exc:
-                col.errors.append(f"parameters: {exc}")
-
-    if col.errors:
-        raise ConfigError(col.errors)
-    assert params is not None and omega is not None and profile is not None
+    if errors:
+        raise ConfigError(errors)
     return RunConfig(
         params=params,
         omega=omega,
         profile=profile,
-        t_end=t_end,
-        tol_step=tol_step,
-        tol_event=tol_event,
-        eta=eta,
-        out_dir=out_dir,
-        oracle_eps=tuple(oracle_eps),
-        oracle_sample_dt=oracle_sample_dt,
-        trajectory_samples=traj_samples,
-        field_x=field_x,
-        field_t=field_t,
+        **{field: values[key] for (_, key), (_, _, field, _) in _SCHEMA.items() if field},
     )
 
 
-def load_config_file(path: str) -> RunConfig:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return validate_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+def load_config_file(path: str, environ: Mapping[str, str] | None = None) -> RunConfig:
+    """validate_config of the file's text, with profile_file relative to the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read configuration: {exc}"]) from None
+    return validate_config(text, os.path.dirname(os.path.abspath(path)), environ)

@@ -14,6 +14,7 @@ from frontsim.classical import (
     run_segment,
 )
 from frontsim.weak import run_weak
+from frontsim import classical
 
 from conftest import expanding_setup, merge_setup, shrinking_setup
 
@@ -323,6 +324,23 @@ class TestQuarticDenseOutput:
         t_hit, pair = seg._scan_event()
         assert pair == 0
         assert t_hit == pytest.approx(first * h, abs=2.0 * seg.tol_event)
+
+
+    def test_scan_event_skips_gaps_that_cannot_close(self, pstar, monkeypatch):
+        # gaps of at least 2.5 that move far less than that per step: no
+        # step needs the sampled scan of the gap quartics
+        sampled = []
+        quartic_at = classical._quartic_at
+
+        def counting(weights, *args):
+            sampled.append(weights is classical._SAMPLE_WEIGHTS)
+            return quartic_at(weights, *args)
+
+        monkeypatch.setattr(classical, "_quartic_at", counting)
+        omega, v0 = _profiles_instances(1)[0]
+        seg, event = run_segment(pstar, omega, v0, 0.0, 1.0)
+        assert event is None and seg.stats.steps > 10
+        assert not any(sampled)
 
 
 class TestRhsMatchesFold:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import frontsim.cli
+import frontsim.config
 from frontsim.classical import DegeneracyWarning
 from frontsim.cli import _csv, main, run_scenario
 from frontsim.config import ConfigError, preset_config, validate_config
@@ -28,7 +29,208 @@ t_end = 1.0
 """
 
 
+SAMPLES = "profile = constant\nprofile_value = 0.0"
+REQUIRE_G = "parameters: require g1*g3 > g2 so the excited reaction rate stays positive"
+
+# config text (from GOOD_CONFIG by (old, new) replacements, then appended
+# text), an optional profile.csv beside it, and the exact ConfigError.errors;
+# {path} stands for the CSV's path
+MESSAGE_CASES = {
+    "missing": ((("g3 = 3\n", ""),), "", None, ["parameters.g3: required value is missing"]),
+    "not a number": ((("g3 = 3", "g3 = x"),), "", None, ["parameters.g3: not a number: 'x'"]),
+    "eta not a number": ((), "eta = x\n", None, ["run.eta: not a number: 'x'"]),
+    "not an integer": ((), "[output]\nfield_t = 2.5\n", None, ["output.field_t: not an integer: '2.5'"]),
+    "not positive": ((("t_end = 1.0", "t_end = -2"),), "", None, ["run.t_end: must be positive, got -2.0"]),
+    "m not positive": ((("b = 2", "b = 2\nm = 0"),), "", None, ["parameters.m: must be positive, got 0.0"]),
+    "at least two": ((), "[output]\ntrajectory_samples = 1\n", None, ["output.trajectory_samples: must be >= 2"]),
+    "list of numbers": (
+        (), "[oracle]\neps = 0.05 x\n", None, ["oracle.eps: expected a list of numbers, got '0.05 x'"],
+    ),
+    "unknown section": ((), "[extra]\nk = 1\n", None, ["extra: unknown section"]),
+    "unknown key": ((), "typo_key = 1\n", None, ["run.typo_key: unknown key"]),
+    "unknown profile kind": (
+        (("profile = constant", "profile = spline"),), "", None,
+        ["initial.profile: unknown profile kind 'spline' (constant or samples)"],
+    ),
+    "negative profile value": (
+        (("profile_value = 0.0", "profile_value = -1"),), "", None,
+        ["initial.profile_value: profile values must be non-negative"],
+    ),
+    "span of three": (
+        (("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 1 2 3"),), "", None,
+        ["initial.profile_span: expected two numbers"],
+    ),
+    "bad sample pair": (
+        ((SAMPLES, "profile = samples\nprofile_samples = -2 0; 1; 2 1"),), "", None,
+        ["initial.profile_samples: bad sample pair '1'"],
+    ),
+    "no samples": (
+        ((SAMPLES, "profile = samples"),), "", None,
+        ["initial.profile_samples: profile=samples needs profile_samples or profile_file"],
+    ),
+    "samples not increasing": (
+        ((SAMPLES, "profile = samples\nprofile_samples = 1 0; 0 1"),), "", None,
+        ["initial.profile_samples: profile abscissae must be strictly increasing"],
+    ),
+    "file unreadable": (
+        ((SAMPLES, "profile = samples\nprofile_file = profile.csv"),), "", None,
+        ["initial.profile_file: cannot read {path!r}"],
+    ),
+    "file not two columns": (
+        ((SAMPLES, "profile = samples\nprofile_file = profile.csv"),), "", "0,0,0\n1,1,1\n",
+        ["initial.profile_file: {path!r} is not two-column numeric CSV"],
+    ),
+    "field_x shape": (
+        (), "[output]\nfield_x = 1 0 5\n", None,
+        ["output.field_x: expected 'xmin xmax n' with xmin < xmax and n >= 2"],
+    ),
+    "eps positive": ((), "[oracle]\neps = 0.05 0\n", None, ["oracle.eps: all eps must be positive"]),
+    "odd intervals": (
+        (("intervals = -1 1", "intervals = -1 1 2"),), "", None,
+        ["initial.intervals: need a non-empty, even-length endpoint list"],
+    ),
+    "intervals out of order": (
+        (("intervals = -1 1", "intervals = 1 -1"),), "", None,
+        ["initial.intervals: endpoints must be strictly increasing; got 1.0 >= -1.0 (overlapping or degenerate intervals)"],
+    ),
+    "parameters": (
+        (("g3 = 3", "g3 = 0.5"),), "", None,
+        [REQUIRE_G + " (got g1*g3 = 0.5, g2 = 1.0)"],
+    ),
+    "parse error": (
+        (), "t_end = 2\n", None,
+        ["parse error: While reading from '<string>' [line 16]: option 't_end' in section 'run' already exists"],
+    ),
+    "aggregated": (
+        (("g3 = 3\n", ""), ("t_end = 1.0", "t_end = -2")), "", None,
+        ["parameters.g3: required value is missing", "run.t_end: must be positive, got -2.0"],
+    ),
+}
+
+
+# malformed or non-finite values, each a ConfigError on its key; same layout
+FIXED_CASES = {
+    "bad sample number": (
+        ((SAMPLES, "profile = samples\nprofile_samples = -2 x; 1 0.5"),), "", None,
+        ["initial.profile_samples: bad sample pair '-2 x'"],
+    ),
+    "empty samples": (
+        ((SAMPLES, "profile = samples\nprofile_samples = ;"),), "", None,
+        ["initial.profile_samples: profile needs matching 1-D sample arrays"],
+    ),
+    "span reversed": (
+        (("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 2 1"),), "", None,
+        ["initial.profile_span: profile abscissae must be strictly increasing"],
+    ),
+    "span empty": (
+        (("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 1 1"),), "", None,
+        ["initial.profile_span: profile abscissae must be strictly increasing"],
+    ),
+    "automatic span overflows": (
+        (("t_end = 1.0", "t_end = 1e308"),), "", None,
+        ["initial.profile_span: profile samples must be finite"],
+    ),
+    "profile value inf": (
+        (("profile_value = 0.0", "profile_value = inf"),), "", None,
+        ["initial.profile_value: must be finite, got 'inf'"],
+    ),
+    "t_end inf": ((("t_end = 1.0", "t_end = inf"),), "", None, ["run.t_end: must be finite, got 'inf'"]),
+    "t_end nan": ((("t_end = 1.0", "t_end = nan"),), "", None, ["run.t_end: must be finite, got 'nan'"]),
+    "tol_step inf": ((), "tol_step = inf\n", None, ["run.tol_step: must be finite, got 'inf'"]),
+    "eta inf": ((), "eta = inf\n", None, ["run.eta: must be finite, got 'inf'"]),
+    "eps inf": ((), "[oracle]\neps = 0.05 inf\n", None, ["oracle.eps: must be finite, got '0.05 inf'"]),
+    "sample_dt inf": ((), "[oracle]\nsample_dt = inf\n", None, ["oracle.sample_dt: must be finite, got 'inf'"]),
+    "field_x inf": (
+        (), "[output]\nfield_x = -inf 1 5\n", None, ["output.field_x: must be finite, got '-inf 1 5'"],
+    ),
+    "field_x fractional n": (
+        (), "[output]\nfield_x = -1 1 2.5\n", None, ["output.field_x: n must be an integer, got 2.5"],
+    ),
+    "interpolation": (
+        (), "[output]\ndir = out%\n", None, ["output.dir: '%' must be followed by '%' or '(', found: '%'"],
+    ),
+}
+
+
+def config_text(edits, tail: str) -> str:
+    text = GOOD_CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text + tail
+
+
+def check_errors(case, tmp_path) -> None:
+    edits, tail, csv, want = case
+    path = str(tmp_path / "profile.csv")
+    if csv is not None:
+        (tmp_path / "profile.csv").write_text(csv)
+    with pytest.raises(ConfigError) as err:
+        validate_config(config_text(edits, tail), base_dir=str(tmp_path))
+    assert err.value.errors == [msg.format(path=path) for msg in want]
+
+
 class TestValidateConfig:
+    @pytest.mark.parametrize("case", MESSAGE_CASES)
+    def test_error_messages(self, case, tmp_path):
+        check_errors(MESSAGE_CASES[case], tmp_path)
+
+    @pytest.mark.parametrize("case", FIXED_CASES)
+    def test_malformed_values_are_config_errors(self, case, tmp_path):
+        check_errors(FIXED_CASES[case], tmp_path)
+
+    def test_integral_field_x_n(self):
+        cfg = validate_config(GOOD_CONFIG + "[output]\nfield_x = -1 1 1e2\n")
+        assert cfg.field_x == (-1.0, 1.0, 100) and type(cfg.field_x[2]) is int
+
+    def test_every_key(self, tmp_path):
+        (tmp_path / "profile.csv").write_text("9,9\n")
+        text = """\
+[parameters]
+g1 = 2
+g2 = 1.5
+g3 = 3
+g4 = 0.5
+a = 1.25
+b = 2.5
+m = 4
+
+[initial]
+intervals = -3, -1, 1, 3
+profile = samples
+profile_value = 0.25
+profile_samples = -10 0.1; 0 0.3; 10 0.2
+profile_file = profile.csv
+profile_span = -12 12
+
+[run]
+t_end = 1.5
+tol_step = 1e-7
+tol_event = 1e-11
+eta = 0.05
+
+[output]
+dir = results
+trajectory_samples = 11
+field_x = -8 8 33
+field_t = 5
+
+[oracle]
+eps = 0.05, 0.02
+sample_dt = 0.1
+"""
+        cfg = validate_config(text, base_dir=str(tmp_path))
+        p = cfg.params
+        assert (p.g1, p.g2, p.g3, p.g4, p.a, p.b, p.M) == (2.0, 1.5, 3.0, 0.5, 1.25, 2.5, 4.0)
+        assert cfg.omega.pairs == ((-3.0, -1.0), (1.0, 3.0))
+        # profile_samples wins over profile_file
+        assert cfg.profile.xs.tolist() == [-10.0, 0.0, 10.0]
+        assert cfg.profile.vs.tolist() == [0.1, 0.3, 0.2]
+        assert (cfg.t_end, cfg.tol_step, cfg.tol_event, cfg.eta) == (1.5, 1e-7, 1e-11, 0.05)
+        assert (cfg.out_dir, cfg.trajectory_samples, cfg.field_t) == ("results", 11, 5)
+        assert cfg.field_x == (-8.0, 8.0, 33) and type(cfg.field_x[2]) is int
+        assert (cfg.oracle_eps, cfg.oracle_sample_dt, cfg.scenario) == ((0.05, 0.02), 0.1, None)
+
     def test_good_config(self):
         cfg = validate_config(GOOD_CONFIG)
         assert cfg.t_end == 1.0
@@ -72,10 +274,17 @@ class TestValidateConfig:
         cfg = validate_config(text)
         assert cfg.profile.eval(0.0) == pytest.approx(0.5)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FRONTSIM_RUN__T_END", "0.25")
-        cfg = validate_config(GOOD_CONFIG)
+    def test_env_override(self):
+        cfg = validate_config(GOOD_CONFIG, environ={"FRONTSIM_RUN__T_END": "0.25"})
         assert cfg.t_end == 0.25
+
+    def test_env_names_outside_the_schema_are_ignored(self):
+        environ = {"FRONTSIM__RUN": "2", "FRONTSIM_NOPE__T_END": "2", "FRONTSIM_RUN": "2", "PATH": "/"}
+        assert validate_config(GOOD_CONFIG, environ=environ).t_end == 1.0
+
+    def test_process_environment_not_read(self, monkeypatch):
+        monkeypatch.setenv("FRONTSIM_RUN__T_END", "0.25")
+        assert validate_config(GOOD_CONFIG).t_end == 1.0
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -189,6 +398,46 @@ class TestMainExitCodes:
         assert main(["run", "--sweep", str(sweep_dir), "--out", str(out)]) == 0
         assert (out / "a" / "trajectories.csv").exists()
         assert (out / "b" / "trajectories.csv").exists()
+
+    def test_malformed_config_is_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(GOOD_CONFIG.replace("t_end = 1.0", "t_end = inf"))
+        assert main(["run", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "run.t_end: must be finite" in err and "Traceback" not in err
+
+    def test_sweep_runs_past_a_bad_config(self, tmp_path):
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        (sweep_dir / "a.ini").write_text(
+            GOOD_CONFIG.replace("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 2 1")
+        )
+        (sweep_dir / "b.ini").write_bytes(b"[run]\nt_end = \xff\n")
+        (sweep_dir / "c.ini").write_text(GOOD_CONFIG)
+        out = tmp_path / "sweepout"
+        assert main(["run", "--sweep", str(sweep_dir), "--out", str(out)]) == 1
+        assert not (out / "a").exists() and not (out / "b").exists()
+        assert (out / "c" / "trajectories.csv").exists()
+
+    def test_env_override_reaches_config_files(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(GOOD_CONFIG)
+        monkeypatch.setenv("FRONTSIM_RUN__T_END", "0.5")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "trajectories.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == 0.5
+        # presets take no overrides
+        assert main(["run", "--preset", "expanding", "--out", str(tmp_path / "preset")]) == 0
+        rows = (tmp_path / "preset" / "trajectories.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == 2.0
+
+    def test_help_lists_the_schema(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = capsys.readouterr().out
+        for sec, key in frontsim.config._SCHEMA:
+            assert f"[{sec}]" in out and key in out
+        assert "[tol_step=1e-08]" in out and "[trajectory_samples=401]" in out
 
     def test_oracle_outputs(self, tmp_path):
         code = main([
