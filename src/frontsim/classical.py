@@ -10,11 +10,13 @@ of the interfaces that cross it.  The system is integrated with the
 Dormand-Prince 5(4) pair under error-per-unit-step control, with its quartic
 dense output (Shampine 1986): a step is accepted when both the embedded error
 and the gap between the quartic and the cubic Hermite interpolant are within
-tol_step * h.  The right-hand side is smooth except where a front crosses a
-kink of the field, whose positions never move; steps are capped to end at the
-predicted crossing, and a step that still crosses one is taken again to end
-there.  Gap closures (collisions of adjacent interfaces) are localized on the
-dense output by bisection.
+tol_step * h.  The first trial step is sqrt(tol_step), or, for a segment
+that continues a finished one after an annihilation, the step size that
+segment's controller last proposed.  The right-hand side is smooth except
+where a front crosses a kink of the field, whose positions never move; steps
+are capped to end at the predicted crossing, and a step that still crosses
+one is taken again to end there.  Gap closures (collisions of adjacent
+interfaces) are localized on the dense output by bisection.
 """
 from __future__ import annotations
 
@@ -477,10 +479,12 @@ class ClassicalSegment:
         self._degeneracy_flagged = False
         # A profile that continues a finished segment's field from this start
         # time (weak's surgery builds one) names that segment in `segment`;
-        # the field is then one fold over the whole history.
+        # the field is then one fold over the whole history, and the first
+        # trial step is the step size that segment's controller last proposed.
         prior = getattr(profile_start, "segment", None)
         if prior is not None and prior.t_end == self.t_start:
             self._chain = (*prior._chain, prior)
+            self._h = prior._h
         else:
             self._chain = ()
         self._index_history()

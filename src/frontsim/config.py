@@ -254,7 +254,8 @@ def _sampled_profile(values: dict, base_dir: str, errors: list[str]) -> Profile 
     try:
         return Profile(np.array([x for x, _ in pts]), np.array([v for _, v in pts]))
     except ValueError as exc:
-        errors.append(f"initial.profile_samples: {exc}")
+        key = "profile_samples" if samples is not None else "profile_file"
+        errors.append(f"initial.{key}: {exc}")
 
 
 def validate_config(text: str, base_dir: str = ".", environ: Mapping[str, str] | None = None) -> RunConfig:

@@ -40,9 +40,12 @@ class _Mapper:
 def weak_solution_curves(w, samples_per_segment: int = 160):
     """(curves, polygons): interface polylines and per-component shaded loops.
 
-    curves: list of (label, ts, xs); polygons: list of arrays of (x, t) pairs.
+    curves: list of (label, (n, 2) array of (x, t)), sorted by label, one
+    block of samples per segment the label lives in; polygons: list of
+    (2 * samples_per_segment, 2) arrays of (x, t), one closed loop per
+    excited component of each segment.
     """
-    curves: dict[int, list[tuple[float, float]]] = {}
+    blocks: dict[int, list[np.ndarray]] = {}
     polygons = []
     for seg in w.segments:
         if seg.n_interfaces == 0:
@@ -50,14 +53,13 @@ def weak_solution_curves(w, samples_per_segment: int = 160):
         ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
         pos = seg.positions(ts)
         for j, label in enumerate(seg.labels):
-            curves.setdefault(label, []).extend(zip(pos[:, j], ts))
+            blocks.setdefault(label, []).append(np.column_stack([pos[:, j], ts]))
         for comp in range(seg.n_interfaces // 2):
-            left = pos[:, 2 * comp]
-            right = pos[:, 2 * comp + 1]
-            loop = list(zip(left, ts)) + list(zip(right[::-1], ts[::-1]))
-            polygons.append(np.asarray(loop))
-    curve_list = [(label, np.asarray(pts)) for label, pts in sorted(curves.items())]
-    return curve_list, polygons
+            left = np.column_stack([pos[:, 2 * comp], ts])
+            right = np.column_stack([pos[::-1, 2 * comp + 1], ts[::-1]])
+            polygons.append(np.concatenate([left, right]))
+    curves = [(label, np.concatenate(parts)) for label, parts in sorted(blocks.items())]
+    return curves, polygons
 
 
 def spacetime_svg(

@@ -380,7 +380,11 @@ class TestRhsMatchesFold:
         first, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
         new_omega, new_profile, _, dead = annihilation_surgery(first, ev)
         labels = tuple(lab for lab in first.labels if lab not in dead)
-        seg = self._advanced(ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=labels), 3)
+        # a continued segment starts at the prior's last step size, so one
+        # step could reach any nearby end; the fronts meet the profile's
+        # outer knots (+-16) at t = 13, and a step ends at such a crossing,
+        # so with the end past that one step leaves the segment mid-run
+        seg = self._advanced(ClassicalSegment(pstar, new_omega, new_profile, ev.time, 20.0, labels=labels), 1)
         assert seg._chain == (first,)
         _, xn, fn = seg._path.last()
         self._check(seg, xn + 1e-3 * fn, swept=False)

@@ -80,6 +80,10 @@ MESSAGE_CASES = {
         ((SAMPLES, "profile = samples\nprofile_file = profile.csv"),), "", "0,0,0\n1,1,1\n",
         ["initial.profile_file: {path!r} is not two-column numeric CSV"],
     ),
+    "file not increasing": (
+        ((SAMPLES, "profile = samples\nprofile_file = profile.csv"),), "", "1,0\n0,1\n",
+        ["initial.profile_file: profile abscissae must be strictly increasing"],
+    ),
     "field_x shape": (
         (), "[output]\nfield_x = 1 0 5\n", None,
         ["output.field_x: expected 'xmin xmax n' with xmin < xmax and n >= 2"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from frontsim.kinetics import flow_inside, flow_outside, front_speed
+from frontsim.render import weak_solution_curves
 from frontsim.state import H2Violation, IntervalSet, Profile
 from frontsim import classical, weak
 from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, run_segment
@@ -78,6 +79,27 @@ class TestSurgery:
             assert np.max(np.abs(new_profile.eval(xs) - exact)) <= 1e-14
             old_knots = seg.profile_start.xs.size
             assert new_profile.xs.size <= old_knots + 2 * seg.n_interfaces + 1
+
+    def test_continued_segment_starts_at_the_last_step_size(self, pstar, monkeypatch):
+        omega, v0 = merge_setup(pstar)
+        first, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
+        new_omega, new_profile, _, dead = annihilation_surgery(first, ev)
+        labels = tuple(lab for lab in first.labels if lab not in dead)
+        trials = []
+        step = classical._dopri5_step
+        monkeypatch.setattr(
+            classical, "_dopri5_step", lambda f, tn, y, fy, h, *a: trials.append(h) or step(f, tn, y, fy, h, *a)
+        )
+        # the end lies past the fronts' crossing of the outer knots (t = 13),
+        # far enough that no cap shortens the first trial step
+        seg = ClassicalSegment(pstar, new_omega, new_profile, ev.time, 20.0, labels=labels)
+        assert first._h > 1.0 and seg._h == first._h
+        seg.advance()
+        assert trials == [first._h]
+        # a fresh start: the first segment, and the same data as a plain Profile
+        assert ClassicalSegment(pstar, omega, v0, 0.0, 3.0)._h == math.sqrt(1e-8)
+        plain = Profile(new_profile.xs, np.maximum(new_profile.eval(new_profile.xs), 0.0))
+        assert ClassicalSegment(pstar, new_omega, plain, ev.time, 20.0, labels=labels)._h == math.sqrt(1e-8)
 
     def test_degenerate_survivors_raise_surgery_failure(self, pstar):
         omega, v0 = ramp_merge_setup(pstar)
@@ -242,6 +264,37 @@ class TestGeneratedCascade:
         assert w.interface_positions(3.0) == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
         assert check_no_nucleation(w)
         assert max(seg.profile_start.xs.size for seg in w.segments) < 4 * 32 + v0.xs.size
+
+    def test_segments_after_an_annihilation_start_warm(self, cascade16):
+        # the error estimate is 0 at speed a, so only the step size's climb
+        # costs steps: 82 when every segment restarted at sqrt(tol_step), 25
+        # with the warm start; the exact reference above holds on this run
+        _, _, _, w = cascade16
+        assert sum(seg.stats.steps for seg in w.segments) <= 30
+        assert sum(seg.stats.rejected for seg in w.segments) == 0
+
+    def test_curves_match_a_tuple_built_reference(self, cascade16):
+        _, _, _, w = cascade16
+        n = 160
+        want_curves: dict[int, list] = {}
+        want_polygons = []
+        for seg in w.segments:
+            ts = np.linspace(seg.t_start, seg.t_end, n)
+            pos = seg.positions(ts)
+            for j, label in enumerate(seg.labels):
+                want_curves.setdefault(label, []).extend(zip(pos[:, j], ts))
+            for comp in range(seg.n_interfaces // 2):
+                loop = list(zip(pos[:, 2 * comp], ts)) + list(zip(pos[::-1, 2 * comp + 1], ts[::-1]))
+                want_polygons.append(np.asarray(loop))
+        curves, polygons = weak_solution_curves(w, n)
+        assert [label for label, _ in curves] == sorted(want_curves)
+        for label, pts in curves:
+            assert pts.shape == (len(want_curves[label]), 2)
+            np.testing.assert_array_equal(pts, np.asarray(want_curves[label]))
+        assert len(polygons) == len(want_polygons) == sum(seg.n_interfaces // 2 for seg in w.segments)
+        for got, want in zip(polygons, want_polygons):
+            assert got.shape == (2 * n, 2)
+            np.testing.assert_array_equal(got, want)
 
 
 def _admissible_draw(rng, params, m):
