@@ -112,15 +112,27 @@ def _quartic_deriv(theta, h, y0, f0, y1, f1, d):
     )
 
 
-def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign):
+def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign, starts=(0,)):
     """Times in [t0, t0 + h] at which the step's quartic reaches target.
 
-    All arguments are arrays of one entry per query.  The component moves in
-    the direction `sign` and reaches target on the step, so Newton's method
-    runs inside a bracket that bisection keeps when a Newton step leaves it,
-    until its step is below 1e-14 in time or the residual is down to the
-    rounding of the positions (slow fronts far from 0 reach that first).
+    The arguments are arrays of one entry per query (sign may be one value
+    for all).  The component moves in the direction `sign` and reaches
+    target on the step, so Newton's method runs inside a bracket that
+    bisection keeps when a Newton step leaves it, until its step is below
+    1e-14 in time or the residual is down to the rounding of the positions
+    (slow fronts far from 0 reach that first).
+
+    A batch iterates until all of its entries are done.  The entries are
+    batches laid end to end, `starts` the first entry of each (by default
+    all form one): a batch leaves the iteration once its own entries are
+    done, so each gets the values it would get on its own.
     """
+    base, span = t0, h
+    starts = np.asarray(starts)
+    sizes = np.diff(np.append(starts, t0.size))
+    # once a batch is done before the others: the theta of each entry whose
+    # batch is done, and the entries still iterating
+    out = live = None
     lo = np.zeros(t0.shape)
     hi = np.ones(t0.shape)
     denom = y1 - y0
@@ -139,9 +151,25 @@ def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign):
         converged = np.abs(nt - theta) * h <= 1e-14 * np.maximum(1.0, np.abs(t0))
         done = converged | (np.abs(val) <= rounding)
         theta = nt
-        if np.all(done):
+        stop = np.logical_and.reduceat(done, starts)
+        if stop.all():
             break
-    return t0 + theta * h
+        if starts.size > 1 and stop.any():
+            if out is None:
+                out, live = np.empty(base.shape), np.arange(base.size)
+            leave = np.repeat(stop, sizes)
+            out[live[leave]] = theta[leave]
+            keep = ~leave
+            live, sizes = live[keep], sizes[~stop]
+            starts = np.cumsum(sizes) - sizes
+            sign = np.broadcast_to(sign, keep.shape)[keep]
+            t0, h, y0, f0, y1, f1, d, target, lo, hi, theta, rounding = (
+                a[keep] for a in (t0, h, y0, f0, y1, f1, d, target, lo, hi, theta, rounding)
+            )
+    if out is None:
+        return base + theta * span
+    out[live] = theta
+    return base + out * span
 
 
 # _scan_event samples each gap's quartic at these thetas (a column, with its
@@ -262,31 +290,54 @@ class DensePath:
             out = _quartic_deriv(*self._step_data(tq))
         return out[0] if np.ndim(t) == 0 else out
 
-    def invert_col(self, col: int, y, sign: float) -> np.ndarray:
-        """Arrival times of the (strictly monotone) component `col` at positions y.
+    def invert_col(self, col, y, sign) -> np.ndarray:
+        """Arrival times of strictly monotone components at positions y.
+
+        col is one component, or one per query, and sign its direction of
+        motion; both broadcast with y.  A caller with many columns lists each
+        column's queries together: each run of equal columns is located on
+        its column's knots with one search.  All queries then go to one
+        _invert_quartic call, in which each run is a Newton batch that
+        iterates until all of its entries are done, so every value equals
+        that of a call for its column alone.
 
         Returns t_start for positions already passed at the initial time and
         inf for positions beyond the range covered so far.
         """
         ys = np.atleast_1d(np.asarray(y, dtype=float))
+        if np.ndim(col) or np.ndim(sign):
+            ys, col, sign = np.broadcast_arrays(ys, col, sign)
+            col, sign = col.ravel(), sign.ravel()
+            cuts = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
+            runs = [(a, b, col[a], sign[a]) for a, b in zip([0, *cuts], [*cuts, col.size]) if a < b]
+        else:
+            runs = [(0, ys.size, col, sign)]
+        shape = ys.shape
+        yq = ys.ravel()
         ts, Y, F, D = self.arrays()
-        xk = Y[:, col]
-        out = np.full(ys.shape, math.inf)
-        xo = sign * xk
-        yo = sign * ys
-        pre = yo <= xo[0]
-        out[pre] = ts[0]
-        if len(ts) == 1:
-            return out
-        idx = np.searchsorted(xo, yo, side="left")
-        mid = (~pre) & (idx <= len(ts) - 1)
-        if np.any(mid):
+        idx = np.empty(yq.size, dtype=np.intp)
+        for a, b, c, s in runs:
+            idx[a:b] = np.searchsorted(s * Y[:, c], s * yq[a:b], side="left")
+        # idx 0: at or behind the start; past the last knot: not reached yet
+        out = np.where(idx == 0, ts[0], math.inf)
+        mid = np.flatnonzero((idx > 0) & (idx < len(ts)))
+        if mid.size:
             i = idx[mid] - 1
+            if len(runs) == 1:
+                _, _, c, s = runs[0]
+                starts = (0,)
+            else:
+                # the first entry of each run of equal columns
+                c, s = col[mid], sign[mid]
+                starts = np.flatnonzero(np.diff(c, prepend=c[0] - 1))
+            # flat indices of (i, c) and (i + 1, c) in the knot arrays
+            k0 = i * self.dim + c
+            k1 = k0 + self.dim
+            Yf, Ff, Df = Y.ravel(), F.ravel(), D.ravel()
             out[mid] = _invert_quartic(
-                ts[i], ts[i + 1] - ts[i], Y[i, col], F[i, col],
-                Y[i + 1, col], F[i + 1, col], D[i + 1, col], ys[mid], sign,
+                ts[i], ts[i + 1] - ts[i], Yf[k0], Ff[k0], Yf[k1], Ff[k1], Df[k1], yq[mid], s, starts,
             )
-        return out
+        return out.reshape(shape)
 
 
 class InterfaceTrajectory:
@@ -524,7 +575,6 @@ class ClassicalSegment:
         segs = (*self._chain, self)
         self._origin = segs[0].profile_start
         self._t_origin = segs[0].t_start
-        self._cols = [(s._path, j) for s in segs for j in range(s.n_interfaces)]
         self._col_x0 = np.concatenate([np.asarray(s.omega_start.endpoints, dtype=float) for s in segs])
         self._col_sign = np.concatenate([s._signs for s in segs])
         self._col_from = self._col_sign * self._col_x0
@@ -541,6 +591,11 @@ class ClassicalSegment:
         self._seg_first = seg_cols[:-1][filled]
         self._seg_filled = None if filled.all() else np.flatnonzero(filled)
         self._own_cols = slice(seg_cols[-2], None)
+        # each segment path with columns and its column range: _arrivals
+        # inverts all of a path's crossings in one call
+        self._paths = [
+            (s._path, a, b) for s, a, b in zip(segs, seg_cols[:-1].tolist(), seg_cols[1:].tolist()) if b > a
+        ]
         # how far each column's motion has reached: the end of a finished
         # segment, the last accepted step of this one (kept by advance)
         self._swept_to = np.concatenate([s._signs * s._path.arrays()[1][-1] for s in segs])
@@ -549,21 +604,31 @@ class ClassicalSegment:
     def _arrivals(self, xs: np.ndarray) -> np.ndarray | None:
         """Crossing times at xs of every interface column of the history; inf
         where the interface never crossed the point after its segment began.
-        None when no interface swept any of the points."""
+        None when no interface swept any of the points.
+
+        Only swept (point, column) pairs are inverted, with one invert_col
+        call per segment path over all of its columns' pairs, listed column
+        by column.
+        """
         # an interface is monotone, so it can only have crossed the points its
-        # motion swept; the rest stay unreached or behind its start
-        ahead = self._col_sign * xs[:, None]
-        swept = (ahead > self._col_from) & (ahead <= self._swept_to)
+        # motion swept; the rest stay unreached or behind its start.  One row
+        # per column: a path's pairs are its block of rows, column by column.
+        # ahead is freed before the inversions, whose temporaries set the
+        # peak memory of a large read
+        ahead = self._col_sign[:, None] * xs
+        swept = (ahead > self._col_from[:, None]) & (ahead <= self._swept_to[:, None])
+        del ahead
         if not np.count_nonzero(swept):
             return None
-        T = np.full(ahead.shape, math.inf)
-        for c in np.flatnonzero(swept.any(axis=0)):
-            rows = swept[:, c]
-            path, col = self._cols[c]
-            T[rows, c] = path.invert_col(col, xs[rows], self._col_sign[c])
+        T = np.full(swept.shape, math.inf)
+        for path, a, b in self._paths:
+            k = np.flatnonzero(swept[a:b])
+            if k.size:
+                cols, rows = np.divmod(k, xs.size)
+                np.put(T, a * xs.size + k, path.invert_col(cols, xs[rows], self._col_sign[a + cols]))
         # crossings at or before a segment's start are part of its initial state
-        T[T <= self._col_t0] = math.inf
-        return T
+        T[T <= self._col_t0[:, None]] = math.inf
+        return T.T
 
     def _start_phases(self, xs: np.ndarray) -> np.ndarray:
         """Membership of each point in each segment's excited set for
@@ -625,7 +690,13 @@ class ClassicalSegment:
 
     def _flow(self, v: np.ndarray, inside: np.ndarray, dt) -> None:
         """Flow each entry of v in place by dt (a float, or one per entry) in
-        the phase inside marks; entries with dt <= 0 stay."""
+        the phase inside marks; entries with dt <= 0 stay.
+
+        The rest state v = 0 is a fixed point of the quiescent flow
+        (flow_outside maps +0.0 to +0.0 exactly), so the outside entries are
+        left as they are when every one of them is +0.0: the one float whose
+        bits are all zero.
+        """
         if isinstance(dt, float):
             if not dt > 0.0:
                 return
@@ -635,14 +706,17 @@ class ClassicalSegment:
             moving = dt > 0.0
             m_in, m_out = inside & moving, ~inside & moving
             dt_in, dt_out = dt[m_in], dt[m_out]
-        for mask, flow, t in ((m_in, flow_inside, dt_in), (m_out, flow_outside, dt_out)):
+        for mask, flow, t, at_rest in ((m_in, flow_inside, dt_in, False), (m_out, flow_outside, dt_out, True)):
             n = np.count_nonzero(mask)
             if not n:
+                continue
+            vm = v if n == v.size else v[mask]
+            if at_rest and not vm.view(np.int64).any():
                 continue
             if n == v.size:
                 v[:] = flow(self.params, v, t)
             else:
-                v[mask] = flow(self.params, v[mask], t)
+                v[mask] = flow(self.params, vm, t)
 
     def evaluate_v(self, x, t) -> np.ndarray | float:
         """Recovery field v(x, t) for any t from the start of the history this

@@ -88,6 +88,11 @@ class FHNConfig:
     freeze_v: bool = False
 
     def __post_init__(self) -> None:
+        # nan fails every comparison below, so it would pass them all
+        for name in ("eps", "dx", "dt", "x_left", "x_right"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.x_right <= self.x_left:

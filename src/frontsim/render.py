@@ -27,14 +27,34 @@ class _Mapper:
         self.xmin, self.xmax = xmin, xmax
         self.tmin, self.tmax = tmin, tmax
 
-    def points(self, xt) -> str:
-        """SVG "px,py" pairs of an (n, 2) array of (x, t) points, formatted
-        in one operation."""
+    def pixels(self, xt) -> np.ndarray:
+        """The (px, py) pixel pairs of an (n, 2) array of (x, t) points."""
         xt = np.asarray(xt, dtype=float)
         px = PAD + (xt[:, 0] - self.xmin) / (self.xmax - self.xmin) * (WIDTH - 2 * PAD)
         py = HEIGHT - PAD - (xt[:, 1] - self.tmin) / (self.tmax - self.tmin) * (HEIGHT - 2 * PAD)
-        pairs = np.column_stack([px, py]).ravel().tolist()
-        return " ".join(["%.2f,%.2f"] * px.size) % tuple(pairs)
+        return np.column_stack([px, py])
+
+
+def _pair_texts(pairs: np.ndarray) -> np.ndarray:
+    """The "px,py" text of each row of an (n, 2) array of pixel pairs, as an
+    object array, with each distinct pair formatted once.
+
+    A polygon repeats the samples of its curves, and the formatting is the
+    bulk of the SVG's cost.  A stable sort of the rows as complex px + i py
+    brings equal ones together.  Equal values share a text: pixels are
+    PAD + s and HEIGHT - PAD - s, never -0.0, so equal values have equal
+    bits and equal texts.
+    """
+    z = pairs.view(complex)[:, 0]
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = zs[1:] != zs[:-1]
+    distinct = pairs[order[first]]
+    texts = ("%.2f,%.2f " * len(distinct) % tuple(distinct.ravel().tolist())).split()
+    out = np.empty(order.size, dtype=object)
+    out[order] = np.array(texts, dtype=object)[np.cumsum(first) - 1]
+    return out
 
 
 def weak_solution_curves(w, samples_per_segment: int = 160):
@@ -72,17 +92,21 @@ def spacetime_svg(
 ) -> str:
     """Assemble the SVG document from curve and polygon data in (x, t) space."""
     m = _Mapper(x_range[0], x_range[1], t_range[0], t_range[1])
+    polygons = list(polygons)
+    # the points of every shape are formatted together, each distinct one once
+    pixels = [m.pixels(xt) for xt in (*polygons, *(pts for _, pts in curves))]
+    texts = _pair_texts(np.concatenate([np.empty((0, 2)), *pixels]))
+    ends = np.cumsum([0] + [len(px) for px in pixels]).tolist()
+    point_lists = [" ".join(texts[a:b].tolist()) for a, b in zip(ends[:-1], ends[1:])]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    for poly in polygons:
-        pts = m.points(poly)
+    for pts in point_lists[: len(polygons)]:
         parts.append(f'<polygon points="{pts}" fill="{FILL}" fill-opacity="0.55" stroke="none"/>')
     palette = [STROKE, ALT_STROKE]
-    for i, (label, pts) in enumerate(curves):
-        d = m.points(pts)
+    for i, d in enumerate(point_lists[len(polygons):]):
         color = palette[i % len(palette)] if len(curves) <= 2 else STROKE
         parts.append(
             f'<polyline points="{d}" fill="none" stroke="{color}" stroke-width="1.6"/>'

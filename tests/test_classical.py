@@ -308,6 +308,52 @@ class TestQuarticDenseOutput:
             got = path.invert_col(traj.k - 1, traj.position(ts), traj.sign)
             assert np.max(np.abs(got - ts)) <= 1e-13
 
+    def test_invert_col_with_column_arrays_matches_per_column_calls(self, pstar):
+        # one call with a column and a sign per query, the queries of each
+        # column together: the same values, bit for bit, as one call per
+        # column
+        rng = np.random.default_rng(7)
+        for omega, v0 in _profiles_instances(4):
+            seg, _ = run_segment(pstar, omega, v0, 0.0, 1.0)
+            path = seg._path
+            cols, ys, signs, want = [], [], [], []
+            for traj in seg.trajectories:
+                # reached inside the path, behind its start, beyond its end
+                y = np.concatenate([
+                    traj.position(rng.uniform(0.0, 1.0, 40)),
+                    traj.position(0.0) - traj.sign * rng.uniform(0.0, 1.0, 3),
+                    traj.position(1.0) + traj.sign * rng.uniform(1e-3, 1.0, 3),
+                ])
+                cols.append(np.full(y.size, traj.k - 1))
+                ys.append(y)
+                signs.append(np.full(y.size, float(traj.sign)))
+                want.append(path.invert_col(traj.k - 1, y, traj.sign))
+            got = path.invert_col(np.concatenate(cols), np.concatenate(ys), np.concatenate(signs))
+            np.testing.assert_array_equal(got, np.concatenate(want))
+            assert np.sum(got == 0.0) == 3 * path.dim and np.sum(np.isinf(got)) == 3 * path.dim
+        # a scalar column broadcasts over y and keeps its shape
+        y = seg.trajectories[1].position(np.linspace(0.1, 0.9, 6)).reshape(2, 3)
+        got = path.invert_col(1, y, seg.trajectories[1].sign)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got.ravel(), path.invert_col(np.ones(6, dtype=int), y.ravel(), 1.0))
+
+    def test_each_column_stops_its_own_newton_batch(self, pstar):
+        # on this instance a point of column 1 converges an iteration before
+        # a point of column 0, and one more Newton step moves its last bit:
+        # in a single batch the values would depend on the other columns
+        omega, v0 = _profiles_instances(14)[13]
+        path = run_segment(pstar, omega, v0, 0.0, 1.0)[0]._path
+        cols, ys = np.array([1, 0]), np.array([2.010222362232989, -0.6433431045551269])
+        signs = np.array([1.0, -1.0])
+        ts, Y, F, D = path.arrays()
+        i = np.array([np.searchsorted(s * Y[:, c], s * y) - 1 for c, y, s in zip(cols, ys, signs)])
+        args = (ts[i], ts[i + 1] - ts[i], Y[i, cols], F[i, cols], Y[i + 1, cols], F[i + 1, cols], D[i + 1, cols], ys, signs)
+        apart = classical._invert_quartic(*args, np.array([0, 1]))
+        assert classical._invert_quartic(*args)[0] != apart[0], "the point no longer needs its own batch"
+        want = [path.invert_col(c, y, s)[0] for c, y, s in zip(cols, ys, signs)]
+        np.testing.assert_array_equal(apart, want)
+        np.testing.assert_array_equal(path.invert_col(cols, ys, signs), want)
+
     def test_scan_event_catches_a_dip_between_samples(self, pstar):
         # a gap quartic that dips below zero between two of the 13 samples
         # (and between the stationary points of its cubic part) and comes back

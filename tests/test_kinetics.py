@@ -119,6 +119,16 @@ class TestFlows:
         assert flow_outside(pstar, 0.0, 5.0) == 0.0
         assert flow_outside(pstar, 1.0, 0.0) == 1.0
 
+    def test_outside_keeps_zero_batches_at_positive_zero(self, pstar):
+        # the field fold skips the quiescent flow of batches that are all
+        # +0.0, so the flow must return exactly +0.0 there, for any t
+        ts = [1e-300, 1e-3, 0.5, 1.0, 7.0, 1e3, 1e300]
+        for t in ts:
+            out = flow_outside(pstar, np.zeros(5), t)
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+        out = flow_outside(pstar, np.zeros(len(ts)), np.array(ts))
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
     def test_outside_derived_value(self, pstar):
         oracle = brentq(lambda v: 3 * (1 - v) - math.log(v) - 1.0, 1e-9, 1.0, xtol=1e-15)
         assert oracle == pytest.approx(FLOW_OUT_1_1, abs=1e-13)

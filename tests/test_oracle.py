@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             FHNConfig.for_front_model(pstar, eps, -4, 4, dx=1.0, dt=0.9 * eps**2)
 
+    @pytest.mark.parametrize("field", ["eps", "dx", "dt", "x_left", "x_right"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, pstar, field, bad):
+        # nan fails every comparison, so each bound alone would let it pass
+        kw = dict(eps=0.05, x_left=-8.0, x_right=8.0, dx=0.02, dt=1e-4)
+        kw[field] = bad
+        eps, lo, hi = kw.pop("eps"), kw.pop("x_left"), kw.pop("x_right")
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FHNConfig.for_front_model(pstar, eps, lo, hi, **kw)
+
     def test_default_steps_satisfy_both_bounds(self, pstar):
         cfg = small_cfg(pstar, eps=0.02)
         assert cfg.dt <= 0.5 * cfg.dx**2

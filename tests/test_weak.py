@@ -483,6 +483,90 @@ class TestEvaluationCounts:
         assert calls == [w.segments[-1]]
 
 
+def _flow_every_batch(self, v, inside, dt):
+    """ClassicalSegment._flow without the rest-state skip: every moving
+    entry goes through its phase's flow."""
+    if isinstance(dt, float):
+        if not dt > 0.0:
+            return
+        m_in, m_out, dt_in, dt_out = inside, ~inside, dt, dt
+    else:
+        moving = dt > 0.0
+        m_in, m_out = inside & moving, ~inside & moving
+        dt_in, dt_out = dt[m_in], dt[m_out]
+    for mask, flow, t in ((m_in, classical.flow_inside, dt_in), (m_out, classical.flow_outside, dt_out)):
+        if np.count_nonzero(mask):
+            v[mask] = flow(self.params, v[mask], t)
+
+
+class TestBatchedFieldRead:
+    """A field read inverts each segment path's crossings in one invert_col
+    call and leaves points at the rest state v = 0 out of the quiescent
+    flow; both keep every value bit for bit."""
+
+    def test_invert_col_on_a_chained_segment(self, cascade16):
+        rng = np.random.default_rng(3)
+        _, _, _, w = cascade16
+        seg = w.segments[-1]
+        assert len(seg._chain) == 15 and len(seg._paths) == 16
+        for path, a, b in seg._paths:
+            cols, ys, want = [], [], []
+            for j in range(b - a):
+                sign = seg._col_sign[a + j]
+                x = path.eval(rng.uniform(path.t_start, path.t_end, 20))[:, j]
+                y = np.concatenate([x, [x.min() - 1.0, x.max() + 1.0]])
+                cols.append(np.full(y.size, j))
+                ys.append(y)
+                want.append(path.invert_col(j, y, sign))
+            col = np.concatenate(cols)
+            got = path.invert_col(col, np.concatenate(ys), seg._col_sign[a + col])
+            np.testing.assert_array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("run", ["cascade16", "merge_run"])
+    def test_arrivals_match_a_per_column_reference(self, run, request, monkeypatch):
+        w = request.getfixturevalue(run)
+        w = w[3] if run == "cascade16" else w
+        xs = np.linspace(w.segments[0].profile_start.xs[0], w.segments[0].profile_start.xs[-1], 801)
+        calls = []
+        invert = classical.DensePath.invert_col
+        monkeypatch.setattr(classical.DensePath, "invert_col", lambda *a: calls.append(1) or invert(*a))
+        for seg in w.segments[1:]:
+            calls.clear()
+            got = seg._arrivals(xs)
+            assert len(calls) <= len(seg._paths)
+            # one call per swept column, as the fold made before
+            ahead = seg._col_sign * xs[:, None]
+            swept = (ahead > seg._col_from) & (ahead <= seg._swept_to)
+            want = np.full(swept.shape, math.inf)
+            paths = [(path, j) for path, a, b in seg._paths for j in range(b - a)]
+            for c in np.flatnonzero(swept.any(axis=0)):
+                path, j = paths[c]
+                want[swept[:, c], c] = invert(path, j, xs[swept[:, c]], seg._col_sign[c])
+            want[want <= seg._col_t0] = math.inf
+            np.testing.assert_array_equal(got, want)
+            assert np.isfinite(got).any()
+
+    @pytest.mark.parametrize("run", ["cascade16", "shrinking_run"])
+    def test_rest_state_skips_the_quiescent_flow(self, run, request, monkeypatch):
+        # on v0 = 0 nothing outside the excited set ever leaves the rest
+        # state, so no read calls flow_outside; on v0 = 1 the read still does
+        w = request.getfixturevalue(run)
+        w = w[3] if run == "cascade16" else w
+        prof = w.segments[0].profile_start
+        X, T = np.meshgrid(np.linspace(prof.xs[0], prof.xs[-1], 201), np.linspace(0.0, w.t_end, 13))
+        calls = []
+        outside = classical.flow_outside
+        monkeypatch.setattr(classical, "flow_outside", lambda *a: calls.append(1) or outside(*a))
+        got = w.evaluate_v(X, T)
+        skipped = len(calls)
+        calls.clear()
+        monkeypatch.setattr(ClassicalSegment, "_flow", _flow_every_batch)
+        want = w.evaluate_v(X, T)
+        assert len(calls) > 0
+        assert skipped == (0 if run == "cascade16" else len(calls))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestNoNucleation:
     def test_holds_for_runs(self, expanding_run, shrinking_run, merge_run):
         for w in (expanding_run, shrinking_run, merge_run):
