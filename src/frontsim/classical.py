@@ -16,7 +16,11 @@ segment's controller last proposed.  The right-hand side is smooth except
 where a front crosses a kink of the field, whose positions never move; steps
 are capped to end at the predicted crossing, and a step that still crosses
 one is taken again to end there.  Gap closures (collisions of adjacent
-interfaces) are localized on the dense output by bisection.
+interfaces), kink crossings and arrival times at given positions are all
+roots of the quartic dense output, located by one bracketed Newton rule
+(_invert_quartic).  tol_event sets the window within which two closures
+count as simultaneous, the slacks of the step cap and the kink crossing,
+and the gap below which surgery takes interfaces as collided.
 """
 from __future__ import annotations
 
@@ -112,32 +116,24 @@ def _quartic_deriv(theta, h, y0, f0, y1, f1, d):
     )
 
 
-def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign, starts=(0,)):
+def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign, lo=0.0, hi=1.0):
     """Times in [t0, t0 + h] at which the step's quartic reaches target.
 
-    The arguments are arrays of one entry per query (sign may be one value
-    for all).  The component moves in the direction `sign` and reaches
-    target on the step, so Newton's method runs inside a bracket that
-    bisection keeps when a Newton step leaves it, until its step is below
-    1e-14 in time or the residual is down to the rounding of the positions
-    (slow fronts far from 0 reach that first).
+    The arguments are arrays of one entry per query, or one value for all.
+    The component moves in the direction `sign` and reaches target between
+    the step fractions lo and hi (by default the whole step), so Newton's
+    method runs inside that bracket, which bisection keeps when a Newton
+    step leaves it, until its step is below 1e-14 in time or the residual
+    is down to the rounding of the positions (slow fronts far from 0 reach
+    that first).
 
-    A batch iterates until all of its entries are done.  The entries are
-    batches laid end to end, `starts` the first entry of each (by default
-    all form one): a batch leaves the iteration once its own entries are
-    done, so each gets the values it would get on its own.
+    Each entry keeps its theta from the iteration in which it is done, so
+    its value is that of a call for it alone, whatever the other entries.
     """
-    base, span = t0, h
-    starts = np.asarray(starts)
-    sizes = np.diff(np.append(starts, t0.size))
-    # once a batch is done before the others: the theta of each entry whose
-    # batch is done, and the entries still iterating
-    out = live = None
-    lo = np.zeros(t0.shape)
-    hi = np.ones(t0.shape)
     denom = y1 - y0
-    theta = np.clip((target - y0) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    theta = np.clip((target - y0) / np.where(denom == 0.0, 1.0, denom), lo, hi)
     rounding = 8.0 * np.finfo(float).eps * np.maximum(np.abs(y0), np.abs(y1))
+    done = np.zeros(theta.shape, dtype=bool)
     for _ in range(60):
         val = _quartic(theta, h, y0, f0, y1, f1, d) - target
         below = sign * val < 0.0
@@ -149,27 +145,12 @@ def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign, starts=(0,)):
         bad = ~np.isfinite(nt) | (nt < lo) | (nt > hi)
         nt = np.where(bad, 0.5 * (lo + hi), nt)
         converged = np.abs(nt - theta) * h <= 1e-14 * np.maximum(1.0, np.abs(t0))
-        done = converged | (np.abs(val) <= rounding)
-        theta = nt
-        stop = np.logical_and.reduceat(done, starts)
-        if stop.all():
+        # an entry done before keeps its theta
+        theta = np.where(done, theta, nt)
+        done |= converged | (np.abs(val) <= rounding)
+        if done.all():
             break
-        if starts.size > 1 and stop.any():
-            if out is None:
-                out, live = np.empty(base.shape), np.arange(base.size)
-            leave = np.repeat(stop, sizes)
-            out[live[leave]] = theta[leave]
-            keep = ~leave
-            live, sizes = live[keep], sizes[~stop]
-            starts = np.cumsum(sizes) - sizes
-            sign = np.broadcast_to(sign, keep.shape)[keep]
-            t0, h, y0, f0, y1, f1, d, target, lo, hi, theta, rounding = (
-                a[keep] for a in (t0, h, y0, f0, y1, f1, d, target, lo, hi, theta, rounding)
-            )
-    if out is None:
-        return base + theta * span
-    out[live] = theta
-    return base + out * span
+    return t0 + theta * h
 
 
 # _scan_event samples each gap's quartic at these thetas (a column, with its
@@ -294,48 +275,37 @@ class DensePath:
         """Arrival times of strictly monotone components at positions y.
 
         col is one component, or one per query, and sign its direction of
-        motion; both broadcast with y.  A caller with many columns lists each
-        column's queries together: each run of equal columns is located on
-        its column's knots with one search.  All queries then go to one
-        _invert_quartic call, in which each run is a Newton batch that
-        iterates until all of its entries are done, so every value equals
-        that of a call for its column alone.
+        motion; both broadcast with y.  All queries go to one _invert_quartic
+        call, whose entries each stop on their own, so every value equals
+        that of a one-point call, in whatever order the queries come.  Each
+        run of equal columns is located on its column's knots with one
+        search, so a caller with many columns saves searches by listing each
+        column's queries together.
 
         Returns t_start for positions already passed at the initial time and
         inf for positions beyond the range covered so far.
         """
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.ndim(col) or np.ndim(sign):
-            ys, col, sign = np.broadcast_arrays(ys, col, sign)
-            col, sign = col.ravel(), sign.ravel()
-            cuts = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
-            runs = [(a, b, col[a], sign[a]) for a, b in zip([0, *cuts], [*cuts, col.size]) if a < b]
-        else:
-            runs = [(0, ys.size, col, sign)]
         shape = ys.shape
-        yq = ys.ravel()
+        yq, col, sign = (a.ravel() for a in np.broadcast_arrays(ys, col, sign))
+        cuts = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
         ts, Y, F, D = self.arrays()
         idx = np.empty(yq.size, dtype=np.intp)
-        for a, b, c, s in runs:
-            idx[a:b] = np.searchsorted(s * Y[:, c], s * yq[a:b], side="left")
+        for a, b in zip([0, *cuts], [*cuts, col.size]):
+            if a < b:
+                c, s = col[a], sign[a]
+                idx[a:b] = np.searchsorted(s * Y[:, c], s * yq[a:b], side="left")
         # idx 0: at or behind the start; past the last knot: not reached yet
         out = np.where(idx == 0, ts[0], math.inf)
         mid = np.flatnonzero((idx > 0) & (idx < len(ts)))
         if mid.size:
             i = idx[mid] - 1
-            if len(runs) == 1:
-                _, _, c, s = runs[0]
-                starts = (0,)
-            else:
-                # the first entry of each run of equal columns
-                c, s = col[mid], sign[mid]
-                starts = np.flatnonzero(np.diff(c, prepend=c[0] - 1))
-            # flat indices of (i, c) and (i + 1, c) in the knot arrays
-            k0 = i * self.dim + c
+            # flat indices of (i, col) and (i + 1, col) in the knot arrays
+            k0 = i * self.dim + col[mid]
             k1 = k0 + self.dim
             Yf, Ff, Df = Y.ravel(), F.ravel(), D.ravel()
             out[mid] = _invert_quartic(
-                ts[i], ts[i + 1] - ts[i], Yf[k0], Ff[k0], Yf[k1], Ff[k1], Df[k1], yq[mid], s, starts,
+                ts[i], ts[i + 1] - ts[i], Yf[k0], Ff[k0], Yf[k1], Ff[k1], Df[k1], yq[mid], sign[mid],
             )
         return out.reshape(shape)
 
@@ -563,7 +533,8 @@ class ClassicalSegment:
     def _check_time(self, t, t_from: float) -> None:
         tq = np.asarray(t, dtype=float)
         slack = 1e-12 * max(1.0, abs(self.t_end))
-        if np.any(tq < t_from - slack) or np.any(tq > self.t_end + slack):
+        # written so that nan, which fails every comparison, fails it too
+        if not np.all((tq >= t_from - slack) & (tq <= self.t_end + slack)):
             raise ValueError(f"time outside [{t_from}, {self.t_end}]")
 
     # -- field reconstruction ---------------------------------------------
@@ -834,7 +805,14 @@ class ClassicalSegment:
         return t_kink if tn + slack < t_kink < t_new - slack else None
 
     def _scan_event(self) -> tuple[float, int] | None:
-        """Earliest gap closure inside the last accepted step, if any."""
+        """Earliest gap closure inside the last accepted step, if any, as
+        (time, index of the gap's left interface).
+
+        Each gap that can reach 0 is sampled for its first sign change, and
+        one _invert_quartic call locates every such closure by Newton's
+        method inside its bracket.  A later pair wins only when it closes
+        more than tol_event earlier, so closures within tol_event of each
+        other go to the leftmost pair."""
         n = self.n_interfaces
         if n < 2 or len(self._path) < 2:
             return None
@@ -859,33 +837,31 @@ class ClassicalSegment:
         spread = abs_c.sum(axis=0)
         if np.all(g0 - spread > dip + 1e-12 * (g0 + spread)):
             return None
-        near = _quartic_at(_SAMPLE_WEIGHTS, h, g0, s0, g1, s1, gd).min(axis=0) <= dip
-        best: tuple[float, int] | None = None
-        for i in np.flatnonzero(near):
-            gap = lambda th: _quartic(th, h, g0[i], s0[i], g1[i], s1[i], gd[i])
-            # the stationary points of the quartic catch dips between samples;
-            # any real part in (0, 1) is kept, an extra sample costs nothing
+        near = np.flatnonzero(_quartic_at(_SAMPLE_WEIGHTS, h, g0, s0, g1, s1, gd).min(axis=0) <= dip)
+        # the first pair of thetas between which each near gap closes, from
+        # the samples and the stationary points of its quartic, which catch
+        # dips between samples (any real part in (0, 1) is kept, an extra
+        # sample costs nothing)
+        pairs, lo, hi = [], [], []
+        for i in near:
             roots = np.polynomial.polynomial.polyroots(_POWERS * c[:, i]).real
             thetas = np.unique(np.concatenate([_SAMPLES, roots[(roots > 0.0) & (roots < 1.0)]]))
-            hit_th = None
-            for j in range(1, len(thetas)):
-                if gap(thetas[j]) <= 0.0:
-                    lo, hi = thetas[j - 1], thetas[j]
-                    while (hi - lo) * h > self.tol_event:
-                        mid = 0.5 * (lo + hi)
-                        if gap(mid) <= 0.0:
-                            hi = mid
-                        else:
-                            lo = mid
-                    hit_th = 0.5 * (lo + hi)
-                    break
-            if hit_th is None:
-                continue
-            t_a = t0 + hit_th * h
-            if best is None or t_a < best[0] - self.tol_event:
-                best = (t_a, int(i))
-            # ties within tol_event resolve to the leftmost pair, i.e. first i
-        return best
+            closed = np.flatnonzero(_quartic(thetas[1:], h, g0[i], s0[i], g1[i], s1[i], gd[i]) <= 0.0)
+            if closed.size:
+                pairs.append(i)
+                lo.append(thetas[closed[0]])
+                hi.append(thetas[closed[0] + 1])
+        if not pairs:
+            return None
+        i = np.array(pairs)
+        # the gap falls to 0 at the closure
+        t_a = _invert_quartic(t0, h, g0[i], s0[i], g1[i], s1[i], gd[i], 0.0, -1.0, np.array(lo), np.array(hi))
+        # ties within tol_event resolve to the leftmost pair, i.e. first i
+        best = 0
+        for j in range(1, i.size):
+            if t_a[j] < t_a[best] - self.tol_event:
+                best = j
+        return float(t_a[best]), int(i[best])
 
     def _finalize_event(self, t_a: float, i: int) -> None:
         t_prev = self._path.arrays()[0][-2]

@@ -57,12 +57,16 @@ def _pair_texts(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def weak_solution_curves(w, samples_per_segment: int = 160):
+# time samples of each segment in the space-time plot
+_SAMPLES_PER_SEGMENT = 160
+
+
+def weak_solution_curves(w):
     """(curves, polygons): interface polylines and per-component shaded loops.
 
     curves: list of (label, (n, 2) array of (x, t)), sorted by label, one
     block of samples per segment the label lives in; polygons: list of
-    (2 * samples_per_segment, 2) arrays of (x, t), one closed loop per
+    (2 * _SAMPLES_PER_SEGMENT, 2) arrays of (x, t), one closed loop per
     excited component of each segment.
     """
     blocks: dict[int, list[np.ndarray]] = {}
@@ -70,7 +74,7 @@ def weak_solution_curves(w, samples_per_segment: int = 160):
     for seg in w.segments:
         if seg.n_interfaces == 0:
             continue
-        ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
+        ts = np.linspace(seg.t_start, seg.t_end, _SAMPLES_PER_SEGMENT)
         pos = seg.positions(ts)
         for j, label in enumerate(seg.labels):
             blocks.setdefault(label, []).append(np.column_stack([pos[:, j], ts]))

@@ -330,7 +330,7 @@ def check_no_nucleation(w: WeakSolution) -> bool:
             continue
         for t in np.linspace(seg.t_start, seg.t_end, 5):
             pos = np.atleast_1d(seg.positions(float(t)))
-            # at an annihilation knot the colliding gap sits at bisection scale
+            # at an annihilation knot the colliding gap sits within rounding of 0
             if np.any(np.diff(pos) < -max(1e-8, 100.0 * seg.tol_event)):
                 return False
     return True
@@ -397,12 +397,18 @@ def _time_breakpoints(
     w: WeakSolution, t1: float, t2: float, x1: float, x2: float, cuts: np.ndarray
 ) -> np.ndarray:
     """Sorted unique times in [t1, t2] at which a segment starts or ends or
-    a front reaches a window edge or a cut, t1 and t2 included."""
+    a front reaches a window edge or a cut, t1 and t2 included.
+
+    Each segment inverts all of its fronts' arrivals at the markers in one
+    invert_col call, a column and a sign per query."""
     markers = np.concatenate([np.asarray([x1, x2]), cuts])
     pts = [np.asarray([t1, t2])]
     for seg in w.segments:
         pts.append(np.asarray([seg.t_start, seg.t_end]))
-        pts.extend(traj.arrival_time(markers) for traj in seg.trajectories)
+        n = seg.n_interfaces
+        if n:
+            cols = np.repeat(np.arange(n), markers.size)
+            pts.append(seg._path.invert_col(cols, np.tile(markers, n), seg._signs[cols]))
     pts = np.concatenate(pts)
     return np.unique(pts[(pts >= t1) & (pts <= t2)])
 
@@ -467,14 +473,13 @@ def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: in
     return xs, taus[row[node]], tws[row[node]] * ws, inside[node]
 
 
+# the cells a residual window gets in t and in x, shared out over its pieces
+_NT = 96
+_NX = 96
+
+
 def weak_residual(
-    w: WeakSolution,
-    window: tuple[float, float, float, float],
-    phi,
-    psi,
-    *,
-    nt: int = 96,
-    nx: int = 96,
+    w: WeakSolution, window: tuple[float, float, float, float], phi, psi
 ) -> tuple[float, float]:
     """Absolute residuals of the two weak-form identities on a window.
 
@@ -492,7 +497,7 @@ def weak_residual(
         raise ValueError("window exceeds the solution horizon")
     cuts = _structural_x(w)
     brk = _time_breakpoints(w, t1, t2, x1, x2, cuts)
-    counts = np.maximum(4, np.round(nt * np.diff(brk) / (t2 - t1)).astype(int))
+    counts = np.maximum(4, np.round(_NT * np.diff(brk) / (t2 - t1)).astype(int))
     taus, tws = _gauss_cells(brk[:-1], brk[1:], counts)
 
     # one node set for the window: rows 0 and 1 are its edges t1 and t2, of
@@ -501,7 +506,7 @@ def weak_residual(
     times = np.concatenate([[t1, t2], taus])
     pos = w.positions(times)
     xs, row, wq, inside = _window_nodes(
-        pos, np.arange(times.size), np.concatenate([[-1.0, 1.0], tws]), x1, x2, cuts, nx
+        pos, np.arange(times.size), np.concatenate([[-1.0, 1.0], tws]), x1, x2, cuts, _NX
     )
     ts = times[row]
     # the fronts inside the window on the Gauss rows, for c_term
@@ -601,9 +606,11 @@ class IllPosedBranch:
         return float(out) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
 
 
-def ill_posedness_demo(
-    params: Parameters, horizon: float, *, tol_step: float = 1e-9
-) -> tuple[IllPosedBranch, IllPosedBranch]:
+# the step tolerance of both ill-posedness branches
+_ILLPOSED_TOL = 1e-9
+
+
+def ill_posedness_demo(params: Parameters, horizon: float) -> tuple[IllPosedBranch, IllPosedBranch]:
     """Two distinct continuations from Omega(0) = (0, inf), v0 = a/b - arctan x.
 
     The start violates the endpoint non-degeneracy condition (W(v0(0)) = 0),
@@ -625,8 +632,8 @@ def ill_posedness_demo(
         v = flow_outside(params, v0_at(float(y[0])), max(t, 0.0))
         return np.array([params.a - params.b * v])
 
-    front = integrate_adaptive(rhs_front, 0.0, [0.0], horizon, tol=tol_step)
-    back = integrate_adaptive(rhs_back, 0.0, [0.0], horizon, tol=tol_step)
+    front = integrate_adaptive(rhs_front, 0.0, [0.0], horizon, tol=_ILLPOSED_TOL)
+    back = integrate_adaptive(rhs_back, 0.0, [0.0], horizon, tol=_ILLPOSED_TOL)
     return (
         IllPosedBranch("front", params, front),
         IllPosedBranch("back", params, back),

@@ -111,7 +111,7 @@ class TestShrinking:
         oracle = shrink_ta_oracle(pstar)
         assert oracle == pytest.approx(SHRINK_TA, abs=1e-12)
         assert ev is not None and ev.kind is EventKind.VANISH
-        assert ev.time == pytest.approx(SHRINK_TA, abs=1e-8)
+        assert ev.time == pytest.approx(SHRINK_TA, abs=1e-12)
         assert ev.position == pytest.approx(0.0, abs=1e-9)
         assert ev.indices == (1, 2)
 
@@ -175,7 +175,7 @@ class TestMerge:
     def test_merge_event(self, merge_segment):
         seg, ev = merge_segment
         assert ev.kind is EventKind.MERGE
-        assert ev.time == pytest.approx(1.0, abs=1e-6)
+        assert ev.time == pytest.approx(1.0, abs=1e-12)
         assert ev.position == pytest.approx(0.0, abs=1e-8)
         assert ev.indices == (2, 3)
         assert (ev.components_before, ev.components_after) == (2, 1)
@@ -337,10 +337,10 @@ class TestQuarticDenseOutput:
         assert got.shape == (2, 3)
         np.testing.assert_array_equal(got.ravel(), path.invert_col(np.ones(6, dtype=int), y.ravel(), 1.0))
 
-    def test_each_column_stops_its_own_newton_batch(self, pstar):
+    def test_each_entry_stops_its_own_newton_iteration(self, pstar):
         # on this instance a point of column 1 converges an iteration before
         # a point of column 0, and one more Newton step moves its last bit:
-        # in a single batch the values would depend on the other columns
+        # in one call the values must still be those of one-entry calls
         omega, v0 = _profiles_instances(14)[13]
         path = run_segment(pstar, omega, v0, 0.0, 1.0)[0]._path
         cols, ys = np.array([1, 0]), np.array([2.010222362232989, -0.6433431045551269])
@@ -348,11 +348,21 @@ class TestQuarticDenseOutput:
         ts, Y, F, D = path.arrays()
         i = np.array([np.searchsorted(s * Y[:, c], s * y) - 1 for c, y, s in zip(cols, ys, signs)])
         args = (ts[i], ts[i + 1] - ts[i], Y[i, cols], F[i, cols], Y[i + 1, cols], F[i + 1, cols], D[i + 1, cols], ys, signs)
-        apart = classical._invert_quartic(*args, np.array([0, 1]))
-        assert classical._invert_quartic(*args)[0] != apart[0], "the point no longer needs its own batch"
-        want = [path.invert_col(c, y, s)[0] for c, y, s in zip(cols, ys, signs)]
-        np.testing.assert_array_equal(apart, want)
-        np.testing.assert_array_equal(path.invert_col(cols, ys, signs), want)
+        alone = [classical._invert_quartic(*(a[j : j + 1] for a in args))[0] for j in range(2)]
+        np.testing.assert_array_equal(classical._invert_quartic(*args), alone)
+        np.testing.assert_array_equal(path.invert_col(cols, ys, signs), alone)
+
+    def test_invert_col_queries_in_any_order_match_one_point_calls(self, pstar):
+        # columns in random order, so runs of equal columns are short and
+        # every call mixes columns: each value must be its one-point call's
+        rng = np.random.default_rng(3)
+        for omega, v0 in _profiles_instances(24):
+            seg, _ = run_segment(pstar, omega, v0, 0.0, 1.0)
+            cols = rng.integers(0, seg.n_interfaces, 300)
+            ys = seg.positions(rng.uniform(0.0, 1.0, 300))[np.arange(300), cols]
+            signs = seg._signs[cols]
+            want = [seg._path.invert_col(c, y, s)[0] for c, y, s in zip(cols, ys, signs)]
+            np.testing.assert_array_equal(seg._path.invert_col(cols, ys, signs), want)
 
     def test_scan_event_catches_a_dip_between_samples(self, pstar):
         # a gap quartic that dips below zero between two of the 13 samples
@@ -371,6 +381,24 @@ class TestQuarticDenseOutput:
         assert pair == 0
         assert t_hit == pytest.approx(first * h, abs=2.0 * seg.tol_event)
 
+    def test_scan_event_ties_go_to_the_left_pair(self, pstar):
+        # two linear gaps, pair 0 closing at mid-step and pair 2 earlier by
+        # `ahead`: within tol_event of each other the left pair wins, beyond
+        # it the earlier closure
+        h = 0.01
+        seg = ClassicalSegment(pstar, IntervalSet((-3.0, -1.0, 1.0, 3.0)), Profile.constant(0.0, (-16.0, 16.0)), 0.0, 1.0)
+
+        def scan(ahead):
+            g = 1.0 - 2.0 * ahead / h  # pair 2's gap falls by 2 over the step
+            slope = np.array([0.0, -2.0, -2.0, -4.0]) / h
+            seg._path = DensePath(0.0, [0.0, 1.0, 6.0, 6.0 + g], slope)
+            seg._path.append(h, [0.0, -1.0, 4.0, 2.0 + g], slope, np.zeros(4))
+            return seg._scan_event()
+
+        t_hit, pair = scan(0.5 * seg.tol_event)
+        assert pair == 0 and t_hit == pytest.approx(0.5 * h, abs=1e-16)
+        t_hit, pair = scan(2.0 * seg.tol_event)
+        assert pair == 2 and t_hit == pytest.approx(0.5 * h - 2.0 * seg.tol_event, abs=1e-16)
 
     def test_scan_event_skips_gaps_that_cannot_close(self, pstar, monkeypatch):
         # gaps of at least 2.5 that move far less than that per step: no

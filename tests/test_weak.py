@@ -250,6 +250,17 @@ class TestPositionTable:
         with pytest.raises(ValueError):
             merge_run.positions([1.0, merge_run.t_end + 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_raise(self, shrinking_run, bad):
+        # nan fails every comparison, so a check by comparisons alone let it
+        # through: evaluate_v(0, nan) read v0 and positions(nan) a nan row
+        with pytest.raises(ValueError, match="time outside"):
+            shrinking_run.evaluate_v(0.0, bad)
+        with pytest.raises(ValueError, match="time outside"):
+            shrinking_run.positions(bad)
+        with pytest.raises(ValueError, match="time outside"):
+            shrinking_run.positions([0.1, bad])
+
 
 class TestGeneratedCascade:
     def test_random_intervals_all_merge(self, cascade16):
@@ -259,7 +270,7 @@ class TestGeneratedCascade:
         assert len(by_labels) == 15
         for j, gap in enumerate(gaps):
             ev = by_labels[(2 * j + 2, 2 * j + 3)]
-            assert ev.time == pytest.approx(gap / 2, abs=1e-8)
+            assert ev.time == pytest.approx(gap / 2, abs=1e-12)
             assert ev.position == pytest.approx(0.5 * (xs[2 * j + 1] + xs[2 * j + 2]), abs=1e-8)
         assert w.interface_positions(3.0) == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
         assert check_no_nucleation(w)
@@ -275,7 +286,7 @@ class TestGeneratedCascade:
 
     def test_curves_match_a_tuple_built_reference(self, cascade16):
         _, _, _, w = cascade16
-        n = 160
+        n = 160  # the samples weak_solution_curves takes of each segment
         want_curves: dict[int, list] = {}
         want_polygons = []
         for seg in w.segments:
@@ -286,7 +297,7 @@ class TestGeneratedCascade:
             for comp in range(seg.n_interfaces // 2):
                 loop = list(zip(pos[:, 2 * comp], ts)) + list(zip(pos[::-1, 2 * comp + 1], ts[::-1]))
                 want_polygons.append(np.asarray(loop))
-        curves, polygons = weak_solution_curves(w, n)
+        curves, polygons = weak_solution_curves(w)
         assert [label for label, _ in curves] == sorted(want_curves)
         for label, pts in curves:
             assert pts.shape == (len(want_curves[label]), 2)
@@ -632,13 +643,13 @@ class TestWeakResidual:
 
     def test_arrival_errors_propagate(self, merge_run, monkeypatch):
         # an error while finding the breakpoints is a fault, never skipped
-        def broken(self, y):
-            raise RuntimeError("arrival_time failed")
+        def broken(self, col, y, sign):
+            raise RuntimeError("invert_col failed")
 
-        monkeypatch.setattr(classical.InterfaceTrajectory, "arrival_time", broken)
+        monkeypatch.setattr(classical.DensePath, "invert_col", broken)
         window = (-1.5, 1.5, 0.5, 1.5)
         one = SpaceTimePolynomial([[1.0]], window)
-        with pytest.raises(RuntimeError, match="arrival_time failed"):
+        with pytest.raises(RuntimeError, match="invert_col failed"):
             weak_residual(merge_run, window, one, one)
 
     def test_detects_wrong_parameters(self, merge_run):
