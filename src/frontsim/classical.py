@@ -691,11 +691,17 @@ class ClassicalSegment:
 
     def evaluate_v(self, x, t) -> np.ndarray | float:
         """Recovery field v(x, t) for any t from the start of the history this
-        segment continues to its own end (x, t broadcastable)."""
+        segment continues to its own end (x, t broadcastable).
+
+        Raises ValueError for a time outside that span or a non-finite x.
+        """
         self._check_time(t, self._t_origin)
         xs, ts = np.broadcast_arrays(
             np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         )
+        # the quiescent flow maps nan to the rest state, so nan would read 0
+        if not np.isfinite(xs).all():
+            raise ValueError("position must be finite")
         shape = xs.shape
         out = self._v_field(xs.ravel().astype(float), ts.ravel().astype(float))
         out = out.reshape(shape)

@@ -35,26 +35,41 @@ class _Mapper:
         return np.column_stack([px, py])
 
 
-def _pair_texts(pairs: np.ndarray) -> np.ndarray:
-    """The "px,py" text of each row of an (n, 2) array of pixel pairs, as an
-    object array, with each distinct pair formatted once.
+def _coord_texts(values: np.ndarray, fmt: str) -> np.ndarray:
+    """fmt % v for each value v, as an object array, with each distinct value
+    formatted once.
 
-    A polygon repeats the samples of its curves, and the formatting is the
-    bulk of the SVG's cost.  A stable sort of the rows as complex px + i py
-    brings equal ones together.  Equal values share a text: pixels are
-    PAD + s and HEIGHT - PAD - s, never -0.0, so equal values have equal
-    bits and equal texts.
+    A stable sort, quick on the sorted runs of a shape's samples, brings
+    equal values together.  Equal values share a text: pixels are PAD + s
+    and HEIGHT - PAD - s, never -0.0, so equal values have equal bits and
+    equal texts.
     """
-    z = pairs.view(complex)[:, 0]
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
     first = np.ones(order.size, dtype=bool)
-    first[1:] = zs[1:] != zs[:-1]
-    distinct = pairs[order[first]]
-    texts = ("%.2f,%.2f " * len(distinct) % tuple(distinct.ravel().tolist())).split()
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first].tolist()
+    texts = ((fmt + "\0") * len(distinct) % tuple(distinct)).split("\0")[:-1]
     out = np.empty(order.size, dtype=object)
     out[order] = np.array(texts, dtype=object)[np.cumsum(first) - 1]
     return out
+
+
+def _point_lists(shapes) -> list[str]:
+    """The SVG points text "px,py px,py ..." of each (n, 2) array of pixels.
+
+    Formatting is the bulk of the SVG's cost.  A polygon repeats the samples
+    of its curves, and every shape of a segment shares one linspace of
+    times, so each distinct px and each distinct py of all shapes together
+    is formatted once.  The texts px and ",py " then interleave, and each
+    shape's last space is cut.
+    """
+    pixels = np.concatenate([np.empty((0, 2)), *shapes])
+    pieces = np.column_stack(
+        [_coord_texts(pixels[:, 0], "%.2f"), _coord_texts(pixels[:, 1], ",%.2f ")]
+    )
+    ends = np.cumsum([0] + [len(xy) for xy in shapes]).tolist()
+    return ["".join(pieces[a:b].ravel().tolist())[:-1] for a, b in zip(ends[:-1], ends[1:])]
 
 
 # time samples of each segment in the space-time plot
@@ -97,11 +112,7 @@ def spacetime_svg(
     """Assemble the SVG document from curve and polygon data in (x, t) space."""
     m = _Mapper(x_range[0], x_range[1], t_range[0], t_range[1])
     polygons = list(polygons)
-    # the points of every shape are formatted together, each distinct one once
-    pixels = [m.pixels(xt) for xt in (*polygons, *(pts for _, pts in curves))]
-    texts = _pair_texts(np.concatenate([np.empty((0, 2)), *pixels]))
-    ends = np.cumsum([0] + [len(px) for px in pixels]).tolist()
-    point_lists = [" ".join(texts[a:b].tolist()) for a, b in zip(ends[:-1], ends[1:])]
+    point_lists = _point_lists([m.pixels(xt) for xt in (*polygons, *(pts for _, pts in curves))])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import frontsim.oracle
 from frontsim.state import IntervalSet, Profile
 from frontsim.oracle import (
     DomainTooSmall,
@@ -18,8 +19,9 @@ from frontsim.oracle import (
     run_fhn,
     step_fhn,
 )
+from frontsim.weak import run_weak
 
-from conftest import expanding_setup, merge_setup
+from conftest import expanding_setup, merge_setup, shrinking_setup
 
 
 def small_cfg(pstar, eps=0.05, lo=-4.0, hi=4.0, **kw):
@@ -136,6 +138,29 @@ class TestStep:
         assert np.array_equal(trace.final.u, s.u)
         assert np.array_equal(trace.final.v, s.v)
 
+    @pytest.mark.parametrize("freeze_v", [False, True])
+    def test_kernel_matches_plain_reference_step(self, pstar, freeze_v):
+        # the step as plain array expressions, each operation in the kernel's
+        # order, so every value must agree bit for bit
+        cfg = small_cfg(pstar, freeze_v=freeze_v)
+        omega = IntervalSet((-2.0, -0.8, 0.6, 2.0))
+        v0 = Profile(np.array([-4.0, 0.0, 4.0]), np.array([0.1, 0.3, 0.05]))
+        s = init_fhn(cfg, omega, v0)
+        r, k = cfg.dt / cfg.dx**2, cfg.dt / cfg.eps**2
+        c = 0.5 - cfg.eps * cfg.alpha
+        p3, p2, p1, kv = -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c, k * cfg.eps * cfg.beta
+        dt_g1, dt_g2 = cfg.dt * cfg.g1, cfg.dt * cfg.g2
+        kernel = frontsim.oracle._Kernel(cfg, s.u, s.v)
+        u, v = s.u.copy(), s.v.copy()
+        for _ in range(200):
+            padded = np.concatenate([u[1:2], u, u[-2:-1]])
+            u_new = ((u * p3 + p2) * u + p1) * u + (padded[2:] + padded[:-2]) * r - v * kv
+            if not freeze_v:
+                v = np.maximum(v + (u * dt_g1 - v / (v * cfg.g3 + cfg.g4) * dt_g2), 0.0)
+            u = u_new
+            kernel.step()
+            assert np.array_equal(kernel.u, u) and np.array_equal(kernel.v, v)
+
 
 class TestExtract:
     def test_single_step_location(self, pstar):
@@ -246,3 +271,67 @@ class TestCompare:
         omega, v0 = expanding_setup(pstar)
         reports = eps_sweep(pstar, omega, v0, expanding_run, [0.02], 1.0)
         assert reports[0].sup_abs <= 0.07
+
+
+def _sweep_on_wide_grid(p, omega, profile, weak, eps_list, t_end):
+    """eps_sweep on a grid padded by (a + b*max(1, sup v0))*t_end + 1 + 10*eps,
+    the wider domain the sweep took before it used the bound W <= a."""
+    speed = p.a + p.b * max(1.0, profile.bound)
+    reports = []
+    for eps in eps_list:
+        lo = min(l for l, _ in omega.pairs) - (10.0 * eps + speed * t_end + 1.0)
+        hi = max(r for _, r in omega.pairs) + (10.0 * eps + speed * t_end + 1.0)
+        cfg = FHNConfig.for_front_model(p, eps, lo, hi)
+        reports.append(compare_trajectories(run_fhn(cfg, omega, profile, t_end), weak, t_end))
+    return reports
+
+
+class TestSweepDomain:
+    """eps_sweep pads the hull of omega by a*t_end + 1 + 10*eps per side."""
+
+    @pytest.mark.parametrize(
+        "setup, run, eps_list, t_end",
+        [
+            (merge_setup, "merge_run", [0.05, 0.02], 3.0),
+            (shrinking_setup, "shrinking_run", [0.05, 0.02], 1.0),
+            (expanding_setup, "expanding_run", [0.05, 0.02, 0.01], 1.0),
+        ],
+    )
+    def test_matches_the_wider_domain(self, pstar, request, setup, run, eps_list, t_end):
+        # no front comes within the tanh tail of the boundary, so the
+        # narrower grid moves no crossing by more than rounding
+        omega, v0 = setup(pstar)
+        weak = request.getfixturevalue(run)
+        got = eps_sweep(pstar, omega, v0, weak, eps_list, t_end)
+        want = _sweep_on_wide_grid(pstar, omega, v0, weak, eps_list, t_end)
+        for g, w in zip(got, want, strict=True):
+            assert g.skipped_times == w.skipped_times
+            np.testing.assert_array_equal(g.times, w.times)
+            assert np.max(np.abs(g.abs_errors - w.abs_errors), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("setup", [merge_setup, shrinking_setup, expanding_setup])
+    def test_grid_spans_the_outward_speed_margin(self, pstar, monkeypatch, setup):
+        omega, v0 = setup(pstar)
+        weak = run_weak(pstar, omega, v0, 0.3)
+        eps_list, t_end = [0.05, 0.02], 0.3
+        seen = []
+        real_run_fhn = frontsim.oracle.run_fhn
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return real_run_fhn(*args, **kwargs)
+
+        monkeypatch.setattr(frontsim.oracle, "run_fhn", spy)
+        eps_sweep(pstar, omega, v0, weak, eps_list, t_end)
+        assert len(seen) == len(eps_list)
+        lo, hi = omega.pairs[0][0], omega.pairs[-1][1]
+        for args, eps in zip(seen, eps_list):
+            # positional (cfg, omega, profile, t_end): the benchmark's tracer
+            # reads cfg and t_end from args[0] and args[3]
+            cfg, t = args[0], args[3]
+            assert t == t_end and cfg.eps == eps
+            pad = pstar.a * t_end + 1.0 + 10.0 * eps
+            assert (cfg.x_left, cfg.x_right) == (lo - pad, hi + pad)
+            grid = cfg.grid
+            assert grid[0] == lo - pad
+            assert abs(grid[-1] - (hi + pad)) <= 1e-12

@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from frontsim.kinetics import flow_inside, flow_outside, front_speed
-from frontsim.render import weak_solution_curves
+from frontsim.render import spacetime_svg, weak_solution_curves
 from frontsim.state import H2Violation, IntervalSet, Profile
-from frontsim import classical, weak
+from frontsim import classical, render, weak
 from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, run_segment
 from frontsim.weak import (
     GlueMismatch,
@@ -261,6 +262,15 @@ class TestPositionTable:
         with pytest.raises(ValueError, match="time outside"):
             shrinking_run.positions([0.1, bad])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_raise(self, shrinking_run, bad):
+        # the quiescent flow maps nan to the rest state, so evaluate_v(nan, t)
+        # read 0 outside the excited set
+        with pytest.raises(ValueError, match="position must be finite"):
+            shrinking_run.evaluate_v(bad, 0.3)
+        with pytest.raises(ValueError, match="position must be finite"):
+            shrinking_run.evaluate_v([0.0, bad], [0.3, 0.3])
+
 
 class TestGeneratedCascade:
     def test_random_intervals_all_merge(self, cascade16):
@@ -306,6 +316,18 @@ class TestGeneratedCascade:
         for got, want in zip(polygons, want_polygons):
             assert got.shape == (2 * n, 2)
             np.testing.assert_array_equal(got, want)
+
+    def test_svg_points_match_a_per_pair_reference(self, cascade16):
+        # spacetime_svg formats each distinct coordinate once; the reference
+        # formats every pair of every shape on its own
+        xs, _, _, w = cascade16
+        curves, polygons = weak_solution_curves(w)
+        x_range, t_range = (xs[0] - 4.0, xs[-1] + 4.0), (0.0, 3.0)
+        svg = spacetime_svg(curves, polygons, x_range=x_range, t_range=t_range)
+        m = render._Mapper(*x_range, *t_range)
+        shapes = [*polygons, *(pts for _, pts in curves)]
+        want = [" ".join("%.2f,%.2f" % (px, py) for px, py in m.pixels(xt).tolist()) for xt in shapes]
+        assert re.findall(r'points="([^"]*)"', svg) == want
 
 
 def _admissible_draw(rng, params, m):
