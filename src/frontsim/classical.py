@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kinetics import Parameters, flow_inside, flow_outside, front_speed
+from .kinetics import Parameters, flow_inside, flow_outside
 from .state import IntervalSet, Profile, validate_initial, default_margin
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "EventKind",
     "EventRecord",
     "SegmentStats",
-    "InterfaceTrajectory",
     "ClassicalSegment",
     "DensePath",
     "run_segment",
@@ -310,49 +309,6 @@ class DensePath:
         return out.reshape(shape)
 
 
-class InterfaceTrajectory:
-    """Read-only view of one interface inside a segment.
-
-    The 1-based index k fixes the orientation: odd k are left endpoints of
-    excited components (velocity -W), even k are right endpoints (velocity +W).
-    """
-
-    def __init__(self, segment: "ClassicalSegment", col: int):
-        self._seg = segment
-        self._col = col
-
-    @property
-    def k(self) -> int:
-        return self._col + 1
-
-    @property
-    def label(self) -> int:
-        return self._seg.labels[self._col]
-
-    @property
-    def sign(self) -> int:
-        return int(self._seg._signs[self._col])
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._seg._path.arrays()[0]
-
-    def position(self, t) -> np.ndarray | float:
-        out = self._seg._path.eval(t)[..., self._col]
-        return float(out) if np.ndim(t) == 0 else out
-
-    def velocity(self, t) -> np.ndarray | float:
-        out = self._seg._path.deriv(t)[..., self._col]
-        return float(out) if np.ndim(t) == 0 else out
-
-    def arrival_time(self, y) -> np.ndarray | float:
-        """Times at which the interface reaches the position(s) y: the segment
-        start time for positions already behind its motion, inf for positions
-        beyond the range it covers."""
-        out = self._seg._path.invert_col(self._col, y, self.sign)
-        return float(out[0]) if np.ndim(y) == 0 else out
-
-
 # Dormand-Prince 5(4) (Dormand & Prince 1980): the nodes and stage rows of
 # stages 2..6, the 5th-order weights (stage 7 is the slope at the new point,
 # reused as the next step's first), the error weights of stages 1..7 (5th
@@ -464,7 +420,7 @@ class ClassicalSegment:
             raise ValueError("segment needs t_end > t_start")
         if not (tol_step > 0.0 and tol_event > 0.0):
             raise ValueError("tolerances must be positive")
-        report = validate_initial(params, omega_start, profile_start, margin)
+        checks = validate_initial(params, omega_start, profile_start, margin)
         self.params = params
         self.omega_start = omega_start
         self.profile_start = profile_start
@@ -484,7 +440,7 @@ class ClassicalSegment:
         x0 = np.asarray(omega_start.endpoints, dtype=float)
         if n:
             # the initial slopes are the endpoint velocities the validation read
-            f0 = np.array([c.velocity for c in report.checks])
+            f0 = np.array([c.velocity for c in checks])
             self._signs = np.sign(f0)
             self._path = DensePath(self.t_start, x0, f0)
             self.finished = False
@@ -521,10 +477,6 @@ class ClassicalSegment:
         if self.n_interfaces == 0:
             return self.t_goal
         return self._path.t_end
-
-    @property
-    def trajectories(self) -> list[InterfaceTrajectory]:
-        return [InterfaceTrajectory(self, j) for j in range(self.n_interfaces)]
 
     def positions(self, t) -> np.ndarray:
         self._check_time(t, self.t_start)
@@ -709,14 +661,6 @@ class ClassicalSegment:
             return float(out)
         return out
 
-    def interface_velocity(self, k: int, t) -> np.ndarray | float:
-        """(-1)^k * W(v(x_k(t), t)) for the 1-based endpoint index k."""
-        if not 1 <= k <= self.n_interfaces:
-            raise ValueError(f"no interface with index {k}")
-        xk = self._path.eval(t)[..., k - 1]
-        w = front_speed(self.params, self.evaluate_v(xk, t))
-        return (-1.0) ** k * w
-
     # -- integration -------------------------------------------------------
 
     def _rhs(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -756,9 +700,10 @@ class ClassicalSegment:
             )
 
         hit = self._scan_event()
-        if hit is not None:
-            t_a, pair = hit
-            self._finalize_event(t_a, pair)
+        # a closure within rounding of t_goal, where a step end snaps onto
+        # it, is not an event of this run: the segment just ends at t_goal
+        if hit is not None and hit[0] < self.t_goal - 1e-13 * max(1.0, abs(self.t_goal)):
+            self._finalize_event(*hit)
         elif t_new >= self.t_goal:
             self.finished = True
         self._swept_to[self._own_cols] = self._signs * self._path.arrays()[1][-1]

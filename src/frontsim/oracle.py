@@ -42,7 +42,6 @@ __all__ = [
     "InterfaceCountMismatch",
     "ComparisonReport",
     "init_fhn",
-    "step_fhn",
     "run_fhn",
     "extract_interfaces",
     "compare_trajectories",
@@ -263,13 +262,6 @@ class _Kernel:
         if np.maximum.reduce(un) > 10.0 or np.minimum.reduce(un) < -10.0:
             raise FHNBlowUp("u exceeded the blow-up bound; scheme unstable")
         self._cur, self._nxt = self._nxt, self._cur
-
-
-def step_fhn(cfg: FHNConfig, s: FHNState) -> FHNState:
-    """One explicit step on fresh buffers; `s` is left untouched."""
-    kernel = _Kernel(cfg, s.u, s.v)
-    kernel.step()
-    return FHNState(x=s.x, u=kernel.u, v=kernel.v, t=s.t + cfg.dt)
 
 
 def extract_interfaces(s: FHNState) -> np.ndarray:

@@ -8,14 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import Parameters, Phase, front_speed
+from .kinetics import Parameters, front_speed
 
 __all__ = [
     "IntervalSet",
     "Profile",
     "H2Violation",
     "EndpointCheck",
-    "ValidationReport",
     "validate_initial",
     "default_margin",
 ]
@@ -69,39 +68,17 @@ class IntervalSet:
         e = self.endpoints
         return tuple((e[2 * j], e[2 * j + 1]) for j in range(self.m))
 
-    def total_length(self) -> float:
-        return float(sum(r - l for l, r in self.pairs))
-
-    def contains(self, x) -> np.ndarray | bool:
-        """Open-set membership; boundary points count as outside."""
-        xs = np.asarray(x, dtype=float)
-        if not self.endpoints:
-            out = np.zeros(xs.shape, dtype=bool)
-            return bool(out) if xs.ndim == 0 else out
-        flat = np.asarray(self.endpoints)
-        idx = np.searchsorted(flat, xs, side="right")
-        inside = (idx % 2 == 1) & (xs > flat[np.clip(idx - 1, 0, None)])
-        return bool(inside) if xs.ndim == 0 else inside
-
-    def membership(self, x: float) -> tuple[Phase, int | None]:
-        """Phase of a point plus its 1-based component index when inside."""
-        if not self.contains(x):
-            return Phase.OUTSIDE, None
-        idx = int(np.searchsorted(np.asarray(self.endpoints), float(x), side="right"))
-        return Phase.INSIDE, (idx + 1) // 2
-
 
 @dataclass(frozen=True)
 class Profile:
     """Piecewise-linear sample of a non-negative bounded Lipschitz function.
 
     Linear interpolation between samples, constant extension outside them.
-    The Lipschitz constant and the sup bound are recorded at construction.
+    The sup bound is recorded at construction.
     """
 
     xs: np.ndarray
     vs: np.ndarray
-    lipschitz: float = field(init=False)
     bound: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -119,8 +96,6 @@ class Profile:
         vs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
-        lip = 0.0 if xs.size < 2 else float(np.max(np.abs(np.diff(vs) / np.diff(xs))))
-        object.__setattr__(self, "lipschitz", lip)
         object.__setattr__(self, "bound", float(np.max(vs)))
 
     @classmethod
@@ -143,13 +118,6 @@ class EndpointCheck:
     velocity: float         # actual endpoint velocity (-1)^k * W(v0)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    margin: float
-    checks: tuple[EndpointCheck, ...]
-
-
 def default_margin(p: Parameters) -> float:
     """Default degeneracy margin for the |W| != 0 endpoint condition."""
     return 1e-6 * max(p.a, p.b * p.M)
@@ -160,14 +128,14 @@ def validate_initial(
     omega: IntervalSet,
     v0: Profile,
     margin: float | None = None,
-) -> ValidationReport:
+) -> tuple[EndpointCheck, ...]:
     """Check the structural hypotheses and the endpoint non-degeneracy.
 
     Accepts iff the interval set is a valid disjoint finite union, the profile
-    is non-negative, and |W(v0(x))| >= margin at every endpoint of omega.  The
-    returned report records W at each endpoint, whose sign fixes the initial
-    direction of motion.  v0 is evaluated once, at all endpoints together.
-    Raises H2Violation listing the degenerate endpoints.
+    is non-negative, and |W(v0(x))| >= margin at every endpoint of omega.
+    Returns one check per endpoint, recording W there, whose sign fixes the
+    initial direction of motion.  v0 is evaluated once, at all endpoints
+    together.  Raises H2Violation listing the degenerate endpoints.
     """
     eta = default_margin(p) if margin is None else float(margin)
     if eta <= 0.0:
@@ -187,4 +155,4 @@ def validate_initial(
             f"|W| >= {eta:.3e} required for a well-posed start",
             offenders,
         )
-    return ValidationReport(ok=True, margin=eta, checks=tuple(checks))
+    return tuple(checks)

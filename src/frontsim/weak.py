@@ -106,14 +106,6 @@ class WeakSolution:
                 table[np.ix_(rows, cols)] = seg.positions(times[rows])
         return table[0] if np.ndim(t) == 0 else table
 
-    def interface_positions(self, t: float) -> np.ndarray:
-        """Sorted positions of the interfaces alive at time t."""
-        row = self.positions(float(t))
-        return row[~np.isnan(row)]
-
-    def component_count(self, t: float) -> int:
-        return self.segments[int(self.segment_index(t))].n_interfaces // 2
-
 
 def events_as_json(w: WeakSolution) -> str:
     records = [
@@ -252,6 +244,10 @@ def run_weak(
 ) -> WeakSolution:
     """Evolve (omega0, v0) to t_end, continuing through every annihilation.
 
+    End-time rule: a collision at or after t_end - 1e-13*max(1, |t_end|) is
+    not an event of this run: the last segment ends at t_end with that pair
+    still alive, so every recorded event has a segment after it.
+
     Each segment validates its start (validate_initial, one evaluation of
     its field at all endpoints); after a surgery a degenerate start raises
     SurgeryH2Failure from the H2Violation.
@@ -290,8 +286,6 @@ def run_weak(
             raise RuntimeError("more annihilations than interfaces; invariant violated")
         labels = tuple(l for l in labels if l not in dead)
         t = ev.time
-        if t >= t_end - 1e-13 * max(1.0, abs(t_end)):
-            break
     return w
 
 
@@ -546,13 +540,12 @@ def interface_speed_integral(w: WeakSolution, label: int, t1: float, t2: float) 
         hi = min(t2, seg.t_end)
         if label not in seg.labels or hi <= lo:
             continue
-        traj = seg.trajectories[seg.labels.index(label)]
-        knots = traj.times
+        knots = seg._path.arrays()[0]
         cuts = np.unique(np.concatenate([[lo, hi], knots[(knots > lo) & (knots < hi)]]))
         half = 0.5 * np.diff(cuts)[:, None]
         nodes = ((0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half * _GL_NODES).ravel()
         halves.append(half[:, 0])
-        xs.append(traj.position(nodes))
+        xs.append(seg._path.eval(nodes)[:, seg.labels.index(label)])
         ts.append(nodes)
     if not halves:
         return 0.0
@@ -583,10 +576,6 @@ class IllPosedBranch:
 
     def position(self, t) -> np.ndarray | float:
         out = self.path.eval(t)[..., 0]
-        return float(out) if np.ndim(t) == 0 else out
-
-    def velocity(self, t) -> np.ndarray | float:
-        out = self.path.deriv(t)[..., 0]
         return float(out) if np.ndim(t) == 0 else out
 
     def initial_profile(self, x):

@@ -55,8 +55,7 @@ class TestExpanding:
     def test_constant_speed_lines(self, expanding_segment):
         seg = expanding_segment
         ts = np.linspace(0.0, 2.0, 101)
-        x1 = seg.trajectories[0].position(ts)
-        x2 = seg.trajectories[1].position(ts)
+        x1, x2 = seg.positions(ts).T
         assert np.max(np.abs(x1 - (-1.0 - ts))) < 1e-12
         assert np.max(np.abs(x2 - (1.0 + ts))) < 1e-12
 
@@ -78,24 +77,26 @@ class TestExpanding:
         assert val == pytest.approx(flow_inside(pstar, 0.0, 0.5), abs=1e-10)
 
     def test_arrival_times(self, expanding_segment):
-        right = expanding_segment.trajectories[1]
-        assert right.arrival_time(3.0) == pytest.approx(2.0, abs=1e-10)
-        assert right.arrival_time(0.5) == 0.0  # already passed at start
-        assert right.arrival_time(1e6) == math.inf
+        seg = expanding_segment
+        arrival = lambda y: seg._path.invert_col(1, y, seg._signs[1])[0]
+        assert arrival(3.0) == pytest.approx(2.0, abs=1e-10)
+        assert arrival(0.5) == 0.0  # already passed at start
+        assert arrival(1e6) == math.inf
 
     def test_arrival_times_batched(self, expanding_segment):
         ys = np.array([-1e6, -3.0, -1.5, -0.5, 0.5, 1.0, 1.7, 2.9, 3.0, 1e6])
-        for tr in expanding_segment.trajectories:
-            got = tr.arrival_time(ys)
+        path = expanding_segment._path
+        for col, sign in enumerate(expanding_segment._signs):
+            got = path.invert_col(col, ys, sign)
             assert got.shape == ys.shape
-            np.testing.assert_array_equal(got, [tr.arrival_time(float(y)) for y in ys])
+            np.testing.assert_array_equal(got, [path.invert_col(col, float(y), sign)[0] for y in ys])
             # far ahead of the front: never reached; far behind it: passed at start
-            ahead, behind = (-1, 0) if tr.sign > 0 else (0, -1)
+            ahead, behind = (-1, 0) if sign > 0 else (0, -1)
             assert got[ahead] == math.inf and got[behind] == 0.0
 
     def test_interface_velocities(self, expanding_segment):
-        assert expanding_segment.interface_velocity(2, 0.0) == pytest.approx(1.0)
-        assert expanding_segment.interface_velocity(1, 0.0) == pytest.approx(-1.0)
+        assert expanding_segment._path.deriv(0.0)[1] == pytest.approx(1.0)
+        assert expanding_segment._path.deriv(0.0)[0] == pytest.approx(-1.0)
 
     def test_no_event(self, expanding_segment):
         assert expanding_segment.event is None
@@ -117,13 +118,12 @@ class TestShrinking:
 
     def test_interface_velocity_sign(self, shrinking_segment):
         seg, _ = shrinking_segment
-        assert seg.interface_velocity(2, 0.0) == pytest.approx(-1.0)
+        assert seg._path.deriv(0.0)[1] == pytest.approx(-1.0)
 
     def test_strict_monotonicity_and_delta_monitor(self, shrinking_segment):
         seg, ev = shrinking_segment
         ts = np.linspace(0.0, ev.time, 200)
-        x1 = seg.trajectories[0].position(ts)
-        x2 = seg.trajectories[1].position(ts)
+        x1, x2 = seg.positions(ts).T
         assert np.all(np.diff(x1) > 0)
         assert np.all(np.diff(x2) < 0)
         # speeds only grow away from the stall level here
@@ -199,26 +199,31 @@ class TestFourSignCases:
         vs = np.array([0.25, 0.75]) if rising else np.array([0.75, 0.25])
         return Profile(xs, vs)
 
+    @staticmethod
+    def signs(seg):
+        """The directions of motion the fronts start with."""
+        return tuple(np.sign(seg._path.deriv(seg.t_start)).astype(int).tolist())
+
     def test_case_both_positive_expands(self, pstar):
         omega, v0 = expanding_setup(pstar)
         seg, _ = run_segment(pstar, omega, v0, 0.0, 0.2)
-        assert seg.trajectories[0].sign == -1 and seg.trajectories[1].sign == 1
+        assert self.signs(seg) == (-1, 1)
 
     def test_case_both_negative_shrinks(self, pstar):
         omega, v0 = shrinking_setup(pstar)
         seg, ev = run_segment(pstar, omega, v0, 0.0, 0.2)
-        assert seg.trajectories[0].sign == 1 and seg.trajectories[1].sign == -1
+        assert self.signs(seg) == (1, -1)
 
     def test_case_mixed_pulse_moving_left(self, pstar):
         # W > 0 at the left endpoint, W < 0 at the right: both move left
         omega = IntervalSet((-1.0, 1.0))
         seg, _ = run_segment(pstar, omega, self.make_profile(rising=True), 0.0, 0.2)
-        assert seg.trajectories[0].sign == -1 and seg.trajectories[1].sign == -1
+        assert self.signs(seg) == (-1, -1)
 
     def test_case_mixed_pulse_moving_right(self, pstar):
         omega = IntervalSet((-1.0, 1.0))
         seg, _ = run_segment(pstar, omega, self.make_profile(rising=False), 0.0, 0.2)
-        assert seg.trajectories[0].sign == 1 and seg.trajectories[1].sign == 1
+        assert self.signs(seg) == (1, 1)
 
 
 class TestSolverBehavior:
@@ -235,8 +240,7 @@ class TestSolverBehavior:
         sols = []
         for tol in (1e-5, 1e-5 / 4, 1e-5 / 16):
             seg, _ = run_segment(pstar, omega, v0, 0.0, 0.6, tol_step=tol)
-            sols.append(np.column_stack([seg.trajectories[0].position(ts),
-                                         seg.trajectories[1].position(ts)]))
+            sols.append(seg.positions(ts))
         d1 = np.max(np.abs(sols[0] - sols[1]))
         d2 = np.max(np.abs(sols[1] - sols[2]))
         order = math.log2(d1 / d2)
@@ -254,9 +258,8 @@ class TestSolverBehavior:
             t1, t2 = np.sort(rng.uniform(0.0, ev.time, size=2))
             if t2 - t1 < 1e-3:
                 continue
-            traj = seg.trajectories[1]
-            lhs = traj.position(t2) - traj.position(t1)
-            rhs = interface_speed_integral(w, traj.label, t1, t2)
+            lhs = seg.positions(t2)[1] - seg.positions(t1)[1]
+            rhs = interface_speed_integral(w, seg.labels[1], t1, t2)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
     def test_empty_interval_set_runs_trivially(self, pstar):
@@ -304,8 +307,9 @@ class TestQuarticDenseOutput:
         seg, _ = run_segment(pstar, omega, v0, 0.0, 1.0)
         path = seg._path
         ts = np.linspace(0.0, 1.0, 201)[1:]
-        for traj in seg.trajectories:
-            got = path.invert_col(traj.k - 1, traj.position(ts), traj.sign)
+        pos = seg.positions(ts)
+        for col, sign in enumerate(seg._signs):
+            got = path.invert_col(col, pos[:, col], sign)
             assert np.max(np.abs(got - ts)) <= 1e-13
 
     def test_invert_col_with_column_arrays_matches_per_column_calls(self, pstar):
@@ -317,23 +321,23 @@ class TestQuarticDenseOutput:
             seg, _ = run_segment(pstar, omega, v0, 0.0, 1.0)
             path = seg._path
             cols, ys, signs, want = [], [], [], []
-            for traj in seg.trajectories:
+            for col, sign in enumerate(seg._signs):
                 # reached inside the path, behind its start, beyond its end
                 y = np.concatenate([
-                    traj.position(rng.uniform(0.0, 1.0, 40)),
-                    traj.position(0.0) - traj.sign * rng.uniform(0.0, 1.0, 3),
-                    traj.position(1.0) + traj.sign * rng.uniform(1e-3, 1.0, 3),
+                    seg.positions(rng.uniform(0.0, 1.0, 40))[:, col],
+                    seg.positions(0.0)[col] - sign * rng.uniform(0.0, 1.0, 3),
+                    seg.positions(1.0)[col] + sign * rng.uniform(1e-3, 1.0, 3),
                 ])
-                cols.append(np.full(y.size, traj.k - 1))
+                cols.append(np.full(y.size, col))
                 ys.append(y)
-                signs.append(np.full(y.size, float(traj.sign)))
-                want.append(path.invert_col(traj.k - 1, y, traj.sign))
+                signs.append(np.full(y.size, sign))
+                want.append(path.invert_col(col, y, sign))
             got = path.invert_col(np.concatenate(cols), np.concatenate(ys), np.concatenate(signs))
             np.testing.assert_array_equal(got, np.concatenate(want))
             assert np.sum(got == 0.0) == 3 * path.dim and np.sum(np.isinf(got)) == 3 * path.dim
         # a scalar column broadcasts over y and keeps its shape
-        y = seg.trajectories[1].position(np.linspace(0.1, 0.9, 6)).reshape(2, 3)
-        got = path.invert_col(1, y, seg.trajectories[1].sign)
+        y = seg.positions(np.linspace(0.1, 0.9, 6))[:, 1].reshape(2, 3)
+        got = path.invert_col(1, y, seg._signs[1])
         assert got.shape == (2, 3)
         np.testing.assert_array_equal(got.ravel(), path.invert_col(np.ones(6, dtype=int), y.ravel(), 1.0))
 
@@ -476,8 +480,8 @@ class TestStepperAccuracy:
         cases = [shrinking] + [(omega, v0, 1.0) for omega, v0 in _profiles_instances(8)]
 
         def samples(omega, v0, t_end, tol):
-            w = run_weak(pstar, omega, v0, t_end, tol_step=tol)
-            return np.concatenate([w.interface_positions(t) for t in np.linspace(0.0, t_end, 41)])
+            pos = run_weak(pstar, omega, v0, t_end, tol_step=tol).positions(np.linspace(0.0, t_end, 41))
+            return pos[~np.isnan(pos)]
 
         refs = [samples(*case, 1e-12) for case in cases]
         for tol, bound in ((1e-6, 5.4e-8), (1e-8, 3.0e-11)):

@@ -17,7 +17,6 @@ from frontsim.oracle import (
     extract_interfaces,
     init_fhn,
     run_fhn,
-    step_fhn,
 )
 from frontsim.weak import run_weak
 
@@ -26,6 +25,13 @@ from conftest import expanding_setup, merge_setup, shrinking_setup
 
 def small_cfg(pstar, eps=0.05, lo=-4.0, hi=4.0, **kw):
     return FHNConfig.for_front_model(pstar, eps, lo, hi, **kw)
+
+
+def one_step(cfg, u, v):
+    """The kernel after one explicit step from (u, v)."""
+    kernel = frontsim.oracle._Kernel(cfg, u, v)
+    kernel.step()
+    return kernel
 
 
 class TestConfig:
@@ -78,15 +84,13 @@ class TestStep:
     def test_rest_state_is_fixed(self, pstar):
         cfg = small_cfg(pstar)
         x = cfg.grid
-        s = FHNState(x=x, u=np.zeros_like(x), v=np.zeros_like(x), t=0.0)
-        s2 = step_fhn(cfg, s)
+        s2 = one_step(cfg, np.zeros_like(x), np.zeros_like(x))
         assert np.all(s2.u == 0.0) and np.all(s2.v == 0.0)
 
     def test_excited_plateau_drives_recovery(self, pstar):
         cfg = small_cfg(pstar)
         x = cfg.grid
-        s = FHNState(x=x, u=np.ones_like(x), v=np.zeros_like(x), t=0.0)
-        s2 = step_fhn(cfg, s)
+        s2 = one_step(cfg, np.ones_like(x), np.zeros_like(x))
         # f(1) = 0 and the plateau is flat, so u only feels the -eps*beta*v term
         assert np.allclose(s2.u, 1.0, atol=1e-12)
         assert np.allclose(s2.v, cfg.dt * cfg.g1)
@@ -94,8 +98,7 @@ class TestStep:
     def test_translation_invariance_of_uniform_states(self, pstar):
         cfg = small_cfg(pstar)
         x = cfg.grid
-        s = FHNState(x=x, u=np.full_like(x, 0.4), v=np.full_like(x, 0.1), t=0.0)
-        s2 = step_fhn(cfg, s)
+        s2 = one_step(cfg, np.full_like(x, 0.4), np.full_like(x, 0.1))
         assert np.ptp(s2.u) == 0.0
         assert np.ptp(s2.v) == 0.0
 
@@ -103,26 +106,24 @@ class TestStep:
         # u < 0 on v = 0 drives v below zero in one step
         cfg = small_cfg(pstar)
         x = cfg.grid
-        s = FHNState(x=x, u=np.full_like(x, -0.05), v=np.zeros_like(x), t=0.0)
         with pytest.raises(FHNBlowUp, match="recovery field went negative"):
-            step_fhn(cfg, s)
+            one_step(cfg, np.full_like(x, -0.05), np.zeros_like(x))
 
     def test_u_blow_up_raises(self, pstar):
         cfg = small_cfg(pstar)
         x = cfg.grid
-        s = FHNState(x=x, u=np.full_like(x, 11.0), v=np.zeros_like(x), t=0.0)
         with pytest.raises(FHNBlowUp, match="u exceeded the blow-up bound"):
-            step_fhn(cfg, s)
+            one_step(cfg, np.full_like(x, 11.0), np.zeros_like(x))
 
     def test_frozen_negative_recovery_is_kept(self, pstar):
         cfg = small_cfg(pstar, freeze_v=True)
         x = cfg.grid
         v = np.full_like(x, -1e-3)
-        s2 = step_fhn(cfg, FHNState(x=x, u=np.zeros_like(x), v=v, t=0.0))
+        s2 = one_step(cfg, np.zeros_like(x), v)
         assert np.array_equal(s2.v, v)
 
     def test_run_is_repeated_steps(self, pstar):
-        # run_fhn and step_fhn share one kernel: same bits, input left alone
+        # run_fhn is n steps of one kernel: same bits, input left alone
         cfg = small_cfg(pstar)
         omega, v0 = IntervalSet((-1.0, 1.0)), Profile.constant(0.2, (-4, 4))
         n = 200
@@ -130,13 +131,13 @@ class TestStep:
         assert math.ceil(t_end / cfg.dt) == n
         trace = run_fhn(cfg, omega, v0, t_end)
         s = init_fhn(cfg, omega, v0)
+        u, v = s.u.copy(), s.v.copy()
+        kernel = frontsim.oracle._Kernel(cfg, s.u, s.v)
         for _ in range(n):
-            u, v = s.u.copy(), s.v.copy()
-            s_next = step_fhn(cfg, s)
+            kernel.step()
             assert np.array_equal(s.u, u) and np.array_equal(s.v, v)
-            s = s_next
-        assert np.array_equal(trace.final.u, s.u)
-        assert np.array_equal(trace.final.v, s.v)
+        assert np.array_equal(trace.final.u, kernel.u)
+        assert np.array_equal(trace.final.v, kernel.v)
 
     @pytest.mark.parametrize("freeze_v", [False, True])
     def test_kernel_matches_plain_reference_step(self, pstar, freeze_v):
@@ -247,7 +248,7 @@ class TestDynamics:
 class TestCompare:
     def test_identical_positions_give_zero(self, pstar, expanding_run):
         times = np.array([0.0, 0.5, 1.0])
-        interfaces = [expanding_run.interface_positions(float(t)) for t in times]
+        interfaces = [row[~np.isnan(row)] for row in expanding_run.positions(times)]
         final = FHNState(x=np.array([0.0]), u=np.array([0.0]), v=np.array([0.0]), t=1.0)
         trace = FHNTrace(times=times, interfaces=interfaces, final=final, eps=0.01)
         report = compare_trajectories(trace, expanding_run, 1.0)

@@ -158,16 +158,16 @@ class TestRunWeak:
         ev = merge_run.events[0]
         assert ev.kind is EventKind.MERGE
         assert ev.time == pytest.approx(1.0, abs=1e-6)
-        assert merge_run.component_count(0.5) == 2
-        assert merge_run.component_count(2.0) == 1
-        assert merge_run.interface_positions(3.0) == pytest.approx([-6.0, 6.0], abs=1e-8)
+        alive = ~np.isnan(merge_run.positions([0.5, 2.0, 3.0]))
+        assert alive.sum(axis=1).tolist() == [4, 2, 2]  # 2 components, then 1
+        assert merge_run.positions(3.0)[alive[2]] == pytest.approx([-6.0, 6.0], abs=1e-8)
 
     def test_shrinking_scenario_then_relaxation(self, shrinking_run, pstar):
         assert len(shrinking_run.events) == 1
         ev = shrinking_run.events[0]
         assert ev.kind is EventKind.VANISH
         assert ev.time == pytest.approx(SHRINK_TA, abs=1e-6)
-        assert shrinking_run.component_count(1.0) == 0
+        assert np.all(np.isnan(shrinking_run.positions(1.0)))  # no component left
         # after extinction the field relaxes by the quiescent flow alone
         expected = flow_outside(
             pstar, flow_inside(pstar, 1.0, ev.time), 2.0 - ev.time
@@ -197,6 +197,23 @@ class TestRunWeak:
             xs = rng.uniform(-6.0, 6.0, size=600)
             ts = rng.uniform(0.0, w.t_end, size=600)
             assert np.min(np.asarray(w.evaluate_v(xs, ts))) >= 0.0
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("t_end", [0.4, 0.5, 0.6])
+    def test_end_time_rule(self, pstar, k, t_end):
+        # k unit intervals 1 apart on v0 = 0: every front runs at W(0) = 1,
+        # so all k - 1 gaps close at 0.5.  A closure at t_end is not an event
+        # of the run; one before t_end is, with a segment after it.
+        omega = IntervalSet(tuple(float(x) for x in range(2 * k)))
+        w = run_weak(pstar, omega, Profile.constant(0.0, (-10.0, 2.0 * k + 10.0)), t_end)
+        alive = np.count_nonzero(~np.isnan(w.positions(t_end)))
+        if t_end <= 0.5:
+            assert w.events == [] and len(w.segments) == 1 and alive == 2 * k
+        else:
+            assert len(w.events) == k - 1 and len(w.segments) == 2 and alive == 2
+            assert all(abs(ev.time - 0.5) <= 1e-12 for ev in w.events)
+        assert w.t_end == t_end
+        assert check_no_nucleation(w)
 
     def test_events_json_schema(self, merge_run):
         payload = json.loads(events_as_json(merge_run))
@@ -236,7 +253,6 @@ class TestPositionTable:
             dead = [j for j in range(len(labels)) if j not in alive]
             np.testing.assert_array_equal(row[alive], seg.positions(t))
             assert np.all(np.isnan(row[dead]))
-            np.testing.assert_array_equal(w.interface_positions(t), row[alive])
             np.testing.assert_array_equal(w.positions(float(t)), row)
 
     @pytest.mark.parametrize("run", ["merge_run", "shrinking_run"])
@@ -282,7 +298,8 @@ class TestGeneratedCascade:
             ev = by_labels[(2 * j + 2, 2 * j + 3)]
             assert ev.time == pytest.approx(gap / 2, abs=1e-12)
             assert ev.position == pytest.approx(0.5 * (xs[2 * j + 1] + xs[2 * j + 2]), abs=1e-8)
-        assert w.interface_positions(3.0) == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
+        final = w.positions(3.0)
+        assert final[~np.isnan(final)] == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
         assert check_no_nucleation(w)
         assert max(seg.profile_start.xs.size for seg in w.segments) < 4 * 32 + v0.xs.size
 
@@ -367,19 +384,20 @@ class TestGeneratedAdmissible:
             except (H2Violation, DegeneracyWarning):
                 continue
             assert w.t_end == 1.5
+            assert check_no_nucleation(w)
             finished += 1
             for seg in w.segments:
                 ts = np.linspace(seg.t_start, seg.t_end, 40)
-                speeds = np.abs(np.asarray([tr.velocity(ts) for tr in seg.trajectories]))
-                slowed += bool(np.any(np.diff(speeds, axis=-1) < 0.0))
+                speeds = np.abs(seg._path.deriv(ts))
+                slowed += bool(np.any(np.diff(speeds, axis=0) < 0.0))
         assert finished >= 5 and slowed >= 5
 
 
 def _crossings(seg, x: float, end: float) -> list[float]:
     """Times in (seg.t_start, end] at which an interface of seg crosses x."""
     out = []
-    for tr in seg.trajectories:
-        ta = tr.arrival_time(x)
+    for col, sign in enumerate(seg._signs):
+        ta = seg._path.invert_col(col, x, sign)[0]
         if seg.t_start < ta <= end:
             out.append(ta)
     return sorted(out)
@@ -393,10 +411,13 @@ def _composed_v(w: WeakSolution, x: float, t: float) -> float:
         if seg.t_start > t:
             break
         end = min(seg.t_end, t)
-        inside = bool(seg.omega_start.contains(x)) or any(
-            x == xe and tr.sign == (-1) ** tr.k
-            for xe, tr in zip(seg.omega_start.endpoints, seg.trajectories)
-        )
+        ends = np.asarray(seg.omega_start.endpoints)
+        on = np.flatnonzero(ends == x)
+        if on.size:
+            # on an endpoint: inside when its interval grows over the point
+            inside = seg._signs[on[0]] == (-1) ** (on[0] + 1)
+        else:
+            inside = np.count_nonzero(ends < x) % 2 == 1
         prev = seg.t_start
         for ta in [*_crossings(seg, x, end), end]:
             v = (flow_inside if inside else flow_outside)(w.params, v, ta - prev)
@@ -422,7 +443,8 @@ class TestFlatFold:
                 probes += [(x, ev.time), (x, 0.5 * (ev.time + w.t_end)), (x, w.t_end)]
             probes.append((ev.position, ev.time))
         for t in rng.uniform(0.0, w.t_end, 8):
-            probes += [(x, t) for x in w.interface_positions(t)]
+            row = w.positions(t)
+            probes += [(x, t) for x in row[~np.isnan(row)]]
         lo, hi = omega.endpoints[0] - 3.0, omega.endpoints[-1] + 3.0
         # points some front crossed in one segment and another front in a later one
         twice = [
@@ -486,11 +508,11 @@ class TestEvaluationCounts:
         _, _, _, w = cascade16
         want = 0.0
         for seg in w.segments:
-            knots = seg.trajectories[0].times
+            knots = seg._path.arrays()[0]
             cuts = np.unique(np.concatenate([[seg.t_start, seg.t_end], knots]))
             half = 0.5 * np.diff(cuts)[:, None]
             ts = ((0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half * weak._GL_NODES).ravel()
-            speeds = front_speed(w.params, seg.evaluate_v(seg.trajectories[0].position(ts), ts))
+            speeds = front_speed(w.params, seg.evaluate_v(seg._path.eval(ts)[:, 0], ts))
             want += float(np.sum(half[:, 0] * np.sum(weak._GL_WEIGHTS * speeds.reshape(half.size, -1), axis=1)))
         calls = []
         fold = ClassicalSegment._v_field
@@ -637,7 +659,7 @@ class TestWeakResidual:
         # growth of the excited measure: |Omega(1)| - |Omega(0)| = 2, and the
         # interface integral contributes W(0) * 1 per front per unit time = 2
         window = (-5.0, 5.0, 0.0, 1.0)
-        measure = lambda t: expanding_run.interface_positions(t)[1] - expanding_run.interface_positions(t)[0]
+        measure = lambda t: np.diff(expanding_run.positions(t))[0]
         assert measure(1.0) - measure(0.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_no_interface_window(self, shrinking_run):
@@ -758,7 +780,7 @@ class TestIllPosedDemo:
     def test_two_distinct_continuations(self, pstar):
         front, back = ill_posedness_demo(pstar, 0.1)
         assert front.position(0.0) == 0.0 and back.position(0.0) == 0.0
-        assert front.velocity(0.0) == 0.0 and back.velocity(0.0) == 0.0
+        assert front.path.deriv(0.0)[0] == 0.0 and back.path.deriv(0.0)[0] == 0.0
         ts = np.linspace(0.005, 0.1, 24)
         s1 = np.array([front.position(t) for t in ts])
         s2 = np.array([back.position(t) for t in ts])
@@ -779,6 +801,7 @@ class TestUniquenessProbe:
         ts = np.linspace(0.0, 2.5, 26)
         runs = []
         for tol in (1e-6, 1e-8):
-            w = run_weak(pstar, omega, v0, 2.5, tol_step=tol)
-            runs.append(np.column_stack([w.interface_positions(float(t)) for t in ts if w.component_count(float(t)) == 1]))
+            pos = run_weak(pstar, omega, v0, 2.5, tol_step=tol).positions(ts)
+            one = pos[np.count_nonzero(~np.isnan(pos), axis=1) == 2]  # one component alive
+            runs.append(one[~np.isnan(one)].reshape(-1, 2))
         assert np.max(np.abs(runs[0] - runs[1])) < 1e-5
