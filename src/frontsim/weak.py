@@ -407,37 +407,29 @@ def _time_breakpoints(
     return np.unique(pts[(pts >= t1) & (pts <= t2)])
 
 
-# two-point Gauss nodes per uniform cell; the integrand is smooth within each
-# piece, so this reaches the residual tolerances at modest cell counts
-_G2_LO = 0.5 - 0.5 / math.sqrt(3.0)
-_G2_HI = 0.5 + 0.5 / math.sqrt(3.0)
+# 6-point Gauss-Legendre on [-1, 1], exact to degree 11 (Davis & Rabinowitz,
+# Methods of Numerical Integration, ch. 2), the one rule of both quadratures
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 def _gauss_cells(lo, hi, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point Gauss nodes and weights on counts[j] uniform cells of each
-    piece (lo[j], hi[j]), all pieces in one array.
+    """6-point Gauss-Legendre nodes and weights on counts[j] uniform cells of
+    each piece (lo[j], hi[j]), all pieces in one array.
 
-    Piece j holds 2 * counts[j] consecutive entries: the lower node of each
-    of its cells, then the upper ones.  The cell edges are np.linspace's
-    (k * step + lo, and hi exactly), so a piece gets the same values here as
-    on its own.
+    The entries run cell by cell, pieces left to right, 6 per cell: a cell
+    (left, left + 2 half) gets left + half + half * _GL_NODES and
+    half * _GL_WEIGHTS.  The cell edges are np.linspace's (k * step + lo,
+    and hi exactly), so a piece gets the same values here as on its own.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
     counts = np.atleast_1d(counts)
     piece = np.repeat(np.arange(counts.size), counts)
-    first = np.cumsum(counts) - counts
-    k = np.arange(piece.size) - first[piece]
+    k = np.arange(piece.size) - (np.cumsum(counts) - counts)[piece]
     step = ((hi - lo) / counts)[piece]
     left = k * step + lo[piece]
     right = np.where(k + 1 == counts[piece], hi[piece], (k + 1) * step + lo[piece])
-    widths = right - left
-    nodes = np.empty(2 * piece.size)
-    weights = np.empty(2 * piece.size)
-    at = 2 * first[piece] + k
-    nodes[at] = left + _G2_LO * widths
-    nodes[at + counts[piece]] = left + _G2_HI * widths
-    weights[at] = weights[at + counts[piece]] = 0.5 * widths
-    return nodes, weights
+    half = 0.5 * (right - left)[:, None]
+    return (left[:, None] + half + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: int):
@@ -448,7 +440,7 @@ def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: in
     interfaces not alive at that time) are ignored.  Pieces of length
     <= 1e-13 are dropped; a piece is inside the excited set when an odd
     number of the row's positions lie below its midpoint.  Each piece gets
-    its share of nx cells, at least 2.  Returns the nodes' x, taus entry,
+    its share of nx cells, at least 1.  Returns the nodes' x, taus entry,
     weight and inside flag, rows in order, pieces left to right; taus may be
     any per-row label, such as the row index.
     """
@@ -461,15 +453,15 @@ def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: in
     row = np.nonzero(keep)[0]
     lo, hi = lo[keep], hi[keep]
     inside = np.count_nonzero(pos[row] < (0.5 * (lo + hi))[:, None], axis=1) % 2 == 1
-    counts = np.maximum(2, np.round(nx * (hi - lo) / (x2 - x1)).astype(int))
+    counts = np.maximum(1, np.round(nx * (hi - lo) / (x2 - x1)).astype(int))
     xs, ws = _gauss_cells(lo, hi, counts)
-    node = np.repeat(np.arange(counts.size), 2 * counts)
+    node = np.repeat(np.arange(counts.size), _GL_NODES.size * counts)
     return xs, taus[row[node]], tws[row[node]] * ws, inside[node]
 
 
 # the cells a residual window gets in t and in x, shared out over its pieces
-_NT = 96
-_NX = 96
+_NT = 32
+_NX = 32
 
 
 def weak_residual(
@@ -491,7 +483,7 @@ def weak_residual(
         raise ValueError("window exceeds the solution horizon")
     cuts = _structural_x(w)
     brk = _time_breakpoints(w, t1, t2, x1, x2, cuts)
-    counts = np.maximum(4, np.round(_NT * np.diff(brk) / (t2 - t1)).astype(int))
+    counts = np.maximum(2, np.round(_NT * np.diff(brk) / (t2 - t1)).astype(int))
     taus, tws = _gauss_cells(brk[:-1], brk[1:], counts)
 
     # one node set for the window: rows 0 and 1 are its edges t1 and t2, of
@@ -527,14 +519,21 @@ def weak_residual(
     return float(r1), float(r2)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-
-
 def interface_speed_integral(w: WeakSolution, label: int, t1: float, t2: float) -> float:
-    """Quadrature of W(v(x_k(t), t)) dt along the labeled interface: 6-point
-    Gauss-Legendre on each knot interval, summed segment by segment, with
-    one field call for the nodes of all segments."""
-    halves, xs, ts = [], [], []
+    """Quadrature of W(v(x_k(t), t)) dt along the labeled interface over
+    [t1, t2]: one _gauss_cells cell per knot interval, summed segment by
+    segment, with one field call for the nodes of all segments.
+
+    Raises ValueError unless t1 <= t2, if [t1, t2] leaves the solution's time
+    span, or if label is not an interface of the first segment.
+    """
+    if not t1 <= t2:  # written so that nan fails it too
+        raise ValueError("the time window must satisfy t1 <= t2")
+    if t1 < w.t_start - 1e-12 or t2 > w.t_end + 1e-12:
+        raise ValueError("window exceeds the solution horizon")
+    if not w.segments or label not in w.segments[0].labels:
+        raise ValueError(f"no interface is labelled {label!r}")
+    weights, xs, ts = [], [], []
     for seg in w.segments:
         lo = max(t1, seg.t_start)
         hi = min(t2, seg.t_end)
@@ -542,20 +541,15 @@ def interface_speed_integral(w: WeakSolution, label: int, t1: float, t2: float) 
             continue
         knots = seg._path.arrays()[0]
         cuts = np.unique(np.concatenate([[lo, hi], knots[(knots > lo) & (knots < hi)]]))
-        half = 0.5 * np.diff(cuts)[:, None]
-        nodes = ((0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half * _GL_NODES).ravel()
-        halves.append(half[:, 0])
+        nodes, ws = _gauss_cells(cuts[:-1], cuts[1:], np.ones(cuts.size - 1, dtype=int))
+        weights.append(ws)
         xs.append(seg._path.eval(nodes)[:, seg.labels.index(label)])
         ts.append(nodes)
-    if not halves:
+    if not weights:
         return 0.0
     speeds = front_speed(w.params, w.evaluate_v(np.concatenate(xs), np.concatenate(ts)))
-    total, start = 0.0, 0
-    for half in halves:
-        part = speeds[start : start + half.size * _GL_NODES.size].reshape(half.size, -1)
-        start += part.size
-        total += float(np.sum(half * np.sum(_GL_WEIGHTS * part, axis=1)))
-    return total
+    parts = np.split(speeds, np.cumsum([ws.size for ws in weights])[:-1])
+    return sum(float(np.sum(ws * part)) for ws, part in zip(weights, parts))
 
 
 # --- ill-posedness demo -------------------------------------------------------

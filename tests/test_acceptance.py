@@ -193,12 +193,12 @@ def test_criterion_06_weak_residuals(expanding_run, shrinking_run, merge_run, rn
             worst1 = max(worst1, r1)
             worst2 = max(worst2, r2)
     elapsed = time.perf_counter() - start
-    ok = worst1 <= 1e-5 and worst2 <= 1e-5
+    ok = worst1 <= 1e-8 and worst2 <= 1e-8
     _report(
         6,
         "weak-form residuals on random windows",
         ok,
-        f"measure id {worst1:.2e}, field id {worst2:.2e} <= 1e-5",
+        f"measure id {worst1:.2e}, field id {worst2:.2e} <= 1e-8",
         elapsed,
         30.0,
     )
