@@ -72,6 +72,22 @@ class EventRecord:
     components_before: int
     components_after: int
 
+    @classmethod
+    def collision(cls, time: float, i: int, labels, positions) -> EventRecord:
+        """The record of live interfaces i and i + 1 (0-based) colliding at
+        time, given every live interface's labels and positions then."""
+        k = i + 1
+        m = len(labels) // 2
+        return cls(
+            time=time,
+            kind=EventKind.VANISH if k % 2 == 1 else EventKind.MERGE,
+            indices=(k, k + 1),
+            labels=(labels[i], labels[i + 1]),
+            position=float(0.5 * (positions[i] + positions[i + 1])),
+            components_before=m,
+            components_after=m - 1,
+        )
+
 
 @dataclass
 class SegmentStats:
@@ -449,21 +465,23 @@ class ClassicalSegment:
             self._path = DensePath(self.t_start, np.zeros(0), np.zeros(0))
             self.finished = True
         self._h = min(math.sqrt(self.tol_step), 0.25 * (self.t_goal - self.t_start))
-        # The field's kinks never move (initial knots and endpoints, event
-        # positions; weak's surgery keeps them in the profile's knots), so a
-        # front's speed is smooth except where it crosses one of these.
-        self._kinks = np.unique(np.concatenate([np.asarray(profile_start.xs, dtype=float), x0]))
         self._degeneracy_flagged = False
         # A profile that continues a finished segment's field from this start
         # time (weak's surgery builds one) names that segment in `segment`;
         # the field is then one fold over the whole history, and the first
         # trial step is the step size that segment's controller last proposed.
+        # The field's kinks never move: the first profile's knots and
+        # endpoints and every event position since (a surviving front's speed
+        # is continuous through a surgery), so a front's speed is smooth
+        # except where it crosses one.  A continuation's knots are these.
         prior = getattr(profile_start, "segment", None)
         if prior is not None and prior.t_end == self.t_start:
             self._chain = (*prior._chain, prior)
             self._h = prior._h
+            self._kinks = np.asarray(profile_start.xs, dtype=float)
         else:
             self._chain = ()
+            self._kinks = np.unique(np.concatenate([np.asarray(profile_start.xs, dtype=float), x0]))
         self._index_history()
 
     # -- basic queries ----------------------------------------------------
@@ -525,9 +543,10 @@ class ClassicalSegment:
         self._resets = np.asarray([s.t_start for s in segs[1:]], dtype=float)
 
     def _arrivals(self, xs: np.ndarray) -> np.ndarray | None:
-        """Crossing times at xs of every interface column of the history; inf
-        where the interface never crossed the point after its segment began.
-        None when no interface swept any of the points.
+        """Crossing times at xs of every interface column of the history, one
+        row per column and one entry per point; inf where the interface never
+        crossed the point after its segment began.  None when no interface
+        swept any of the points.
 
         Only swept (point, column) pairs are inverted, with one invert_col
         call per segment path over all of its columns' pairs, listed column
@@ -551,11 +570,11 @@ class ClassicalSegment:
                 np.put(T, a * xs.size + k, path.invert_col(cols, xs[rows], self._col_sign[a + cols]))
         # crossings at or before a segment's start are part of its initial state
         T[T <= self._col_t0[:, None]] = math.inf
-        return T.T
+        return T
 
     def _start_phases(self, xs: np.ndarray) -> np.ndarray:
         """Membership of each point in each segment's excited set for
-        t -> t_start+, one column per segment of the history.
+        t -> t_start+, one row per segment of the history.
 
         A point is inside when an odd number of its segment's endpoints lie
         below it.  An endpoint equal to the point counts as below it when its
@@ -564,16 +583,16 @@ class ClassicalSegment:
         moves away from the component it bounds.  This is the limit the exact
         flow composition needs for continuity of v.
         """
-        return self._odd_per_segment(xs[:, None] > self._col_below)
+        return self._odd_per_segment(self._col_below[:, None] < xs)
 
     def _odd_per_segment(self, mask: np.ndarray) -> np.ndarray:
-        """Whether each row of a (points, columns) mask holds an odd number
-        of True in each segment's block of columns."""
+        """Whether each point (column) of a (columns, points) mask holds an
+        odd number of True in each segment's block of rows."""
         if self._seg_filled is None:
-            return np.logical_xor.reduceat(mask, self._seg_first, axis=1)
-        odd = np.zeros((mask.shape[0], len(self._chain) + 1), dtype=bool)
+            return np.logical_xor.reduceat(mask, self._seg_first, axis=0)
+        odd = np.zeros((len(self._chain) + 1, mask.shape[1]), dtype=bool)
         if self._seg_first.size:
-            odd[:, self._seg_filled] = np.logical_xor.reduceat(mask, self._seg_first, axis=1)
+            odd[self._seg_filled] = np.logical_xor.reduceat(mask, self._seg_first, axis=0)
         return odd
 
     def _v_field(self, xs: np.ndarray, tq) -> np.ndarray:
@@ -592,21 +611,21 @@ class ClassicalSegment:
         phases = self._start_phases(xs)
         T = self._arrivals(xs)
         if self._resets.size:
-            carried = phases[:, :-1]
+            carried = phases[:-1]
             if T is not None:
-                carried = carried ^ self._odd_per_segment(np.isfinite(T))[:, :-1]
-            resets = np.where(carried != phases[:, 1:], self._resets, math.inf)
-            T = resets if T is None else np.concatenate([T, resets], axis=1)
+                carried = carried ^ self._odd_per_segment(np.isfinite(T))[:-1]
+            resets = np.where(carried != phases[1:], self._resets[:, None], math.inf)
+            T = resets if T is None else np.concatenate([T, resets])
         n_cross = 0
         if T is not None:
-            T.sort(axis=1)
-            n_cross = int(np.max(np.count_nonzero(np.isfinite(T), axis=1), initial=0))
-        phase0 = phases[:, 0]
+            T.sort(axis=0)
+            n_cross = int(np.max(np.count_nonzero(np.isfinite(T), axis=0), initial=0))
+        phase0 = phases[0]
         v = np.array(self._origin.eval(xs), dtype=float, ndmin=1)
         prev = self._t_origin
         # past the last finite event every point has flowed up to tq
         for slot in range(n_cross + 1):
-            bend = tq if slot == n_cross else np.minimum(T[:, slot], tq)
+            bend = tq if slot == n_cross else np.minimum(T[slot], tq)
             self._flow(v, phase0 if slot % 2 == 0 else ~phase0, bend - prev)
             prev = bend
         return v
@@ -819,19 +838,7 @@ class ClassicalSegment:
         if t_a <= t_prev:
             t_a = np.nextafter(t_prev, math.inf)
         self._path.truncate_last(t_a)
-        x_final = self._path.last()[1]
-        k = i + 1  # 1-based index of the left member of the colliding pair
-        kind = EventKind.VANISH if k % 2 == 1 else EventKind.MERGE
-        m = self.n_interfaces // 2
-        self.event = EventRecord(
-            time=float(t_a),
-            kind=kind,
-            indices=(k, k + 1),
-            labels=(self.labels[i], self.labels[i + 1]),
-            position=float(0.5 * (x_final[i] + x_final[i + 1])),
-            components_before=m,
-            components_after=m - 1,
-        )
+        self.event = EventRecord.collision(float(t_a), i, self.labels, self._path.last()[1])
         self.finished = True
 
 

@@ -27,6 +27,7 @@ from .config import (
     ConfigError,
     PRESETS,
     RunConfig,
+    _SCHEMA,
     load_config_file,
     preset_config,
     schema_help,
@@ -194,14 +195,17 @@ def run_scenario(cfg: RunConfig) -> None:
 
 
 def _parse_oracle_arg(raw: str) -> tuple[float, ...]:
+    """--oracle's eps=LIST: not empty, and parsed and checked as oracle.eps."""
     if not raw.startswith("eps="):
         raise ConfigError([f"--oracle expects eps=<comma-list>, got {raw!r}"])
+    parse, check, _, _ = _SCHEMA[("oracle", "eps")]
     try:
-        values = tuple(float(tok) for tok in raw[4:].split(",") if tok)
-    except ValueError:
-        raise ConfigError([f"--oracle has non-numeric eps in {raw!r}"]) from None
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError([f"--oracle needs positive eps values, got {raw!r}"])
+        values = parse(raw[4:])
+        problem = check(values) if values else f"needs positive eps values, got {raw!r}"
+    except ValueError as exc:
+        problem = str(exc)
+    if problem:
+        raise ConfigError([f"--oracle eps: {problem}"])
     return values
 
 

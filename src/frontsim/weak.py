@@ -24,7 +24,6 @@ from .state import H2Violation, IntervalSet, Profile, validate_initial  # noqa: 
 from .classical import (
     ClassicalSegment,
     DensePath,
-    EventKind,
     EventRecord,
     integrate_adaptive,
     run_segment,
@@ -131,7 +130,7 @@ class _ContinuedField:
     Starts the segment after an annihilation in place of a resampled copy.
     Through `segment` that next segment folds its field over the whole
     history from the first profile, so no evaluation recurses through
-    earlier segments.  xs are the structural knots (the kinks of the field);
+    earlier segments.  xs are the field's kinks (see ClassicalSegment);
     nothing is evaluated until eval is called.
     """
 
@@ -145,58 +144,31 @@ class _ContinuedField:
 
 def annihilation_surgery(
     seg: ClassicalSegment, ev: EventRecord
-) -> tuple[IntervalSet, Profile, list[EventRecord], list[int]]:
+) -> tuple[IntervalSet, Profile, list[EventRecord], tuple[int, ...]]:
     """State just after the annihilation: collided pairs removed, field continued.
 
-    Returns (omega, profile, extra_events, dead_labels).  extra_events covers
-    the measure-zero case of further gaps closing within event tolerance of
-    the primary collision; they are collapsed left to right at the same time.
-    Nothing is evaluated here: the segment built from this state validates
-    its endpoints, and run_weak reports a failure there as SurgeryH2Failure.
+    Returns (omega, profile, extra_events, labels), labels those of the
+    surviving interfaces.  extra_events covers the measure-zero case of
+    further gaps closing within event tolerance of the primary collision;
+    they are collapsed left to right at the same time.  The profile's knots
+    are the segment's kinks plus the event positions.  Nothing is evaluated
+    here: the segment built from this state validates its endpoints, and
+    run_weak reports a failure there as SurgeryH2Failure.
     """
-    t_a = ev.time
-    pos = np.atleast_1d(seg.positions(t_a)).astype(float)
-    labels = list(seg.labels)
-    dead = list(ev.labels)
-    keep = [j for j in range(pos.size) if labels[j] not in dead]
-    extra_events: list[EventRecord] = []
+    pos = np.atleast_1d(seg.positions(ev.time)).astype(float)
+    keep = [j for j in range(pos.size) if j + 1 not in ev.indices]
+    events = [ev]
     zero_gap = max(16.0 * seg.tol_event, 1e-12 * max(1.0, float(np.max(np.abs(pos))) if pos.size else 1.0))
-    while True:
-        kept_pos = pos[keep]
-        gaps = np.diff(kept_pos)
-        if kept_pos.size < 2 or np.all(gaps > zero_gap):
+    while len(keep) > 1:
+        gaps = np.diff(pos[keep])
+        if np.all(gaps > zero_gap):
             break
         i = int(np.argmax(gaps <= zero_gap))  # leftmost offending pair
-        k = i + 1
-        m_now = len(keep) // 2
-        extra = EventRecord(
-            time=t_a,
-            kind=EventKind.VANISH if k % 2 == 1 else EventKind.MERGE,
-            indices=(k, k + 1),
-            labels=(labels[keep[i]], labels[keep[i + 1]]),
-            position=float(0.5 * (kept_pos[i] + kept_pos[i + 1])),
-            components_before=m_now,
-            components_after=m_now - 1,
-        )
-        extra_events.append(extra)
-        dead.extend(extra.labels)
+        events.append(EventRecord.collision(ev.time, i, [seg.labels[j] for j in keep], pos[keep]))
         del keep[i : i + 2]
-
-    omega_new = IntervalSet(tuple(pos[keep]))
-
-    # Kinks of v never move once made: the initial profile knots, the initial
-    # endpoints and the event positions.  The fronts add one more where they
-    # stand now; it smooths out once they move on (their speed is continuous
-    # through the surgery), so the previous surgery's front positions go.
-    old = np.asarray(seg.profile_start.xs, dtype=float)
-    starts = np.asarray(seg.omega_start.endpoints, dtype=float)
-    if isinstance(seg.profile_start, _ContinuedField):
-        old = old[~np.isin(old, starts)]
-    else:
-        old = np.concatenate([old, starts])
-    events = [e.position for e in (ev, *extra_events)]
-    knots = np.unique(np.concatenate([old, pos[keep], events]))
-    return omega_new, _ContinuedField(seg, knots), extra_events, dead
+    knots = np.unique(np.concatenate([seg._kinks, [e.position for e in events]]))
+    labels = tuple(seg.labels[j] for j in keep)
+    return IntervalSet(tuple(pos[keep])), _ContinuedField(seg, knots), events[1:], labels
 
 
 _GLUE_TOL = 1e-8  # largest jump of the field allowed across a junction
@@ -248,13 +220,15 @@ def run_weak(
     not an event of this run: the last segment ends at t_end with that pair
     still alive, so every recorded event has a segment after it.
 
+    Each segment after an annihilation starts from annihilation_surgery's
+    state and surviving labels.
+
     Each segment validates its start (validate_initial, one evaluation of
     its field at all endpoints); after a surgery a degenerate start raises
     SurgeryH2Failure from the H2Violation.
     """
     w = WeakSolution(params)
-    omega, prof = omega0, v0
-    labels = tuple(range(1, len(omega0.endpoints) + 1))
+    omega, prof, labels = omega0, v0, None
     t = 0.0
     max_events = 2 * omega0.m
     while True:
@@ -280,11 +254,10 @@ def run_weak(
         w = glue(w, seg)
         if ev is None:
             break
-        omega, prof, extras, dead = annihilation_surgery(seg, ev)
+        omega, prof, extras, labels = annihilation_surgery(seg, ev)
         w.events.extend([ev, *extras])
         if len(w.events) > max_events:
             raise RuntimeError("more annihilations than interfaces; invariant violated")
-        labels = tuple(l for l in labels if l not in dead)
         t = ev.time
     return w
 
@@ -370,21 +343,6 @@ def tensor_test_functions(window, degree: int = 3) -> list[SpaceTimePolynomial]:
             c[i, j] = 1.0
             funcs.append(SpaceTimePolynomial(c, window))
     return funcs
-
-
-def _structural_x(w: WeakSolution) -> np.ndarray:
-    """Fixed x-locations where the field can have slope discontinuities.
-
-    Kinks of v(., t) never move: they sit at the initial profile knots, at the
-    start positions of every segment's interfaces, and at event positions.
-    """
-    pts: list[float] = []
-    if w.segments:
-        pts.extend(float(x) for x in np.asarray(w.segments[0].profile_start.xs))
-    for seg in w.segments:
-        pts.extend(seg.omega_start.endpoints)
-    pts.extend(ev.position for ev in w.events)
-    return np.unique(np.asarray(pts, dtype=float))
 
 
 def _time_breakpoints(
@@ -481,7 +439,8 @@ def weak_residual(
         raise ValueError("window must satisfy x1 < x2 and t1 < t2")
     if t1 < w.t_start - 1e-12 or t2 > w.t_end + 1e-12:
         raise ValueError("window exceeds the solution horizon")
-    cuts = _structural_x(w)
+    # the last segment continues the whole history, so it holds every kink
+    cuts = w.segments[-1]._kinks
     brk = _time_breakpoints(w, t1, t2, x1, x2, cuts)
     counts = np.maximum(2, np.round(_NT * np.diff(brk) / (t2 - t1)).astype(int))
     taus, tws = _gauss_cells(brk[:-1], brk[1:], counts)

@@ -456,8 +456,7 @@ class TestRhsMatchesFold:
 
         omega, v0 = merge_setup(pstar)
         first, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
-        new_omega, new_profile, _, dead = annihilation_surgery(first, ev)
-        labels = tuple(lab for lab in first.labels if lab not in dead)
+        new_omega, new_profile, _, labels = annihilation_surgery(first, ev)
         # a continued segment starts at the prior's last step size, so one
         # step could reach any nearby end; the fronts meet the profile's
         # outer knots (+-16) at t = 13, and a step ends at such a crossing,

@@ -390,8 +390,15 @@ class TestMainExitCodes:
     def test_missing_target(self):
         assert main(["run"]) == 1
 
-    def test_oracle_flag_validation(self, tmp_path):
-        assert main(["run", "--preset", "expanding", "--out", str(tmp_path), "--oracle", "eps=0,1"]) == 1
+    def test_oracle_flag_validation(self, tmp_path, capsys):
+        # a bad list fails as a config file's oracle.eps does: exit 1 before
+        # the run, with no traceback and no output directory
+        for eps in ("0,1", "nan", "inf", "0.05,1e400", ""):
+            out = tmp_path / "out"
+            assert main(["run", "--preset", "expanding", "--out", str(out), "--oracle", f"eps={eps}"]) == 1
+            assert "Traceback" not in capsys.readouterr().err
+            assert not out.exists()
+        assert main(["run", "--preset", "expanding", "--out", str(out), "--oracle", "0.05"]) == 1
 
     def test_sweep(self, tmp_path):
         sweep_dir = tmp_path / "configs"

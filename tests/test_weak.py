@@ -85,8 +85,7 @@ class TestSurgery:
     def test_continued_segment_starts_at_the_last_step_size(self, pstar, monkeypatch):
         omega, v0 = merge_setup(pstar)
         first, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
-        new_omega, new_profile, _, dead = annihilation_surgery(first, ev)
-        labels = tuple(lab for lab in first.labels if lab not in dead)
+        new_omega, new_profile, _, labels = annihilation_surgery(first, ev)
         trials = []
         step = classical._dopri5_step
         monkeypatch.setattr(
@@ -401,16 +400,15 @@ def _restarted(w: WeakSolution, t_end: float, tol_step: float) -> WeakSolution:
     through later annihilations as run_weak does."""
     seg = w.segments[-1]
     t, labels, pos = seg.t_end, seg.labels, seg.positions(seg.t_end)
-    omega, prof = IntervalSet(tuple(pos)), _ContinuedField(seg, np.unique(np.concatenate([seg._kinks, pos])))
+    omega, prof = IntervalSet(tuple(pos)), _ContinuedField(seg, seg._kinks)
     segments, events = list(w.segments), list(w.events)
     while True:
         seg, ev = run_segment(w.params, omega, prof, t, t_end, tol_step=tol_step, labels=labels)
         segments.append(seg)
         if ev is None:
             return WeakSolution(w.params, segments, events)
-        omega, prof, extras, dead = annihilation_surgery(seg, ev)
+        omega, prof, extras, labels = annihilation_surgery(seg, ev)
         events += [ev, *extras]
-        labels = tuple(lab for lab in labels if lab not in dead)
         t = ev.time
 
 
@@ -450,6 +448,34 @@ class TestRestart:
         for t_s in np.random.default_rng(5).uniform(0.1, 1.9, 2):
             stopped = run_weak(full.params, omega, v0, t_s, tol_step=tol_step)
             self._assert_same(full, _restarted(stopped, 2.0, tol_step), t_s, tol_step)
+
+
+class TestKinkRule:
+    """The field's kinks are the first profile's knots, the first endpoints
+    and the position of every event so far; where a surviving front stands
+    at a surgery is none of them, as its speed is continuous there."""
+
+    @pytest.mark.parametrize("run", ["cascade16", "draw12"])
+    def test_segment_kinks_and_residual_cuts(self, run, request, monkeypatch):
+        data = request.getfixturevalue(run)
+        runs = [data[3]] if run == "cascade16" else list(data[2].values())
+        cuts = []
+        breakpoints = weak._time_breakpoints
+        monkeypatch.setattr(weak, "_time_breakpoints", lambda w, *a: cuts.append(a[-1]) or breakpoints(w, *a))
+        for w in runs:
+            assert len(w.events) >= 3
+            first = w.segments[0]
+            for seg in w.segments:
+                before = [ev.position for ev in w.events if ev.time <= seg.t_start]
+                want = np.unique(np.concatenate([first.profile_start.xs, first.omega_start.endpoints, before]))
+                np.testing.assert_array_equal(seg._kinks, want)
+            ends = first.omega_start.endpoints
+            window = (ends[0], ends[-1], 0.5, 1.5)
+            one = SpaceTimePolynomial([[1.0]], window)
+            cuts.clear()
+            weak_residual(w, window, one, one)
+            assert len(cuts) == 1
+            np.testing.assert_array_equal(cuts[0], w.segments[-1]._kinks)
 
 
 class TestGeneratedAdmissible:
@@ -681,7 +707,7 @@ class TestBatchedFieldRead:
                 path, j = paths[c]
                 want[swept[:, c], c] = invert(path, j, xs[swept[:, c]], seg._col_sign[c])
             want[want <= seg._col_t0] = math.inf
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, want.T)
             assert np.isfinite(got).any()
 
     @pytest.mark.parametrize("run", ["cascade16", "shrinking_run"])
