@@ -412,6 +412,24 @@ def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stat
     return t_new, y_new, f_new, d, h * grow
 
 
+class _ContinuedField:
+    """The field of a finished segment at its end time.
+
+    The profile a segment after an annihilation starts from, in place of a
+    resampled copy: through `segment` that next segment folds its field over
+    the whole history from the first profile, so no evaluation recurses
+    through earlier segments.  xs are the field's kinks (see
+    ClassicalSegment); nothing is evaluated until eval is called.
+    """
+
+    def __init__(self, seg: ClassicalSegment, xs: np.ndarray):
+        self.segment = seg
+        self.xs = xs
+
+    def eval(self, x) -> np.ndarray | float:
+        return self.segment.evaluate_v(x, self.segment.t_end)
+
+
 class ClassicalSegment:
     """One annihilation-free piece of the evolution, advanced step by step.
 
@@ -423,7 +441,7 @@ class ClassicalSegment:
         self,
         params: Parameters,
         omega_start: IntervalSet,
-        profile_start: Profile,
+        profile_start: Profile | _ContinuedField,
         t_start: float,
         t_end: float,
         *,
@@ -432,8 +450,19 @@ class ClassicalSegment:
         margin: float | None = None,
         labels: tuple[int, ...] | None = None,
     ):
+        """Start a segment from (omega_start, profile_start) at t_start.
+
+        profile_start is a fresh profile, or a _ContinuedField: the field of
+        a finished segment at its end time, which weak's surgery builds.  A
+        continuation starts at that end time exactly, else ValueError; it is
+        never read as a fresh start.
+        """
         if not t_end > t_start:
             raise ValueError("segment needs t_end > t_start")
+        continued = isinstance(profile_start, _ContinuedField)
+        if continued and profile_start.segment.t_end != t_start:
+            t_from = profile_start.segment.t_end
+            raise ValueError(f"a continuation starts at its segment's end t={t_from!r}, not at t={t_start!r}")
         if not (tol_step > 0.0 and tol_event > 0.0):
             raise ValueError("tolerances must be positive")
         checks = validate_initial(params, omega_start, profile_start, margin)
@@ -466,16 +495,14 @@ class ClassicalSegment:
             self.finished = True
         self._h = min(math.sqrt(self.tol_step), 0.25 * (self.t_goal - self.t_start))
         self._degeneracy_flagged = False
-        # A profile that continues a finished segment's field from this start
-        # time (weak's surgery builds one) names that segment in `segment`;
-        # the field is then one fold over the whole history, and the first
-        # trial step is the step size that segment's controller last proposed.
-        # The field's kinks never move: the first profile's knots and
-        # endpoints and every event position since (a surviving front's speed
-        # is continuous through a surgery), so a front's speed is smooth
-        # except where it crosses one.  A continuation's knots are these.
-        prior = getattr(profile_start, "segment", None)
-        if prior is not None and prior.t_end == self.t_start:
+        # A continuation's field is one fold over the whole history, and its
+        # first trial step is its segment's last proposed step size.  The
+        # field's kinks never move: the first profile's knots and endpoints
+        # and every event position since (a surviving front's speed is
+        # continuous through a surgery), so a front's speed is smooth except
+        # where it crosses one.  A continuation's knots are these.
+        if continued:
+            prior = profile_start.segment
             self._chain = (*prior._chain, prior)
             self._h = prior._h
             self._kinks = np.asarray(profile_start.xs, dtype=float)
@@ -849,7 +876,7 @@ MAX_STEPS = 500_000
 def run_segment(
     params: Parameters,
     omega_start: IntervalSet,
-    profile_start: Profile,
+    profile_start: Profile | _ContinuedField,
     t_start: float,
     t_end: float,
     *,

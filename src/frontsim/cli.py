@@ -15,7 +15,6 @@ import numpy as np
 from .state import H2Violation
 from .classical import StepFailure
 from .weak import (
-    GlueMismatch,
     SurgeryH2Failure,
     WeakSolution,
     events_as_json,
@@ -37,7 +36,6 @@ from .render import spacetime_svg, weak_solution_curves
 _NUMERICAL_ERRORS = (
     StepFailure,
     SurgeryH2Failure,
-    GlueMismatch,
     FHNBlowUp,
     DomainTooSmall,
     InterfaceCountMismatch,

@@ -26,8 +26,6 @@ __all__ = [
     "Parameters",
     "reaction_rate",
     "front_speed",
-    "antiderivative_outside",
-    "antiderivative_inside",
     "flow_outside",
     "flow_inside",
 ]
@@ -46,8 +44,9 @@ class Parameters:
 
     Requires g1*g3 > g2 so that g(1, v) > 0 for every v >= 0; a warning is
     emitted when the stronger condition g1*g3 > 2*g2 fails, since parts of the
-    theory assume it.  M only shifts the outside antiderivative: flow outputs
-    are independent of it (set it to max(1, sup v0) by convention).
+    theory assume it.  M only scales the default endpoint margin
+    (state.default_margin): flow outputs are independent of it (set it to
+    max(1, sup v0) by convention).
     """
 
     g1: float
@@ -115,33 +114,6 @@ def front_speed(p: Parameters, v) -> np.ndarray | float:
     """W(v) = a - b*v; positive below a/b, negative above."""
     varr = _as_float_array(v)
     return _scalar_like(p.a - p.b * varr, v)
-
-
-def antiderivative_outside(p: Parameters, v) -> np.ndarray | float:
-    """Antiderivative of 1/g(0, .) evaluated from the reference level M.
-
-    Closed form -(g3/g2)*(v - M) - (g4/g2)*ln(v/M); strictly decreasing, zero
-    at v = M, and divergent as v -> 0+ (hence the v > 0 requirement).
-    """
-    varr = _as_float_array(v)
-    if np.any(varr <= 0.0):
-        raise ValueError("antiderivative_outside requires v > 0 (diverges at 0)")
-    out = -(p.g3 / p.g2) * (varr - p.M) - (p.g4 / p.g2) * np.log(varr / p.M)
-    return _scalar_like(out, v)
-
-
-def antiderivative_inside(p: Parameters, v) -> np.ndarray | float:
-    """Antiderivative of 1/g(1, .) evaluated from 0.
-
-    With A = g1*g3 - g2 and B = g1*g4 the closed form is
-    (g3/A)*v - (g2*g4/A^2)*ln((A*v + B)/B); strictly increasing, zero at 0.
-    """
-    varr = _as_float_array(v)
-    if np.any(varr < 0.0):
-        raise ValueError("antiderivative_inside requires v >= 0")
-    A, B = p.rest_rate_coeffs()
-    out = (p.g3 / A) * varr - (p.g2 * p.g4 / A**2) * np.log1p(A * varr / B)
-    return _scalar_like(out, v)
 
 
 # From the starts below these counts reach rounding level for every admissible

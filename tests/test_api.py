@@ -4,11 +4,13 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import types
 
 import numpy as np
 import pytest
 
 import frontsim
+import frontsim.cli
 from frontsim.classical import EventKind
 
 MODULES = ["frontsim"] + [f"frontsim.{m.name}" for m in pkgutil.iter_modules(frontsim.__path__)]
@@ -21,6 +23,18 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert missing == []
+
+
+def test_tracer_patches_existing_names():
+    # perfbench/tracing.py patches frontsim's callables by name; one deleted
+    # or renamed here would fail only the traced benchmark runs.  The file is
+    # compiled from its source, so nothing is written beside it.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    patches = tracing.Tracer()._patches(frontsim)
+    missing = [(owner.__name__, attr) for owner, attr, _ in patches if attr not in owner.__dict__]
+    assert len(patches) > 0 and missing == []
 
 
 def test_readme_library_example():

@@ -10,8 +10,6 @@ from scipy.special import lambertw, wrightomega
 from frontsim.kinetics import (
     Parameters,
     Phase,
-    antiderivative_inside,
-    antiderivative_outside,
     flow_inside,
     flow_outside,
     front_speed,
@@ -28,6 +26,28 @@ FLOW_IN_0_05 = 0.43823142335871484      # same with right side 0.5
 
 def g_of(p, u, v):
     return p.g1 * u - p.g2 * v / (p.g3 * v + p.g4)
+
+
+# The closed-form antiderivatives of 1/g(u, .): each flow map advances its
+# antiderivative by exactly t, so they are the flows' reference below.
+
+def antiderivative_outside(p, v):
+    """From the reference level M: -(g3/g2)*(v - M) - (g4/g2)*ln(v/M),
+    strictly decreasing and divergent as v -> 0+."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v <= 0.0):
+        raise ValueError("antiderivative_outside requires v > 0 (diverges at 0)")
+    return -(p.g3 / p.g2) * (v - p.M) - (p.g4 / p.g2) * np.log(v / p.M)
+
+
+def antiderivative_inside(p, v):
+    """From 0, with A = g1*g3 - g2 and B = g1*g4:
+    (g3/A)*v - (g2*g4/A^2)*ln((A*v + B)/B), strictly increasing."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0.0):
+        raise ValueError("antiderivative_inside requires v >= 0")
+    A, B = p.rest_rate_coeffs()
+    return (p.g3 / A) * v - (p.g2 * p.g4 / A**2) * np.log1p(A * v / B)
 
 
 class TestParameters:
@@ -112,6 +132,13 @@ class TestAntiderivatives:
             q_in = quad(lambda s: 1.0 / g_of(pstar, 1, s), 0.0, v, epsabs=1e-12)[0]
             assert antiderivative_outside(pstar, v) == pytest.approx(q_out, abs=1e-9)
             assert antiderivative_inside(pstar, v) == pytest.approx(q_in, abs=1e-9)
+
+    def test_flows_advance_the_antiderivatives_by_t(self, pstar, rng):
+        # along v' = g(u, v) the antiderivative of 1/g(u, .) grows at rate 1
+        v0, t = rng.uniform(0.05, 4.0, 200), rng.uniform(0.0, 2.0, 200)
+        for flow, anti in ((flow_outside, antiderivative_outside), (flow_inside, antiderivative_inside)):
+            moved = anti(pstar, flow(pstar, v0, t)) - anti(pstar, v0)
+            np.testing.assert_allclose(moved, t, rtol=0, atol=1e-10)
 
 
 class TestFlows:

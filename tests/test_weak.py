@@ -11,13 +11,11 @@ from frontsim.kinetics import flow_inside, flow_outside, front_speed
 from frontsim.render import spacetime_svg, weak_solution_curves
 from frontsim.state import H2Violation, IntervalSet, Profile
 from frontsim import classical, render, weak
-from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, run_segment
+from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, _ContinuedField, run_segment
 from frontsim.weak import (
-    GlueMismatch,
     SpaceTimePolynomial,
     SurgeryH2Failure,
     WeakSolution,
-    _ContinuedField,
     annihilation_surgery,
     check_no_nucleation,
     events_as_json,
@@ -102,6 +100,17 @@ class TestSurgery:
         plain = Profile(new_profile.xs, np.maximum(new_profile.eval(new_profile.xs), 0.0))
         assert ClassicalSegment(pstar, new_omega, plain, ev.time, 20.0, labels=labels)._h == math.sqrt(1e-8)
 
+    def test_continuation_starts_where_its_segment_ends(self, pstar):
+        # read at any other time, the field at the segment's end would be
+        # taken for the field at the continuation's start
+        omega, v0 = shrinking_setup(pstar)
+        seg, ev = run_segment(pstar, omega, v0, 0.0, 5.0)
+        new_omega, new_profile, _, labels = annihilation_surgery(seg, ev)
+        for t_start in (ev.time + 0.5, ev.time - 0.1):
+            with pytest.raises(ValueError, match="continuation"):
+                ClassicalSegment(pstar, new_omega, new_profile, t_start, 5.0, labels=labels)
+        assert ClassicalSegment(pstar, new_omega, new_profile, ev.time, 5.0, labels=labels)._chain == (seg,)
+
     def test_degenerate_survivors_raise_surgery_failure(self, pstar):
         omega, v0 = ramp_merge_setup(pstar)
         with pytest.warns(DegeneracyWarning), pytest.raises(SurgeryH2Failure) as err:
@@ -118,38 +127,24 @@ class TestGlue:
         w = glue(WeakSolution(pstar), seg)
         assert len(w.segments) == 1 and w.t_end == 0.5
 
-    def test_junction_continuity_enforced(self, pstar):
+    def test_appends_only_a_continuation_of_the_last_segment(self, pstar):
         omega, v0 = merge_setup(pstar)
-        seg, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
-        new_omega, new_profile, _, _ = annihilation_surgery(seg, ev)
-        w = glue(WeakSolution(pstar), seg)
-        good = ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=(1, 4))
-        glue(w, good)  # continuous junction passes
-
-        bumped = Profile(new_profile.xs, new_profile.eval(new_profile.xs) + 1e-3)
-        bad = ClassicalSegment(pstar, new_omega, bumped, ev.time, 3.0, labels=(1, 4))
-        with pytest.raises(GlueMismatch, match=r"x=\S+: v=\S+ before, \S+ after"):
-            glue(w, bad)
-
-    def test_fresh_start_reads_only_its_own_times(self, pstar):
-        # a segment glued from a fresh profile, not a continuation, starts a
-        # new history: the solution's field reads from its start onward only
-        empty = IntervalSet.empty()
-        seg1, _ = run_segment(pstar, empty, Profile.constant(1.0, (-5.0, 5.0)), 0.0, 0.5)
-        fresh = Profile.constant(flow_outside(pstar, 1.0, 0.5), (-5.0, 5.0))
-        w = glue(glue(WeakSolution(pstar), seg1), ClassicalSegment(pstar, empty, fresh, 0.5, 1.0))
-        assert w.evaluate_v(0.0, 0.75) == pytest.approx(flow_outside(pstar, 1.0, 0.75), abs=1e-12)
+        first, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
+        new_omega, new_profile, _, labels = annihilation_surgery(first, ev)
+        w = WeakSolution(pstar)
+        after = ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=labels)
         with pytest.raises(ValueError):
-            w.evaluate_v(0.0, 0.25)
-        with pytest.raises(ValueError):
-            w.evaluate_v([0.0, 0.0], [0.25, 0.75])
-
-    def test_time_mismatch_rejected(self, pstar):
-        omega, v0 = shrinking_setup(pstar)
-        seg1, _ = run_segment(pstar, omega, v0, 0.0, 0.5)
-        seg2 = ClassicalSegment(pstar, omega, v0, 0.7, 0.9)
-        with pytest.raises(GlueMismatch):
-            glue(glue(WeakSolution(pstar), seg1), seg2)
+            glue(w, after)  # a continuation cannot start a solution
+        assert glue(w, first) is w and glue(w, after) is w and w.segments == [first, after]
+        # a second continuation of first does not continue the last segment
+        again = ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=labels)
+        # the same data as a plain Profile is a fresh start
+        plain = Profile(new_profile.xs, np.maximum(new_profile.eval(new_profile.xs), 0.0))
+        fresh = ClassicalSegment(pstar, new_omega, plain, ev.time, 3.0, labels=labels)
+        for seg in (again, fresh):
+            with pytest.raises(ValueError):
+                glue(w, seg)
+        assert w.segments == [first, after]
 
 
 class TestRunWeak:
