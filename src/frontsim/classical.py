@@ -10,17 +10,19 @@ of the interfaces that cross it.  The system is integrated with the
 Dormand-Prince 5(4) pair under error-per-unit-step control, with its quartic
 dense output (Shampine 1986): a step is accepted when both the embedded error
 and the gap between the quartic and the cubic Hermite interpolant are within
-tol_step * h.  The first trial step is sqrt(tol_step), or, for a segment
-that continues a finished one after an annihilation, the step size that
-segment's controller last proposed.  The right-hand side is smooth except
-where a front crosses a kink of the field, whose positions never move; steps
-are capped to end at the predicted crossing, and a step that still crosses
-one is taken again to end there.  Gap closures (collisions of adjacent
-interfaces), kink crossings and arrival times at given positions are all
-roots of the quartic dense output, located by one bracketed Newton rule
-(_invert_quartic).  tol_event sets the window within which two closures
-count as simultaneous, the slacks of the step cap and the kink crossing,
-and the gap below which surgery takes interfaces as collided.
+tol_step * h.  Each weighted sum of stage slopes is one product and one numpy
+reduction along the stage rows, which adds them in stage order, so its bits
+are those of a loop over the stages.  The first trial step is sqrt(tol_step),
+or, for a segment that continues a finished one after an annihilation, the
+step size that segment's controller last proposed.  The right-hand side is
+smooth except where a front crosses a kink of the field, whose positions never
+move; steps are capped to end at the predicted crossing, and a step that still
+crosses one is taken again to end there.  Gap closures (collisions of adjacent
+interfaces), kink crossings and arrival times at given positions are all roots
+of the quartic dense output, located by one bracketed Newton rule
+(_invert_quartic).  tol_event sets the window within which two closures count
+as simultaneous, the slacks of the step cap and the kink crossing, and the gap
+below which surgery takes interfaces as collided.
 """
 from __future__ import annotations
 
@@ -351,23 +353,31 @@ _DP_D = (
 )
 
 
-def _terms(weights) -> tuple[tuple[float, int], ...]:
-    """The (weight, stage index) pairs of a row's nonzero weights after the
-    first stage, in order (see _combine)."""
-    return tuple((w, i) for i, w in enumerate(weights) if w != 0.0 and i > 0)
+def _weights(row) -> np.ndarray:
+    """A row of stage weights as the column that scales the first len(row)
+    rows of _dopri5_step's slope array.  Those rows are the stage slopes
+    minus fn, so the first is +0; its weight is 0, so that its product is
+    +0 whatever the sign of the tableau's weight, and a sum starts at +0
+    whether numpy starts a reduction from its first row or from 0."""
+    w = np.array(row, dtype=float)
+    w[0] = 0.0
+    return w[:, None]
 
 
-_DP_ROWS = tuple((c, _terms(row)) for c, row in zip(_DP_C, _DP_A))
-_DP_B_TERMS, _DP_E_TERMS, _DP_D_TERMS = _terms(_DP_B), _terms(_DP_E), _terms(_DP_D)
+_DP_ROWS = tuple((c, _weights(row)) for c, row in zip(_DP_C, _DP_A))
+_DP_C_COL = np.array(_DP_C)[:, None]
+_DP_B_W, _DP_E_W, _DP_D_W = _weights(_DP_B), _weights(_DP_E), _weights(_DP_D)
 
 
-def _combine(terms, dk):
-    """sum(w_i dk_i) in stage order.  dk[0] is +0, so the first stage's term
-    only starts the sum at +0, and the sum starts from dk[0] instead."""
-    total = dk[0]
-    for w, i in terms:
-        total = total + w * dk[i]
-    return total
+def _stage_sum(weights: np.ndarray, dk: np.ndarray) -> np.ndarray:
+    """sum_i w_i dk_i over the first rows of dk, in stage order.
+
+    One product and one reduction along the rows: with at most 7 rows
+    (never numpy's 8-way pairwise blocks), numpy adds them one row after
+    another from +0, so every entry is the stage-order loop's sum bit for
+    bit.
+    """
+    return np.add.reduce(weights * dk[: weights.shape[0]], axis=0)
 
 
 def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stats: SegmentStats):
@@ -376,31 +386,40 @@ def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stat
     fn is f(tn, yn) (first same as last).  A trial step is accepted when
     both its embedded error estimate and its interpolant bump |d|/16 (the
     largest gap between the quartic dense output and the cubic Hermite one)
-    are within tol * h, else retried shorter; StepFailure once h reaches
-    h_min.  Every weighted sum runs over the stage slopes minus fn, so a
-    constant slope is integrated exactly.  An end within rounding of t_goal
-    snaps onto it.  Counts steps and rejections in stats.  Returns (t_new,
-    y_new, f(t_new, y_new), d, the next trial h).
+    are within tol * h, else retried shorter; StepFailure, naming the tests
+    that failed, once h reaches h_min.  Every weighted sum runs over the
+    stage slopes minus fn, so a constant slope is integrated exactly.  An
+    end within rounding of t_goal snaps onto it.  Counts steps and
+    rejections in stats.  Returns (t_new, y_new, f(t_new, y_new), d, the
+    next trial h).
     """
     h_min = 1e-13 * max(1.0, abs(tn))
+    # row i: the slope of stage i + 1 minus fn; row 0 stays +0
+    dk = np.zeros((7, np.size(fn)))
+    c_fn = _DP_C_COL * fn  # c * fn of stages 2..6, one row each
     while True:
-        dk = [np.zeros_like(fn)]
-        for c, row in _DP_ROWS:
-            dk.append(f(tn + c * h, yn + h * (c * fn + _combine(row, dk))) - fn)
-        y_new = yn + h * (fn + _combine(_DP_B_TERMS, dk))
+        for i, (c, row) in enumerate(_DP_ROWS, 1):
+            np.subtract(f(tn + c * h, yn + h * (c_fn[i - 1] + _stage_sum(row, dk))), fn, out=dk[i])
+        y_new = yn + h * (fn + _stage_sum(_DP_B_W, dk))
         f_new = f(tn + h, y_new)
-        dk.append(f_new - fn)
-        d = h * _combine(_DP_D_TERMS, dk)
-        errs = np.maximum(np.abs(h * _combine(_DP_E_TERMS, dk)), np.abs(d) / 16.0)
-        err = float(np.max(errs))
+        np.subtract(f_new, fn, out=dk[6])
+        d = h * _stage_sum(_DP_D_W, dk)
+        embedded = np.abs(h * _stage_sum(_DP_E_W, dk))
+        bump = np.abs(d) / 16.0
+        errs = np.maximum(embedded, bump)
+        err = float(errs.max())
         allowed = tol * h
         if err <= allowed:
             break
         if h <= h_min:
+            failed = " and ".join(
+                name for name, e in (("embedded error", embedded), ("dense-output bump |d|/16", bump))
+                if not e.max() <= allowed
+            )
             raise StepFailure(
                 f"cannot satisfy tol_step={tol:g} at t={tn!r}: h={h:.3e}, "
                 f"err={err:.3e} > allowed={allowed:.3e}, "
-                f"largest at interface k={int(np.argmax(errs)) + 1}"
+                f"largest at interface k={int(np.argmax(errs)) + 1}; failed test: {failed}"
             )
         stats.rejected += 1
         h = max(h * max(0.2, 0.9 * (allowed / err) ** 0.25), h_min)
@@ -482,6 +501,11 @@ class ClassicalSegment:
         if len(self.labels) != n:
             raise ValueError("one label per endpoint required")
         self._parity = np.array([(-1.0) ** k for k in range(1, n + 1)])
+        # _rhs's parity*(a - b*v) as (parity*-b)*v + parity*a: the same bits
+        # in two operations instead of three, except that a zero speed of an
+        # odd front reads +0, not -0
+        self._rhs_b = self._parity * -params.b
+        self._rhs_a = self._parity * params.a
         x0 = np.asarray(omega_start.endpoints, dtype=float)
         if n:
             # the initial slopes are the endpoint velocities the validation read
@@ -509,6 +533,8 @@ class ClassicalSegment:
         else:
             self._chain = ()
             self._kinks = np.unique(np.concatenate([np.asarray(profile_start.xs, dtype=float), x0]))
+        # the kinks between nan ends: _next_kink's "none" without a mask
+        self._kink_ends = np.concatenate([[math.nan], self._kinks, [math.nan]])
         self._index_history()
 
     # -- basic queries ----------------------------------------------------
@@ -538,20 +564,21 @@ class ClassicalSegment:
 
     def _index_history(self) -> None:
         """Flatten the finished segments before this one, and this one's fixed
-        data, into the arrays the fold reads: one column per (segment,
-        interface), i.e. per segment start endpoint."""
+        data, into the arrays the fold reads, each (columns, 1) so that it
+        broadcasts against the points: one column per (segment, interface),
+        i.e. per segment start endpoint."""
         segs = (*self._chain, self)
         self._origin = segs[0].profile_start
         self._t_origin = segs[0].t_start
-        self._col_x0 = np.concatenate([np.asarray(s.omega_start.endpoints, dtype=float) for s in segs])
-        self._col_sign = np.concatenate([s._signs for s in segs])
-        self._col_from = self._col_sign * self._col_x0
-        self._col_t0 = np.concatenate([np.full(s.n_interfaces, s.t_start) for s in segs])
+        col_x0 = np.concatenate([np.asarray(s.omega_start.endpoints, dtype=float) for s in segs])[:, None]
+        self._col_sign = np.concatenate([s._signs for s in segs])[:, None]
+        self._col_from = self._col_sign * col_x0
+        self._col_t0 = np.concatenate([np.full(s.n_interfaces, s.t_start) for s in segs])[:, None]
         # right after its start an interface that moves left lies below a
         # point on its start position, one that moves right above it; a point
         # counts an endpoint as below it when it exceeds this bound (x >= x0
         # is x > the float just below x0)
-        self._col_below = np.where(self._col_sign < 0, np.nextafter(self._col_x0, -math.inf), self._col_x0)
+        self._col_below = np.where(self._col_sign < 0, np.nextafter(col_x0, -math.inf), col_x0)
         seg_cols = np.cumsum([0] + [s.n_interfaces for s in segs])
         # reduceat runs over the segments with columns (it would give an
         # empty block the next column); None when that is every segment
@@ -566,7 +593,7 @@ class ClassicalSegment:
         ]
         # how far each column's motion has reached: the end of a finished
         # segment, the last accepted step of this one (kept by advance)
-        self._swept_to = np.concatenate([s._signs * s._path.arrays()[1][-1] for s in segs])
+        self._swept_to = np.concatenate([s._signs * s._path.arrays()[1][-1] for s in segs])[:, None]
         self._resets = np.asarray([s.t_start for s in segs[1:]], dtype=float)
 
     def _arrivals(self, xs: np.ndarray) -> np.ndarray | None:
@@ -584,8 +611,9 @@ class ClassicalSegment:
         # per column: a path's pairs are its block of rows, column by column.
         # ahead is freed before the inversions, whose temporaries set the
         # peak memory of a large read
-        ahead = self._col_sign[:, None] * xs
-        swept = (ahead > self._col_from[:, None]) & (ahead <= self._swept_to[:, None])
+        ahead = self._col_sign * xs
+        swept = ahead > self._col_from
+        swept &= ahead <= self._swept_to
         del ahead
         if not np.count_nonzero(swept):
             return None
@@ -594,9 +622,9 @@ class ClassicalSegment:
             k = np.flatnonzero(swept[a:b])
             if k.size:
                 cols, rows = np.divmod(k, xs.size)
-                np.put(T, a * xs.size + k, path.invert_col(cols, xs[rows], self._col_sign[a + cols]))
+                np.put(T, a * xs.size + k, path.invert_col(cols, xs[rows], self._col_sign[a + cols, 0]))
         # crossings at or before a segment's start are part of its initial state
-        T[T <= self._col_t0[:, None]] = math.inf
+        T[T <= self._col_t0] = math.inf
         return T
 
     def _start_phases(self, xs: np.ndarray) -> np.ndarray:
@@ -610,7 +638,7 @@ class ClassicalSegment:
         moves away from the component it bounds.  This is the limit the exact
         flow composition needs for continuity of v.
         """
-        return self._odd_per_segment(self._col_below[:, None] < xs)
+        return self._odd_per_segment(self._col_below < xs)
 
     def _odd_per_segment(self, mask: np.ndarray) -> np.ndarray:
         """Whether each point (column) of a (columns, points) mask holds an
@@ -669,18 +697,24 @@ class ClassicalSegment:
         if isinstance(dt, float):
             if not dt > 0.0:
                 return
-            m_in, m_out = inside, ~inside
+            n_in = np.count_nonzero(inside)
+            n_out = v.size - n_in
+            # the outside mask is read only when the phases mix
+            m_in, m_out = inside, (~inside if n_in and n_out else None)
             dt_in = dt_out = dt
         else:
             moving = dt > 0.0
             m_in, m_out = inside & moving, ~inside & moving
+            n_in, n_out = np.count_nonzero(m_in), np.count_nonzero(m_out)
             dt_in, dt_out = dt[m_in], dt[m_out]
-        for mask, flow, t, at_rest in ((m_in, flow_inside, dt_in, False), (m_out, flow_outside, dt_out, True)):
-            n = np.count_nonzero(mask)
+        for n, mask, flow, t, at_rest in (
+            (n_in, m_in, flow_inside, dt_in, False),
+            (n_out, m_out, flow_outside, dt_out, True),
+        ):
             if not n:
                 continue
             vm = v if n == v.size else v[mask]
-            if at_rest and not vm.view(np.int64).any():
+            if at_rest and not np.count_nonzero(vm.view(np.int64)):
                 continue
             if n == v.size:
                 v[:] = flow(self.params, v, t)
@@ -710,8 +744,7 @@ class ClassicalSegment:
     # -- integration -------------------------------------------------------
 
     def _rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        v = self._v_field(x, t)
-        return self._parity * (self.params.a - self.params.b * v)
+        return self._rhs_b * self._v_field(x, t) + self._rhs_a
 
     def advance(self) -> bool:
         """Take one accepted adaptive step; returns False once finished."""
@@ -733,9 +766,10 @@ class ClassicalSegment:
             h = t_kink - tn
         self._path.append(t_new, x_new, f_new, d)
         if x_new.size > 1:
-            self.stats.min_gap = min(self.stats.min_gap, float(np.min(x_new[1:] - x_new[:-1])))
-        speed = float(np.min(np.abs(f_new)))
-        self.stats.min_speed = min(self.stats.min_speed, speed)
+            self.stats.min_gap = min(self.stats.min_gap, float((x_new[1:] - x_new[:-1]).min()))
+        # signed, so that a front that turns back reads negative
+        self.stats.min_speed = min(self.stats.min_speed, float((self._signs * f_new).min()))
+        speed = float(np.abs(f_new).min())
         if not self._degeneracy_flagged and speed < self.margin:
             self._degeneracy_flagged = True
             self.stats.degeneracy_events.append((t_new, speed))
@@ -752,21 +786,20 @@ class ClassicalSegment:
             self._finalize_event(*hit)
         elif t_new >= self.t_goal:
             self.finished = True
-        self._swept_to[self._own_cols] = self._signs * self._path.arrays()[1][-1]
+        self._swept_to[self._own_cols, 0] = self._signs * self._path.arrays()[1][-1]
         return True
 
     def _next_kink(self, xn: np.ndarray, fn: np.ndarray) -> np.ndarray:
         """Per front, the nearest known kink ahead of it in its direction of
         motion and farther than it moves in 16*tol_event; nan where none."""
         reach = xn + fn * (16.0 * self.tol_event)
-        ahead = self._signs > 0
+        # indices into _kink_ends, whose nan ends stand for "none"
         i = np.where(
-            ahead,
-            np.searchsorted(self._kinks, reach, side="right"),
-            np.searchsorted(self._kinks, reach, side="left") - 1,
+            self._signs > 0,
+            self._kinks.searchsorted(reach, side="right") + 1,
+            self._kinks.searchsorted(reach, side="left"),
         )
-        found = (i >= 0) & (i < self._kinks.size)
-        return np.where(found, self._kinks[np.clip(i, 0, self._kinks.size - 1)], math.nan)
+        return self._kink_ends[i]
 
     def _step_cap(self, xn: np.ndarray, fn: np.ndarray, kink: np.ndarray) -> float:
         """Linear-predicted time to the crossing of each front's next kink
@@ -780,8 +813,9 @@ class ClassicalSegment:
         with np.errstate(divide="ignore", invalid="ignore"):
             to_kinks = (kink - xn) / fn
             gap = (xn[1:] - xn[:-1]) / (fn[:-1] - fn[1:])
-        to_kink = float(np.min(to_kinks[to_kinks > 0.0], initial=math.inf))
-        to_gap = float(np.min(gap[gap > 0.0], initial=math.inf))
+        # the least positive entry of each; nan is not positive
+        to_kink = float(np.minimum.reduce(to_kinks, initial=math.inf, where=to_kinks > 0.0))
+        to_gap = float(np.minimum.reduce(gap, initial=math.inf, where=gap > 0.0))
         return min(to_kink, to_gap + 16.0 * self.tol_event)
 
     def _kink_crossing(self, tn, xn, fn, kink, t_new, x_new, f_new, d) -> float | None:
@@ -790,7 +824,7 @@ class ClassicalSegment:
         step's quartic; None unless it lies more than 16*tol_event inside the
         step."""
         crossed = self._signs * (x_new - kink) > 0.0
-        if not np.any(crossed):
+        if not np.count_nonzero(crossed):
             return None
         h = np.full(np.count_nonzero(crossed), t_new - tn)
         t_cross = _invert_quartic(
@@ -815,14 +849,17 @@ class ClassicalSegment:
             return None
         ts, Y, F, D = self._path.arrays()
         t0 = ts[-2]
-        h = ts[-1] - t0
-        # gap i's quartic, from the differences of adjacent columns, and its
-        # monomial coefficients c1..c4 in theta (c0 is g0)
-        g0, s0, g1, s1, gd = (a[1:] - a[:-1] for a in (Y[-2], F[-2], Y[-1], F[-1], D[-1]))
+        h = float(ts[-1] - t0)
+        # gap i's quartic, from the differences of adjacent columns at both
+        # ends of the step, and its monomial coefficients c1..c4 in theta
+        # (c0 is g0)
+        (g0, g1), (s0, s1) = (a[-2:, 1:] - a[-2:, :-1] for a in (Y, F))
+        gd = D[-1, 1:] - D[-1, :-1]
+        hs0, hs1 = h * s0, h * s1
         c = np.array([
-            h * s0,
-            -3 * g0 - 2 * h * s0 + 3 * g1 - h * s1 + gd,
-            2 * g0 + h * s0 - 2 * g1 + h * s1 - 2 * gd,
+            hs0,
+            -3 * g0 - 2 * h * s0 + 3 * g1 - hs1 + gd,
+            2 * g0 + hs0 - 2 * g1 + hs1 - 2 * gd,
             gd,
         ])
         # |gap'| <= sum_j j |c_j| on [0, 1], so between samples 1/12 apart a
@@ -832,7 +869,7 @@ class ClassicalSegment:
         # each gap stays above g0 - sum_j |c_j| on [0, 1]; where that clears
         # the dip by far more than the samples' rounding, no sample is near
         spread = abs_c.sum(axis=0)
-        if np.all(g0 - spread > dip + 1e-12 * (g0 + spread)):
+        if (g0 - spread > dip + 1e-12 * (g0 + spread)).all():
             return None
         near = np.flatnonzero(_quartic_at(_SAMPLE_WEIGHTS, h, g0, s0, g1, s1, gd).min(axis=0) <= dip)
         # the first pair of thetas between which each near gap closes, from

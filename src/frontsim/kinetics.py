@@ -11,6 +11,10 @@ written in log1p form.  Each is evaluated with a fixed number of
 Fritsch-Shafer-Crowley or Halley steps from an explicit start, so every entry
 of a batch gets exactly the value a scalar call gives.  Everything here is
 pure, immutable after construction, and accepts scalars or numpy arrays.
+The flows' constants are read-only 0-d float64 arrays, not Python floats,
+since a ufunc takes a 0-d operand at about half a float's fixed cost with
+the same bits, and on the few points of a step's field read that fixed cost
+is the work.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +95,25 @@ class Parameters:
         """(A, B) with g(1, v) = (A*v + B) / (g3*v + g4); both positive."""
         return self.g1 * self.g3 - self.g2, self.g1 * self.g4
 
+    @cached_property
+    def _flow_constants(self) -> tuple[np.ndarray, ...]:
+        """The factors of v in the two flows' closed forms as 0-d arrays,
+        made on first use (the fields are frozen): g3/g4 and g4/g3 of the
+        quiescent flow, then A/B, B/A, kappa = g1*g3/g2 and log(kappa) of
+        the excited one.  Each flow's factor of t stays a float, since t is
+        one on the hot path and so is their product."""
+        A, B = self.rest_rate_coeffs()
+        kappa = self.g1 * self.g3 / self.g2
+        return _constants(self.g3 / self.g4, self.g4 / self.g3, A / B, B / A, kappa, math.log(kappa))
+
+
+def _constants(*values: float) -> tuple[np.ndarray, ...]:
+    """Each value as a read-only 0-d float64 array."""
+    out = tuple(np.array(v, dtype=float) for v in values)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
 
 def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
@@ -121,6 +145,10 @@ def front_speed(p: Parameters, v) -> np.ndarray | float:
 _FSC_STEPS = 2
 _HALLEY_STEPS = 3
 
+_ZERO, _HALF, _ONE, _TWO, _THIRD, _TWO_THIRDS, _M1_5, _SIXTEEN, _THIRTY_SIX = _constants(
+    0.0, 0.5, 1.0, 2.0, 1.0 / 3.0, 2.0 / 3.0, -1.5, 16.0, 36.0
+)
+
 
 def _flow_args(name: str, v0, t) -> tuple[np.ndarray, np.ndarray | float]:
     """v0 as a float array and t as a float array or, when it is a Python or
@@ -129,18 +157,27 @@ def _flow_args(name: str, v0, t) -> tuple[np.ndarray, np.ndarray | float]:
     Neither is broadcast here: the flows' arithmetic broadcasts them, so a
     float t (one time for a batch of v0) costs nothing per entry.
     """
-    v0a = _as_float_array(v0)
-    ta = float(t) if isinstance(t, float) else _as_float_array(t)
-    if np.count_nonzero(v0a < 0.0):
+    v0a = np.asarray(v0, dtype=float)
+    if np.count_nonzero(v0a < _ZERO):
         raise ValueError(f"{name} requires v0 >= 0")
-    if np.count_nonzero(ta < 0.0):
+    if isinstance(t, float):
+        if t < 0.0:
+            raise ValueError(f"{name} requires t >= 0")
+        return v0a, float(t)
+    ta = np.asarray(t, dtype=float)
+    if np.count_nonzero(ta < _ZERO):
         raise ValueError(f"{name} requires t >= 0")
     return v0a, ta
 
 
-def _positive_float(ta) -> bool:
-    """Whether t is one time after 0, so that no entry keeps its v0."""
-    return isinstance(ta, float) and ta > 0.0
+def _flow_result(out, v0a: np.ndarray, ta: np.ndarray | float) -> np.ndarray | float:
+    """The flow's values: v0 where t is not after 0, a float for a scalar
+    v0 and t."""
+    if not (isinstance(ta, float) and ta > 0.0):
+        out = np.where(ta > _ZERO, out, v0a)
+    if v0a.ndim == 0 and np.ndim(ta) == 0:
+        return float(out)
+    return out
 
 
 def _wright_omega(L: np.ndarray) -> np.ndarray:
@@ -157,28 +194,29 @@ def _wright_omega(L: np.ndarray) -> np.ndarray:
     nan.
     """
     y = np.asarray(L - np.log(L))  # an array even for a 0-d L
-    d = L - 1.0
-    np.copyto(y, 1.0 + d * (0.5 + d / 16.0), where=L <= 1.0)
-    np.copyto(y, np.exp(L), where=L < -1.5)
-    live = y > 0.0
+    d = L - _ONE
+    np.copyto(y, _ONE + d * (_HALF + d / _SIXTEEN), where=L <= _ONE)
+    np.copyto(y, np.exp(L), where=L < _M1_5)
+    dead = ~(y > _ZERO)
     for _ in range(_FSC_STEPS):
         r = L - y
         r -= np.log(y)
-        s = y + 1.0
-        q = r * (2.0 / 3.0)
+        s = y + _ONE
+        q = r * _TWO_THIRDS
         q += s
         q *= s
-        u = q - r * 0.5
+        u = q - r * _HALF
         q -= r
         r /= s
         r *= u
         r /= q
-        r += 1.0
+        r += _ONE
         y *= r
-    return np.where(live, y, 0.0)
+    np.copyto(y, _ZERO, where=dead)
+    return y
 
 
-def _log1p_root(kappa: float, u0: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _log1p_root(kappa: np.ndarray, log_kappa: np.ndarray, u0: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The u >= u0 with kappa*u - log1p(u) = R, for kappa > 1.
 
     w = kappa*(1 + u) solves w - ln w = X on the W_{-1} branch (w >= 1).  The
@@ -187,16 +225,17 @@ def _log1p_root(kappa: float, u0: np.ndarray, R: np.ndarray) -> np.ndarray:
     log1p form, which is convex and increasing with slope >= kappa - 1 and
     keeps small u accurate.
     """
-    X = R + kappa - math.log(kappa)
-    p = np.sqrt(2.0 * np.maximum(X - 1.0, 0.0))
+    X = R + kappa - log_kappa
+    p = np.sqrt(_TWO * np.maximum(X - _ONE, _ZERO))
     lx = np.log(X)
-    w = np.where(X < 2.0, 1.0 + p * (1.0 + p * (1.0 / 3.0 + p / 36.0)), X + lx + lx / X)
-    u = np.maximum(u0, w / kappa - 1.0)
+    w = np.asarray(X + lx + lx / X)  # an array even for a 0-d X
+    np.copyto(w, _ONE + p * (_ONE + p * (_THIRD + p / _THIRTY_SIX)), where=X < _TWO)
+    u = np.maximum(u0, w / kappa - _ONE)
     for _ in range(_HALLEY_STEPS):
-        s = 1.0 + u
+        s = _ONE + u
         f = kappa * u - np.log1p(u) - R
-        d1 = kappa - 1.0 / s
-        u = u - 2.0 * f * d1 / (2.0 * d1 * d1 - f / (s * s))
+        d1 = kappa - _ONE / s
+        u = u - _TWO * f * d1 / (_TWO * d1 * d1 - f / (s * s))
     return u
 
 
@@ -210,13 +249,12 @@ def flow_outside(p: Parameters, v0, t) -> np.ndarray | float:
     v0*exp(-g2*t/g4).
     """
     v0a, ta = _flow_args("flow_outside", v0, t)
-    y0 = (p.g3 / p.g4) * v0a
+    y_per_v, v_per_y = p._flow_constants[:2]
+    y0 = y_per_v * v0a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         L = y0 + np.log(y0) - (p.g2 / p.g4) * ta
-        out = (p.g4 / p.g3) * _wright_omega(L)
-    if not _positive_float(ta):
-        out = np.where(ta > 0.0, out, v0a)
-    return _scalar_like(out, v0, t)
+        out = v_per_y * _wright_omega(L)
+    return _flow_result(out, v0a, ta)
 
 
 def flow_inside(p: Parameters, v0, t) -> np.ndarray | float:
@@ -227,11 +265,9 @@ def flow_inside(p: Parameters, v0, t) -> np.ndarray | float:
     kappa*u - log1p(u) - t*A^2/(g2*g4) constant.
     """
     v0a, ta = _flow_args("flow_inside", v0, t)
-    A, B = p.rest_rate_coeffs()
-    kappa = p.g1 * p.g3 / p.g2
-    u0 = (A / B) * v0a
+    A, _ = p.rest_rate_coeffs()
+    u_per_v, v_per_u, kappa, log_kappa = p._flow_constants[2:]
+    u0 = u_per_v * v0a
     R = kappa * u0 - np.log1p(u0) + (A * A / (p.g2 * p.g4)) * ta
-    out = (B / A) * _log1p_root(kappa, u0, R)
-    if not _positive_float(ta):
-        out = np.where(ta > 0.0, out, v0a)
-    return _scalar_like(out, v0, t)
+    out = v_per_u * _log1p_root(kappa, log_kappa, u0, R)
+    return _flow_result(out, v0a, ta)

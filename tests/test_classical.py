@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,21 @@ class TestSolverBehavior:
             rhs = interface_speed_integral(w, seg.labels[1], t1, t2)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
+    def test_min_speed_is_signed(self, pstar):
+        # a front stalled at a steep ramp of v0 (0.3 up to x = 0.5, 0.9 from
+        # 1e-5 later) overshoots its stall point and turns back at t = 0.936
+        # at this tolerance; the record keeps the sign of the motion, so the
+        # turn reads negative, and equals the least signed slope of the
+        # path's knots (every one after the first is an accepted step's end)
+        ramp = Profile(np.array([-5.0, 0.5, 0.5 + 1e-5, 5.0]), np.array([0.3, 0.3, 0.9, 0.9]))
+        seg = ClassicalSegment(pstar, IntervalSet((-1.0, 0.0)), ramp, 0.0, 1.5, tol_step=1e-4)
+        for _ in range(60):
+            seg.advance()
+        F = seg._path.arrays()[2]
+        assert seg.stats.min_speed == (seg._signs * F[1:]).min() < 0.0
+        # the degeneracy check still compares |f| with the margin
+        assert all(speed >= 0.0 for _, speed in seg.stats.degeneracy_events)
+
     def test_empty_interval_set_runs_trivially(self, pstar):
         seg, ev = run_segment(pstar, IntervalSet.empty(), Profile.constant(1.0, (-2, 2)), 0.0, 3.0)
         assert ev is None and seg.finished
@@ -469,6 +485,80 @@ class TestRhsMatchesFold:
         # crossed in the first segment, and the sliver the collision closed
         for x in ([-3.5, 3.5], [-0.5, 0.5], [0.0, 0.25]):
             self._check(seg, np.array(x), swept=True)
+
+
+class TestStageSums:
+    """_dopri5_step's weighted sums, one product and one reduction along the
+    stage rows each, against the stage-order loop they replaced, bit for
+    bit (signed zeros included)."""
+
+    @staticmethod
+    def _stage_order(row, dk):
+        # dk[0] is +0, so the first stage's term only starts the sum at +0;
+        # zero weights are skipped
+        total = dk[0]
+        for i, w in enumerate(row):
+            if w != 0.0 and i > 0:
+                total = total + w * dk[i]
+        return total
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 16])
+    def test_every_row_matches_the_stage_order_loop(self, n):
+        rng = np.random.default_rng(n)
+        rows = [*classical._DP_A, classical._DP_B, classical._DP_E, classical._DP_D]
+        weights = [w for _, w in classical._DP_ROWS] + [classical._DP_B_W, classical._DP_E_W, classical._DP_D_W]
+        assert [w.shape[0] for w in weights] == [len(row) for row in rows]
+        for _ in range(200):
+            dk = rng.standard_normal((7, n)) * 10.0 ** rng.integers(-6, 7, (7, n))
+            # signed zeros, and now and then a column of them alone, whose
+            # sum's sign then shows
+            zeros = rng.random((7, n)) < 0.3
+            if rng.random() < 0.25:
+                zeros[:, rng.integers(n)] = True
+            dk[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+            dk[0] = 0.0
+            for row, w in zip(rows, weights):
+                want = self._stage_order(row, dk)
+                got = classical._stage_sum(w, dk)
+                assert got.shape == (n,) and got.tobytes() == want.tobytes()
+        # zeros signed so that every product after the first stage is -0:
+        # the loop's sum is +0, its start, and so must the reduction's be
+        for row, w in zip(rows, weights):
+            dk = np.zeros((7, n))
+            dk[1 : len(row)] = np.copysign(0.0, -np.array(row[1:]))[:, None]
+            assert self._stage_order(row, dk).tobytes() == classical._stage_sum(w, dk).tobytes() == bytes(8 * n)
+
+
+class TestStepFailure:
+    """At h_min the controller gives up with a message that says where it
+    stopped and which acceptance test failed."""
+
+    @pytest.mark.parametrize(
+        "f, tol, t_range, failed",
+        [
+            # a jump in the slope at t = 0.5: every step across it fails both
+            (lambda t, y: np.array([1.0, 1.0 if t < 0.5 else -1.0]), 1e-8, (0.49, 0.5),
+             "embedded error and dense-output bump |d|/16"),
+            # a slope singular at t = 1
+            (lambda t, y: np.array([1.0, 1.0]) / np.array([1.0, 1.0 - t]), 1e-4, (0.99, 1.0),
+             "dense-output bump |d|/16"),
+        ],
+        ids=["jump", "singular"],
+    )
+    def test_message_names_the_failing_test(self, f, tol, t_range, failed):
+        with np.errstate(divide="ignore"), pytest.raises(classical.StepFailure) as info:
+            classical.integrate_adaptive(f, 0.0, [0.0, 1.0], 2.0, tol=tol)
+        m = re.fullmatch(
+            r"cannot satisfy tol_step=(\S+) at t=(\S+): h=(\S+), err=(\S+) > allowed=(\S+), "
+            r"largest at interface k=(\d+); failed test: (.+)",
+            str(info.value),
+        )
+        assert m is not None, str(info.value)
+        t, h, err, allowed = (float(g) for g in m.group(2, 3, 4, 5))
+        assert float(m.group(1)) == tol and t_range[0] < t < t_range[1]
+        assert h <= 1.001e-13 * max(1.0, t) and allowed == pytest.approx(tol * h, rel=2e-3)
+        assert not err <= allowed
+        assert m.group(6) == "2" and m.group(7) == failed
 
 
 class TestStepperAccuracy:

@@ -247,6 +247,15 @@ class TestFlows:
             flow_outside(pstar, -0.5, 1.0)
         with pytest.raises(ValueError):
             flow_inside(pstar, 0.5, -1.0)
+        # a negative t as a Python float, a numpy float, a 0-d array or an
+        # array entry, and a negative v0 entry, for either flow
+        for flow in (flow_inside, flow_outside):
+            for t in (-1.0, np.float64(-1.0), np.asarray(-1.0), np.array([1.0, -1.0])):
+                with pytest.raises(ValueError, match="requires t >= 0"):
+                    flow(pstar, np.array([0.5, 0.5]), t)
+            for v0 in (-0.5, np.array([0.5, -0.5])):
+                with pytest.raises(ValueError, match="requires v0 >= 0"):
+                    flow(pstar, v0, 1.0)
 
     def test_vectorized_matches_scalar(self, pstar, rng):
         # fixed iteration counts: an entry's value does not depend on its batch
@@ -255,11 +264,14 @@ class TestFlows:
         for flow in (flow_inside, flow_outside):
             vec = flow(pstar, v0, t)
             assert [flow(pstar, a, b) for a, b in zip(v0, t)] == vec.tolist()
-            # one time for the whole batch, as a float or a 0-d array, and t = 0
-            for one in (1.7, np.float64(1.7), np.asarray(1.7), 0.0, np.asarray(0.0)):
-                vec = flow(pstar, v0, one)
-                assert vec.shape == v0.shape
-                assert [flow(pstar, a, float(one)) for a in v0] == vec.tolist()
+            # one time for the whole batch, as a Python float, a numpy float,
+            # a 0-d array or an array, and t = 0: every form gives the same
+            # bits, and those of one-point calls
+            for one in (1.7, 0.0):
+                vecs = [flow(pstar, v0, t) for t in (one, np.float64(one), np.asarray(one), np.full(v0.shape, one))]
+                for vec in vecs:
+                    assert vec.shape == v0.shape and vec.tobytes() == vecs[0].tobytes()
+                assert [flow(pstar, a, one) for a in v0] == vecs[0].tolist()
             assert flow(pstar, v0, 0.0).tolist() == v0.tolist()
 
 

@@ -671,14 +671,14 @@ class TestBatchedFieldRead:
         for path, a, b in seg._paths:
             cols, ys, want = [], [], []
             for j in range(b - a):
-                sign = seg._col_sign[a + j]
+                sign = seg._col_sign[a + j, 0]
                 x = path.eval(rng.uniform(path.t_start, path.t_end, 20))[:, j]
                 y = np.concatenate([x, [x.min() - 1.0, x.max() + 1.0]])
                 cols.append(np.full(y.size, j))
                 ys.append(y)
                 want.append(path.invert_col(j, y, sign))
             col = np.concatenate(cols)
-            got = path.invert_col(col, np.concatenate(ys), seg._col_sign[a + col])
+            got = path.invert_col(col, np.concatenate(ys), seg._col_sign[a + col, 0])
             np.testing.assert_array_equal(got, np.concatenate(want))
 
     @pytest.mark.parametrize("run", ["cascade16", "merge_run"])
@@ -693,15 +693,16 @@ class TestBatchedFieldRead:
             calls.clear()
             got = seg._arrivals(xs)
             assert len(calls) <= len(seg._paths)
-            # one call per swept column, as the fold made before
-            ahead = seg._col_sign * xs[:, None]
-            swept = (ahead > seg._col_from) & (ahead <= seg._swept_to)
+            # one call per swept column, as the fold made before; the fold's
+            # column arrays are (columns, 1), so .T lays them along a row
+            ahead = seg._col_sign.T * xs[:, None]
+            swept = (ahead > seg._col_from.T) & (ahead <= seg._swept_to.T)
             want = np.full(swept.shape, math.inf)
             paths = [(path, j) for path, a, b in seg._paths for j in range(b - a)]
             for c in np.flatnonzero(swept.any(axis=0)):
                 path, j = paths[c]
-                want[swept[:, c], c] = invert(path, j, xs[swept[:, c]], seg._col_sign[c])
-            want[want <= seg._col_t0] = math.inf
+                want[swept[:, c], c] = invert(path, j, xs[swept[:, c]], seg._col_sign[c, 0])
+            want[want <= seg._col_t0.T] = math.inf
             np.testing.assert_array_equal(got, want.T)
             assert np.isfinite(got).any()
 
