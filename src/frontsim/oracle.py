@@ -18,9 +18,13 @@ the initial intervals by a*t_end + 1 + 10*eps on each side, the last two
 terms for the diffuse front's lag and tanh tail.
 
 One kernel takes every step, in place on buffers allocated once per run: u
-carries a ghost cell at each end, set by even reflection before each step
-(the Neumann boundary), and the diffusion and reaction terms fold into one
-Horner cubic in u plus the neighbour sum and the v coupling.
+and v are the rows of one buffer, u with a ghost cell at each end, set by
+even reflection before each step (the Neumann boundary), and the diffusion
+and reaction terms fold into one Horner cubic in u plus the neighbour sum
+and the v coupling.  Its constants are read-only 0-d float64 arrays, the
+rule the kinetics module states.  After each update the checks run in a
+fixed order: v below -1e-8 raises, v is clamped at 0 only when min(v) is
+not > 0 (elsewhere the clamp is the identity), and |u| above 10 raises.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinetics import Parameters
+from .kinetics import Parameters, _constants
 from .state import IntervalSet, Profile
 from .weak import WeakSolution
 
@@ -72,11 +76,13 @@ class FHNConfig:
     (stiff reaction); both are enforced.  `freeze_v` pins v at its initial
     data, which isolates the u-front speed for calibration tests.
 
-    A step reads u from a buffer of n + 2 cells whose ghost cells mirror the
+    A step reads u from a row of n + 2 cells whose ghost cells mirror the
     first interior neighbours, so the boundary stencil is 2(u_1 - u_0)/dx^2,
-    and writes ((p3*u + p2)*u + p1)*u + (dt/dx^2)*(u_{i+1} + u_{i-1}) -
-    (dt*beta/eps)*v into a second buffer, the coefficients fixed per run;
-    the two buffers swap, and v is updated in place.
+    and overwrites u with ((p3*u + p2)*u + p1)*u + (dt/dx^2)*(u_{i+1} +
+    u_{i-1}) - (dt*beta/eps)*v once every term is read, the coefficients
+    fixed per run as read-only 0-d arrays; v is updated in place from the
+    old u and v.  Then v below -1e-8 raises FHNBlowUp, v is clamped at 0
+    when min(v) is not > 0, and |u| above 10 raises FHNBlowUp.
     """
 
     eps: float
@@ -192,88 +198,95 @@ def init_fhn(cfg: FHNConfig, omega: IntervalSet, profile: Profile) -> FHNState:
 class _Kernel:
     """The explicit step, in place on buffers allocated once.
 
-    u lives in the interior of a buffer of n + 2 cells; each step sets the
-    two ghost cells by even reflection (U[0] = U[2], U[-1] = U[-3]), which is
-    the Neumann stencil 2(u_1 - u_0)/dx^2 at the boundary.  Diffusion and the
-    reaction cubic fold into
+    u and v are the interiors of the two rows of one (2, n + 2) buffer, so
+    one reduction along the rows gives both minima the checks read.  Each
+    step sets u's two ghost cells by even reflection (U[0] = U[2],
+    U[-1] = U[-3]), which is the Neumann stencil 2(u_1 - u_0)/dx^2 at the
+    boundary.  Diffusion and the reaction cubic fold into
 
         u_new = ((p3*u + p2)*u + p1)*u + r*(U[i+1] + U[i-1]) - kv*v,
 
     with r = dt/dx^2, k = dt/eps^2, c = 1/2 - eps*alpha, p3 = -k,
-    p2 = k(1 + c), p1 = 1 - 2r - k*c and kv = k*eps*beta, written into the
-    second u buffer; the two buffers swap after each step.  v is updated in
-    place from the old u, v += dt*g1*u - dt*g2*v/(g3*v + g4).
+    p2 = k(1 + c), p1 = 1 - 2r - k*c and kv = k*eps*beta, and
+    v += dt*g1*u - dt*g2*v/(g3*v + g4); both read the old u and v, and both
+    land in place once every term is read.  The constants (and the clamp's
+    0) are read-only 0-d float64 arrays, not floats: a ufunc takes those at
+    a smaller fixed cost with the same bits, and at a few thousand cells
+    that fixed cost is much of a step.
+
+    The checks run in a fixed order after the update: v below -1e-8 raises,
+    then v is clamped at 0, but only when min(v) is not > 0, where the clamp
+    is the identity; then |u| above 10 raises.  With freeze_v, v is never
+    updated, checked or clamped.
     """
 
     def __init__(self, cfg: FHNConfig, u: np.ndarray, v: np.ndarray) -> None:
-        self.cfg = cfg
         r = cfg.dt / cfg.dx**2
         k = cfg.dt / cfg.eps**2
         c = 0.5 - cfg.eps * cfg.alpha
-        self.r, self.kv = r, k * cfg.eps * cfg.beta
-        self.p3, self.p2, self.p1 = -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c
-        self.dt_g1, self.dt_g2 = cfg.dt * cfg.g1, cfg.dt * cfg.g2
-        self.g3, self.g4 = cfg.g3, cfg.g4
-        # per u buffer: (whole, interior, right neighbours, left neighbours)
-        bufs = [np.empty(u.size + 2) for _ in range(2)]
-        self._cur, self._nxt = [(b, b[1:-1], b[2:], b[:-2]) for b in bufs]
-        self._cur[1][:] = u
-        self.v = np.array(v, dtype=float)
-        self._s = np.empty(u.size)
-        self._s2 = np.empty(u.size)
-
-    @property
-    def u(self) -> np.ndarray:
-        return self._cur[1]
+        consts = _constants(
+            r, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c,
+            cfg.dt * cfg.g1, cfg.dt * cfg.g2, cfg.g3, cfg.g4, 0.0,
+        )
+        fields = np.zeros((2, u.size + 2))
+        both = fields[:, 1:-1]
+        both[0], both[1] = u, v
+        self.u, self.v = both
+        U = fields[0]
+        temps = [np.empty(u.size) for _ in range(4)]
+        self._frozen = cfg.freeze_v
+        self._bound = (U, U[2:], U[:-2], self.u, self.v, both, *temps, *consts)
 
     def step(self) -> None:
-        # ufuncs bound to locals and positional `out`: the per-call dispatch
-        # is a sizeable share of a step at a few thousand cells
+        (U, right, left, u, v, both, s, t, q, z,
+         r, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero) = self._bound
         mul, add, sub = np.multiply, np.add, np.subtract
-        s, v = self._s, self.v
-        U, u, right, left = self._cur
         U[0] = U[2]
         U[-1] = U[-3]
-        un = self._nxt[1]
-        mul(u, self.p3, un)
-        add(un, self.p2, un)
-        mul(un, u, un)
-        add(un, self.p1, un)
-        mul(un, u, un)
         add(right, left, s)
-        mul(s, self.r, s)
-        add(un, s, un)
-        mul(v, self.kv, s)
-        sub(un, s, un)
-        if not self.cfg.freeze_v:
-            s2 = self._s2
-            mul(v, self.g3, s)
-            add(s, self.g4, s)
-            np.divide(v, s, s)
-            mul(s, self.dt_g2, s)
-            mul(u, self.dt_g1, s2)
-            sub(s2, s, s2)
-            add(v, s2, v)
-            v_min = np.minimum.reduce(v)
+        mul(s, r, s)
+        mul(u, p3, t)
+        add(t, p2, t)
+        mul(t, u, t)
+        add(t, p1, t)
+        mul(t, u, t)
+        add(t, s, t)
+        mul(v, kv, s)
+        if not self._frozen:
+            mul(u, dt_g1, z)
+            mul(v, g3, q)
+            add(q, g4, q)
+            np.divide(v, q, q)
+            mul(q, dt_g2, q)
+            sub(z, q, z)
+            add(v, z, v)
+        sub(t, s, u)
+        u_min, v_min = np.minimum.reduce(both, axis=1).tolist()
+        if not self._frozen:
             if v_min < -1e-8:
                 raise FHNBlowUp(f"recovery field went negative ({v_min:.3e})")
-            # numpy deprecates a third positional argument of np.maximum
-            np.maximum(v, 0.0, out=v)
-        if np.maximum.reduce(un) > 10.0 or np.minimum.reduce(un) < -10.0:
+            if not v_min > 0.0:
+                # numpy deprecates a third positional argument of np.maximum
+                np.maximum(v, zero, out=v)
+        if np.maximum.reduce(u) > 10.0 or u_min < -10.0:
             raise FHNBlowUp("u exceeded the blow-up bound; scheme unstable")
-        self._cur, self._nxt = self._nxt, self._cur
 
 
 def extract_interfaces(s: FHNState) -> np.ndarray:
-    """Positions where u crosses 1/2, by linear interpolation, left to right."""
+    """Positions where u crosses 1/2, left to right.
+
+    A crossing lies between two samples on opposite sides of 1/2: between
+    neighbours it is their linear interpolation, and across samples exactly
+    at 1/2 it is the middle of those samples (the sample itself if only one).
+    Samples that touch 1/2 without u crossing it give nothing.
+    """
     d = s.u - 0.5
-    sign_change = d[:-1] * d[1:] < 0.0
-    idx = np.flatnonzero(sign_change)
-    crossings = s.x[idx] + (s.x[idx + 1] - s.x[idx]) * (-d[idx]) / (d[idx + 1] - d[idx])
-    exact = np.flatnonzero(d == 0.0)
-    if exact.size:
-        crossings = np.sort(np.concatenate([crossings, s.x[exact]]))
-    return crossings
+    off = np.flatnonzero(d)
+    i, j = off[:-1], off[1:]
+    flip = d[i] * d[j] < 0.0
+    i, j = i[flip], j[flip]
+    between = s.x[i] + (s.x[j] - s.x[i]) * (-d[i]) / (d[j] - d[i])
+    return np.where(j == i + 1, between, 0.5 * (s.x[i + 1] + s.x[j - 1]))
 
 
 def run_fhn(
@@ -291,8 +304,9 @@ def run_fhn(
     every = max(1, int(round(sample_dt / cfg.dt)))
     times = [0.0]
     interfaces = [extract_interfaces(state)]
+    step = kernel.step
     for n in range(1, n_steps + 1):
-        kernel.step()
+        step()
         if n % every == 0 or n == n_steps:
             t = n * cfg.dt
             snap = FHNState(x=state.x, u=kernel.u, v=kernel.v, t=t)

@@ -80,6 +80,25 @@ class TestInit:
             init_fhn(cfg, IntervalSet((-3.9, 0.0)), Profile.constant(0.0, (-4, 4)))
 
 
+def _two_pulses(cfg):
+    omega = IntervalSet((-2.0, -0.8, 0.6, 2.0))
+    v0 = Profile(np.array([-4.0, 0.0, 4.0]), np.array([0.1, 0.3, 0.05]))
+    s = init_fhn(cfg, omega, v0)
+    return s.u, s.v
+
+
+def _pulse_at_rest(cfg):
+    # u is exactly 0 in the saturated tanh tails, so v stays exactly 0 there
+    s = init_fhn(cfg, IntervalSet((-1.0, 1.0)), Profile.constant(0.0, (-4, 4)))
+    return s.u, s.v
+
+
+def _below_rest(cfg):
+    # u < 0 on v = 0 takes v into (-1e-8, 0), where the clamp acts
+    x = cfg.grid
+    return np.full_like(x, -1e-6), np.zeros_like(x)
+
+
 class TestStep:
     def test_rest_state_is_fixed(self, pstar):
         cfg = small_cfg(pstar)
@@ -139,28 +158,40 @@ class TestStep:
         assert np.array_equal(trace.final.u, kernel.u)
         assert np.array_equal(trace.final.v, kernel.v)
 
-    @pytest.mark.parametrize("freeze_v", [False, True])
-    def test_kernel_matches_plain_reference_step(self, pstar, freeze_v):
+    @pytest.mark.parametrize(
+        "start, freeze_v, branch",
+        [
+            pytest.param(_two_pulses, False, None, id="False"),
+            pytest.param(_two_pulses, True, None, id="True"),
+            pytest.param(_pulse_at_rest, False, "v_min_zero", id="v_min_zero"),
+            pytest.param(_below_rest, False, "clamped", id="clamped"),
+        ],
+    )
+    def test_kernel_matches_plain_reference_step(self, pstar, start, freeze_v, branch):
         # the step as plain array expressions, each operation in the kernel's
-        # order, so every value must agree bit for bit
+        # order, so every value must agree bit for bit; the reference clamps
+        # v every step, the kernel only when min(v) is not > 0
         cfg = small_cfg(pstar, freeze_v=freeze_v)
-        omega = IntervalSet((-2.0, -0.8, 0.6, 2.0))
-        v0 = Profile(np.array([-4.0, 0.0, 4.0]), np.array([0.1, 0.3, 0.05]))
-        s = init_fhn(cfg, omega, v0)
+        u, v = start(cfg)
         r, k = cfg.dt / cfg.dx**2, cfg.dt / cfg.eps**2
         c = 0.5 - cfg.eps * cfg.alpha
         p3, p2, p1, kv = -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c, k * cfg.eps * cfg.beta
         dt_g1, dt_g2 = cfg.dt * cfg.g1, cfg.dt * cfg.g2
-        kernel = frontsim.oracle._Kernel(cfg, s.u, s.v)
-        u, v = s.u.copy(), s.v.copy()
+        kernel = frontsim.oracle._Kernel(cfg, u, v)
+        taken = {"v_min_zero": 0, "clamped": 0}
         for _ in range(200):
             padded = np.concatenate([u[1:2], u, u[-2:-1]])
             u_new = ((u * p3 + p2) * u + p1) * u + (padded[2:] + padded[:-2]) * r - v * kv
             if not freeze_v:
-                v = np.maximum(v + (u * dt_g1 - v / (v * cfg.g3 + cfg.g4) * dt_g2), 0.0)
+                v = v + (u * dt_g1 - v / (v * cfg.g3 + cfg.g4) * dt_g2)
+                taken["v_min_zero"] += np.min(v) == 0.0
+                taken["clamped"] += -1e-8 < np.min(v) < 0.0
+                v = np.maximum(v, 0.0)
             u = u_new
             kernel.step()
             assert np.array_equal(kernel.u, u) and np.array_equal(kernel.v, v)
+        # the datum must keep reaching the branch its case is for
+        assert branch is None or taken[branch] > 0
 
 
 class TestExtract:
@@ -178,6 +209,19 @@ class TestExtract:
         x = cfg.grid
         s = FHNState(x=x, u=np.zeros_like(x), v=np.zeros_like(x), t=0.0)
         assert extract_interfaces(s).size == 0
+
+    @pytest.mark.parametrize(
+        "u, want",
+        [
+            ([0.4, 0.45, 0.5, 0.45, 0.4], []),  # touches 1/2, does not cross
+            ([0.4, 0.45, 0.5, 0.55, 0.6], [0.5]),  # crosses at the sample
+            ([0.6, 0.5, 0.5, 0.5, 0.4], [0.5]),  # crosses over a run: its middle
+        ],
+    )
+    def test_samples_exactly_at_half(self, u, want):
+        x = np.linspace(0.0, 1.0, 5)
+        s = FHNState(x=x, u=np.array(u), v=np.zeros_like(x), t=0.0)
+        np.testing.assert_array_equal(extract_interfaces(s), want)
 
     def test_double_pulse(self, pstar):
         cfg = small_cfg(pstar)
