@@ -6,23 +6,27 @@ The 2m interface positions satisfy the coupled ODE system
 
 where v(x, t) is reconstructed semi-analytically: each spatial point evolves
 by the exact inside/outside flow maps, switching branch at the arrival times
-of the interfaces that cross it.  The system is integrated with the
-Dormand-Prince 5(4) pair under error-per-unit-step control, with its quartic
-dense output (Shampine 1986): a step is accepted when both the embedded error
-and the gap between the quartic and the cubic Hermite interpolant are within
-tol_step * h.  Each weighted sum of stage slopes is one product and one numpy
-reduction along the stage rows, which adds them in stage order, so its bits
-are those of a loop over the stages.  The first trial step is sqrt(tol_step),
-or, for a segment that continues a finished one after an annihilation, the
-step size that segment's controller last proposed.  The right-hand side is
-smooth except where a front crosses a kink of the field, whose positions never
-move; steps are capped to end at the predicted crossing, and a step that still
-crosses one is taken again to end there.  Gap closures (collisions of adjacent
-interfaces), kink crossings and arrival times at given positions are all roots
-of the quartic dense output, located by one bracketed Newton rule
-(_invert_quartic).  tol_event sets the window within which two closures count
-as simultaneous, the slacks of the step cap and the kink crossing, and the gap
-below which surgery takes interfaces as collided.
+of the interfaces that cross it.  Those times depend on x alone, so a read's
+x-only work runs once per point of x; the flows run on the broadcast shape of
+x and t.
+
+The system is integrated with the Dormand-Prince 5(4) pair under
+error-per-unit-step control, with its quartic dense output (Shampine 1986):
+a step is accepted when both the embedded error and the gap between the
+quartic and the cubic Hermite interpolant are within tol_step * h.  Each
+weighted sum of stage slopes is one product and one numpy reduction along
+the stage rows, which adds them in stage order, so its bits are those of a
+loop over the stages.  The first trial step is sqrt(tol_step), or, for a
+segment that continues a finished one after an annihilation, the step size
+that segment's controller last proposed.  The right-hand side is smooth
+except where a front crosses a kink of the field, whose positions never
+move; steps are capped to end at the predicted crossing, and a step that
+still crosses one is taken again to end there.  Gap closures (collisions of
+adjacent interfaces), kink crossings and arrival times at given positions
+are all roots of the quartic dense output, located by one bracketed Newton
+rule (_invert_quartic).  tol_event sets the window within which two
+closures count as simultaneous, the slacks of the step cap and the kink
+crossing, and the gap below which surgery takes interfaces as collided.
 """
 from __future__ import annotations
 
@@ -176,6 +180,16 @@ def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign, lo=0.0, hi=1.0):
 _SAMPLES = np.linspace(0.0, 1.0, 13)
 _SAMPLE_WEIGHTS = _quartic_weights(_SAMPLES[:, None])
 _POWERS = np.arange(1.0, 5.0)
+# _scan_event's first test: the rows c1..c4 of a gap's monomial coefficients
+# from its (g0, g1, h*s0, h*s1, gd), and twice the factor (1 + j/24) of |c_j|
+# in its spread plus its dip
+_GAP_COEFFS = np.array([
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+    [-3.0, 3.0, -2.0, -1.0, 1.0],
+    [2.0, -2.0, 1.0, 1.0, -2.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0],
+])
+_GAP_BOUND = 2.0 * (1.0 + _POWERS / 24.0)
 
 
 class DensePath:
@@ -367,17 +381,21 @@ def _weights(row) -> np.ndarray:
 _DP_ROWS = tuple((c, _weights(row)) for c, row in zip(_DP_C, _DP_A))
 _DP_C_COL = np.array(_DP_C)[:, None]
 _DP_B_W, _DP_E_W, _DP_D_W = _weights(_DP_B), _weights(_DP_E), _weights(_DP_D)
+# the D and E columns as one (2, 7, 1) block: both read all seven slope
+# rows once f_new is known, so one product and one reduction give both sums
+_DP_DE_W = np.stack([_DP_D_W, _DP_E_W])
 
 
 def _stage_sum(weights: np.ndarray, dk: np.ndarray) -> np.ndarray:
-    """sum_i w_i dk_i over the first rows of dk, in stage order.
+    """sum_i w_i dk_i over the first rows of dk, in stage order, for a
+    (rows, 1) column of weights, or for each column of a (k, rows, 1) block.
 
-    One product and one reduction along the rows: with at most 7 rows
+    One product and one reduction along the stage axis: with at most 7 rows
     (never numpy's 8-way pairwise blocks), numpy adds them one row after
     another from +0, so every entry is the stage-order loop's sum bit for
     bit.
     """
-    return np.add.reduce(weights * dk[: weights.shape[0]], axis=0)
+    return np.add.reduce(weights * dk[: weights.shape[-2]], axis=-2)
 
 
 def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stats: SegmentStats):
@@ -403,8 +421,8 @@ def _dopri5_step(f, tn: float, yn, fn, h: float, tol: float, t_goal: float, stat
         y_new = yn + h * (fn + _stage_sum(_DP_B_W, dk))
         f_new = f(tn + h, y_new)
         np.subtract(f_new, fn, out=dk[6])
-        d = h * _stage_sum(_DP_D_W, dk)
-        embedded = np.abs(h * _stage_sum(_DP_E_W, dk))
+        d, e = h * _stage_sum(_DP_DE_W, dk)
+        embedded = np.abs(e)
         bump = np.abs(d) / 16.0
         errs = np.maximum(embedded, bump)
         err = float(errs.max())
@@ -654,17 +672,25 @@ class ClassicalSegment:
         """v(xs, tq): the exact flows folded from the first segment's profile
         over each point's whole in/out history, whatever the segment.
 
-        tq is one time for all points (a float) or one per point.  Every
-        event of the history is a phase toggle: a crossing, or a segment
-        start whose phase differs from the one the crossings before it carry
-        (the points between two colliding fronts).  Pieces of equal phase
-        across a segment start thus flow in one call, so the work follows a
-        point's phase changes, not the number of segments.  Where no point
-        has an event, the fold is its first slot alone: each point flows
-        from the origin to tq in its start phase.
+        xs is an array of points of any shape, and tq one time for all of
+        them (a float) or an array of times of the shape of the result, to
+        which xs's shape broadcasts.  The x-only work runs once per point of
+        xs: the start phases, the crossings, the segment starts that toggle
+        a phase, their sort and count, and the origin profile's values.  The
+        flows run on the broadcast shape, each entry with the dt sequence of
+        a one-point read.
+
+        Every event of the history is a phase toggle: a crossing, or a
+        segment start whose phase differs from the one the crossings before
+        it carry (the points between two colliding fronts).  Pieces of
+        equal phase across a segment start thus flow in one call, so the
+        work follows a point's phase changes, not the number of segments.
+        Where no point has an event, the fold is its first slot alone: each
+        point flows from the origin to tq in its start phase.
         """
-        phases = self._start_phases(xs)
-        T = self._arrivals(xs)
+        pts = xs.ravel()
+        phases = self._start_phases(pts)
+        T = self._arrivals(pts)
         if self._resets.size:
             carried = phases[:-1]
             if T is not None:
@@ -675,8 +701,11 @@ class ClassicalSegment:
         if T is not None:
             T.sort(axis=0)
             n_cross = int(np.max(np.count_nonzero(np.isfinite(T), axis=0), initial=0))
-        phase0 = phases[0]
-        v = np.array(self._origin.eval(xs), dtype=float, ndmin=1)
+            # each event row in xs's shape, to broadcast against tq
+            T = T.reshape(T.shape[:1] + xs.shape)
+        phase0 = phases[0].reshape(xs.shape)
+        v = np.empty(xs.shape if isinstance(tq, float) else tq.shape)
+        v[...] = self._origin.eval(xs)
         prev = self._t_origin
         # past the last finite event every point has flowed up to tq
         for slot in range(n_cross + 1):
@@ -686,38 +715,41 @@ class ClassicalSegment:
         return v
 
     def _flow(self, v: np.ndarray, inside: np.ndarray, dt) -> None:
-        """Flow each entry of v in place by dt (a float, or one per entry) in
-        the phase inside marks; entries with dt <= 0 stay.
+        """Flow each entry of v in place by dt (a float, or an array of v's
+        shape) in the phase inside marks (an array that broadcasts to v's
+        shape); entries with dt <= 0 stay.
 
         The rest state v = 0 is a fixed point of the quiescent flow
         (flow_outside maps +0.0 to +0.0 exactly), so the outside entries are
         left as they are when every one of them is +0.0: the one float whose
         bits are all zero.
         """
-        if isinstance(dt, float):
+        one_dt = isinstance(dt, float)
+        if one_dt:
             if not dt > 0.0:
                 return
             n_in = np.count_nonzero(inside)
             n_out = v.size - n_in
             # the outside mask is read only when the phases mix
             m_in, m_out = inside, (~inside if n_in and n_out else None)
-            dt_in = dt_out = dt
         else:
             moving = dt > 0.0
             m_in, m_out = inside & moving, ~inside & moving
             n_in, n_out = np.count_nonzero(m_in), np.count_nonzero(m_out)
-            dt_in, dt_out = dt[m_in], dt[m_out]
-        for n, mask, flow, t, at_rest in (
-            (n_in, m_in, flow_inside, dt_in, False),
-            (n_out, m_out, flow_outside, dt_out, True),
+        for n, mask, flow, at_rest in (
+            (n_in, m_in, flow_inside, False),
+            (n_out, m_out, flow_outside, True),
         ):
             if not n:
                 continue
-            vm = v if n == v.size else v[mask]
+            # every entry flows: v and dt as they are, no mask read
+            whole = n == v.size
+            vm = v if whole else v[mask]
             if at_rest and not np.count_nonzero(vm.view(np.int64)):
                 continue
-            if n == v.size:
-                v[:] = flow(self.params, v, t)
+            t = dt if whole or one_dt else dt[mask]
+            if whole:
+                v[...] = flow(self.params, v, t)
             else:
                 v[mask] = flow(self.params, vm, t)
 
@@ -725,18 +757,20 @@ class ClassicalSegment:
         """Recovery field v(x, t) for any t from the start of the history this
         segment continues to its own end (x, t broadcastable).
 
+        The x-only work runs once per point of x; the flows run on the
+        broadcast shape.  So an outer grid, x of shape (1, n) and t of shape
+        (m, 1), inverts each crossing once per x, not once per (x, t) entry,
+        and every entry reads what a one-point call reads.
+
         Raises ValueError for a time outside that span or a non-finite x.
         """
         self._check_time(t, self._t_origin)
-        xs, ts = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-        )
+        xs = np.asarray(x, dtype=float)
         # the quiescent flow maps nan to the rest state, so nan would read 0
         if not np.isfinite(xs).all():
             raise ValueError("position must be finite")
-        shape = xs.shape
-        out = self._v_field(xs.ravel().astype(float), ts.ravel().astype(float))
-        out = out.reshape(shape)
+        ts = np.asarray(t, dtype=float)
+        out = self._v_field(xs, np.broadcast_to(ts, np.broadcast_shapes(xs.shape, ts.shape)))
         if np.ndim(x) == 0 and np.ndim(t) == 0:
             return float(out)
         return out
@@ -843,13 +877,27 @@ class ClassicalSegment:
         one _invert_quartic call locates every such closure by Newton's
         method inside its bracket.  A later pair wins only when it closes
         more than tol_event earlier, so closures within tol_event of each
-        other go to the leftmost pair."""
+        other go to the leftmost pair.
+
+        Most steps end at a first test of a handful of numpy calls on one
+        block of every gap's data: each gap g0 exceeds twice its spread
+        plus its dip.  That block's coefficients come from one matrix
+        product, not from the sums below, so they differ from theirs by a
+        few roundings of terms no larger than a few g0; the factor 2 leaves
+        g0 / 2 for those, so a step that passes the first test also passes
+        the second.  Where the first fails, the second decides as before.
+        """
         n = self.n_interfaces
         if n < 2 or len(self._path) < 2:
             return None
         ts, Y, F, D = self._path.arrays()
         t0 = ts[-2]
         h = float(ts[-1] - t0)
+        block = np.concatenate((Y[-2:], F[-2:], D[-1:]))
+        gaps = block[:, 1:] - block[:, :-1]
+        gaps[2:4] *= h
+        if np.count_nonzero(gaps[0] > _GAP_BOUND.dot(np.abs(_GAP_COEFFS.dot(gaps)))) == n - 1:
+            return None
         # gap i's quartic, from the differences of adjacent columns at both
         # ends of the step, and its monomial coefficients c1..c4 in theta
         # (c0 is g0)

@@ -79,10 +79,19 @@ def _trajectories_csv(w: WeakSolution, t_end: float, n_samples: int) -> str:
 
 
 def _field_csv(value_at, xs, ts) -> str:
-    """Rows t,x,v on the grid ts x xs, from one value_at call over all of it."""
-    X, T = np.meshgrid(xs, ts)
-    X, T = X.ravel(), T.ravel()
-    return _csv("t,x,v", T, X, np.asarray(value_at(X, T)))
+    """Rows t,x,v on the grid ts x xs, t-major: the text of _csv("t,x,v",
+    T, X, v) on the flattened meshgrid.
+
+    The field comes from one value_at call on the outer grid (xs[None, :],
+    ts[:, None]): evaluate_v's x-only work runs once per point of x; the
+    flows run on the broadcast shape.  Each t and each x is formatted once;
+    the v column is formatted as _csv does, all of it in one operation.
+    """
+    v = np.asarray(value_at(xs[None, :], ts[:, None]), dtype=float)
+    # a row's text after its t, with the slot of its v; each t joins them
+    after_t = ["", *(",%.17g,%%.17g\n" % x for x in xs.tolist())]
+    rows = "".join(("%.17g" % t).join(after_t) for t in ts.tolist())
+    return "t,x,v\n" + rows % tuple(v.ravel().tolist())
 
 
 def _field_grid(cfg: RunConfig):

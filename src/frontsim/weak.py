@@ -82,6 +82,9 @@ class WeakSolution:
         return np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
 
     def evaluate_v(self, x, t) -> np.ndarray | float:
+        """v(x, t) for x and t broadcastable, through the last segment's fold
+        (ClassicalSegment.evaluate_v): x-only work runs once per point of x;
+        the flows run on the broadcast shape."""
         if not self.segments:
             raise ValueError("empty weak solution")
         return self.segments[-1].evaluate_v(x, t)

@@ -420,6 +420,42 @@ class TestQuarticDenseOutput:
         t_hit, pair = scan(2.0 * seg.tol_event)
         assert pair == 2 and t_hit == pytest.approx(0.5 * h - 2.0 * seg.tol_event, abs=1e-16)
 
+    def test_scan_event_first_test_implies_the_second(self, pstar, rng, monkeypatch):
+        # steps whose gaps move by a hundredth of their size up to 5 times it,
+        # and linear steps whose gaps end between -0.3 and 1.5 times their
+        # start, so that the first test passes, fails near its bound, and
+        # gaps close; with the first test disabled the second decides every
+        # step alone, and every result must be the same
+        seg = ClassicalSegment(pstar, IntervalSet((-3.0, -1.0, 1.0, 3.0)), Profile.constant(0.0, (-16.0, 16.0)), 0.0, 1.0)
+        h = 0.01
+        paths = []
+        for _ in range(400):
+            y0 = np.cumsum(rng.uniform(0.1, 1.0, 4))
+            scale = 10.0 ** rng.uniform(-2.0, 0.7) * np.diff(y0).min()
+            f0, f1 = rng.normal(size=(2, 4)) * scale / h
+            path = DensePath(0.0, y0, f0)
+            path.append(h, y0 + rng.normal(size=4) * scale, f1, rng.normal(size=4) * scale)
+            paths.append(path)
+        for _ in range(200):
+            y0 = np.cumsum(rng.uniform(0.1, 1.0, 4))
+            y1 = y0[0] + np.concatenate([[0.0], np.cumsum(np.diff(y0) * rng.uniform(-0.3, 1.5, 3))])
+            path = DensePath(0.0, y0, (y1 - y0) / h)
+            path.append(h, y1, (y1 - y0) / h, np.zeros(4))
+            paths.append(path)
+
+        def scan_all():
+            out = []
+            for path in paths:
+                seg._path = path
+                out.append(seg._scan_event())
+            return out
+
+        got = scan_all()
+        # a nan bound fails every comparison, so the first test never ends a scan
+        monkeypatch.setattr(classical, "_GAP_BOUND", np.full(4, math.nan))
+        assert got == scan_all()
+        assert sum(r is None for r in got) > 150 and sum(r is not None for r in got) > 150
+
     def test_scan_event_skips_gaps_that_cannot_close(self, pstar, monkeypatch):
         # gaps of at least 2.5 that move far less than that per step: no
         # step needs the sampled scan of the gap quartics
@@ -521,12 +557,24 @@ class TestStageSums:
                 want = self._stage_order(row, dk)
                 got = classical._stage_sum(w, dk)
                 assert got.shape == (n,) and got.tobytes() == want.tobytes()
+            # the D and E sums from one (2, 7, 1) block
+            pair = classical._stage_sum(classical._DP_DE_W, dk)
+            want = np.stack([self._stage_order(classical._DP_D, dk), self._stage_order(classical._DP_E, dk)])
+            assert pair.shape == (2, n) and pair.tobytes() == want.tobytes()
         # zeros signed so that every product after the first stage is -0:
         # the loop's sum is +0, its start, and so must the reduction's be
         for row, w in zip(rows, weights):
             dk = np.zeros((7, n))
             dk[1 : len(row)] = np.copysign(0.0, -np.array(row[1:]))[:, None]
             assert self._stage_order(row, dk).tobytes() == classical._stage_sum(w, dk).tobytes() == bytes(8 * n)
+        # the same for each row of the fused pair, the other row beside it
+        d_row, e_row = classical._DP_D, classical._DP_E
+        for row in (d_row, e_row):
+            dk = np.zeros((7, n))
+            dk[1:] = np.copysign(0.0, -np.array(row[1:]))[:, None]
+            pair = classical._stage_sum(classical._DP_DE_W, dk)
+            want = np.stack([self._stage_order(d_row, dk), self._stage_order(e_row, dk)])
+            assert pair.tobytes() == want.tobytes()
 
 
 class TestStepFailure:

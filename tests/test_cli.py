@@ -9,6 +9,8 @@ import frontsim.config
 from frontsim.classical import DegeneracyWarning
 from frontsim.cli import _csv, main, run_scenario
 from frontsim.config import ConfigError, preset_config, validate_config
+from frontsim import IntervalSet, Parameters, Profile
+from frontsim.weak import ill_posedness_demo, run_weak
 
 GOOD_CONFIG = """\
 [parameters]
@@ -339,6 +341,28 @@ class TestRunScenario:
         want = "t,a,b\n" + "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
         assert _csv("t,a,b", table[:, 0], table[:, 1:]) == want
         assert _csv("t,a", np.zeros(0), np.zeros(0)) == "t,a\n"
+
+    @pytest.mark.parametrize("source", ["cascade", "illposed_front", "illposed_back"])
+    def test_field_csv_is_the_meshgrid_csv(self, source):
+        # one read on the outer grid, and one text per t and per x, give the
+        # text of _csv over the flattened meshgrid
+        params = Parameters(g1=1.0, g2=1.0, g3=3.0, g4=1.0, a=1.0, b=2.0)
+        t_end = 3.0
+        if source == "cascade":
+            rng = np.random.default_rng(4)
+            ends = np.cumsum(rng.uniform(0.5, 2.0, 16))
+            v0 = Profile.constant(0.0, (ends[0] - 20.0, ends[-1] + 20.0))
+            w = run_weak(params, IntervalSet(tuple(ends)), v0, t_end)
+            assert len(w.events) >= 3
+            value_at, xs = w.evaluate_v, np.linspace(ends[0] - 4.0, ends[-1] + 4.0, 101)
+        else:
+            front, back = ill_posedness_demo(params, t_end)
+            value_at = front.v if source == "illposed_front" else back.v
+            xs = np.linspace(-6.0, 6.0, 101)
+        ts = np.linspace(0.0, t_end, 21)
+        X, T = np.meshgrid(xs, ts)
+        v = np.asarray(value_at(X.ravel(), T.ravel()))
+        assert frontsim.cli._field_csv(value_at, xs, ts) == _csv("t,x,v", T.ravel(), X.ravel(), v)
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

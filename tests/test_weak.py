@@ -727,6 +727,71 @@ class TestBatchedFieldRead:
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+class TestOuterGridRead:
+    """evaluate_v runs its x-only work once per point of x and its flows on
+    the broadcast shape: an outer grid reads, bit for bit, what the
+    flattened meshgrid reads, and inverts each crossing once per x."""
+
+    @staticmethod
+    def _grid(run, request):
+        """The segment that reads, and the x and t axes: every kink, first
+        endpoint and event position, and every segment start, event time,
+        0 and t_end, among evenly spaced points."""
+        if run == "merge_post":
+            w = request.getfixturevalue("merge_run")
+            assert len(w.segments) == 2
+        else:
+            data = request.getfixturevalue(run)
+            w = data[3] if run == "cascade16" else data[2][1e-8]
+        seg = w.segments[-1]
+        assert seg._chain and len(w.events) >= 1
+        events = [ev.position for ev in w.events]
+        ends = w.segments[0].omega_start.endpoints
+        xs = np.unique(np.concatenate([seg._kinks, ends, events, np.linspace(ends[0] - 3.0, ends[-1] + 3.0, 41)]))
+        starts = [s.t_start for s in w.segments]
+        ts = np.unique(np.concatenate([[0.0, seg.t_end], starts, [ev.time for ev in w.events], np.linspace(0.0, seg.t_end, 7)]))
+        return seg, xs, ts
+
+    @pytest.mark.parametrize("run", ["cascade16", "draw12", "merge_post"])
+    def test_outer_grid_is_the_flattened_meshgrid(self, run, request, monkeypatch):
+        seg, xs, ts = self._grid(run, request)
+        points = []
+        invert = classical.DensePath.invert_col
+        monkeypatch.setattr(
+            classical.DensePath, "invert_col", lambda path, c, y, s: points.append(np.size(y)) or invert(path, c, y, s)
+        )
+        X, T = np.meshgrid(xs, ts)
+        want = seg.evaluate_v(X.ravel(), T.ravel()).reshape(X.shape)
+        flat = sum(points)
+        points.clear()
+        got = seg.evaluate_v(xs[None, :], ts[:, None])
+        outer = sum(points)
+        points.clear()
+        seg.evaluate_v(xs, seg.t_end)
+        assert got.shape == X.shape and got.tobytes() == want.tobytes()
+        # the crossings are inverted once per x, as for a read at one time
+        assert outer == sum(points) > 0 and flat == ts.size * outer
+        # a 1-D x with a time column, and a scalar x with a time vector
+        assert seg.evaluate_v(xs, ts[:, None]).tobytes() == want.tobytes()
+        for j in (0, xs.size // 2, np.searchsorted(xs, seg._kinks[-1]), xs.size - 1):
+            col = seg.evaluate_v(xs[j], ts)
+            assert col.shape == ts.shape and col.tobytes() == want[:, j].copy().tobytes()
+            # and a scalar x with a scalar t, a float
+            for i in (0, ts.size // 2, ts.size - 1):
+                one = seg.evaluate_v(float(xs[j]), float(ts[i]))
+                assert type(one) is float and np.float64(one).tobytes() == want[i, j].tobytes()
+
+    @pytest.mark.parametrize("run", ["cascade16", "draw12", "merge_post"])
+    def test_outer_grid_still_rejects_bad_points(self, run, request):
+        seg, xs, ts = self._grid(run, request)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                seg.evaluate_v(np.append(xs, bad)[None, :], ts[:, None])
+        for late in (seg.t_end + 1.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="time outside"):
+                seg.evaluate_v(xs[None, :], np.append(ts, late)[:, None])
+
+
 class TestNoNucleation:
     def test_holds_for_runs(self, expanding_run, shrinking_run, merge_run):
         for w in (expanding_run, shrinking_run, merge_run):
