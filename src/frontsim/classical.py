@@ -24,9 +24,11 @@ move; steps are capped to end at the predicted crossing, and a step that
 still crosses one is taken again to end there.  Gap closures (collisions of
 adjacent interfaces), kink crossings and arrival times at given positions
 are all roots of the quartic dense output, located by one bracketed Newton
-rule (_invert_quartic).  tol_event sets the window within which two
-closures count as simultaneous, the slacks of the step cap and the kink
-crossing, and the gap below which surgery takes interfaces as collided.
+rule (_invert_quartic); _quartic is the one form of a step's polynomial,
+which every read, sample and root finder evaluates.  tol_event sets the
+window within which two closures count as simultaneous, the slacks of the
+step cap and the kink crossing, and the gap below which surgery takes
+interfaces as collided.
 """
 from __future__ import annotations
 
@@ -106,24 +108,19 @@ class SegmentStats:
 
 # --- quartic dense output ------------------------------------------------
 
-def _quartic_weights(theta):
-    """The factors of y0, h*f0, y1, h*f1 and d in _quartic at theta."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    s = theta - t2
-    return 2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + theta, -2 * t3 + 3 * t2, t3 - t2, s * s
-
-
-def _quartic_at(weights, h, y0, f0, y1, f1, d):
-    """_quartic from the weights of its theta."""
-    w0, w1, w2, w3, w4 = weights
-    return w0 * y0 + w1 * h * f0 + w2 * y1 + w3 * h * f1 + w4 * d
-
-
 def _quartic(theta, h, y0, f0, y1, f1, d):
     """The cubic Hermite interpolant of (y0, f0) and (y1, f1) on a step of
     length h, plus theta^2 (1 - theta)^2 d."""
-    return _quartic_at(_quartic_weights(theta), h, y0, f0, y1, f1, d)
+    t2 = theta * theta
+    t3 = t2 * theta
+    s = theta - t2
+    return (
+        (2 * t3 - 3 * t2 + 1) * y0
+        + (t3 - 2 * t2 + theta) * h * f0
+        + (-2 * t3 + 3 * t2) * y1
+        + (t3 - t2) * h * f1
+        + s * s * d
+    )
 
 
 def _quartic_deriv(theta, h, y0, f0, y1, f1, d):
@@ -174,15 +171,13 @@ def _invert_quartic(t0, h, y0, f0, y1, f1, d, target, sign, lo=0.0, hi=1.0):
     return t0 + theta * h
 
 
-# _scan_event samples each gap's quartic at these thetas (a column, with its
-# weights made once); the derivative of sum_j c_j theta^j has the
-# coefficients j c_j, j = 1..4
+# _scan_event samples each gap's quartic at these thetas; the derivative of
+# sum_j c_j theta^j has the coefficients j c_j, j = 1..4
 _SAMPLES = np.linspace(0.0, 1.0, 13)
-_SAMPLE_WEIGHTS = _quartic_weights(_SAMPLES[:, None])
 _POWERS = np.arange(1.0, 5.0)
-# _scan_event's first test: the rows c1..c4 of a gap's monomial coefficients
-# from its (g0, g1, h*s0, h*s1, gd), and twice the factor (1 + j/24) of |c_j|
-# in its spread plus its dip
+# _scan_event's rows c1..c4 of a gap's monomial coefficients in theta from
+# its (g0, g1, h*s0, h*s1, gd), and twice the factor (1 + j/24) of |c_j| in
+# its spread plus its dip
 _GAP_COEFFS = np.array([
     [0.0, 0.0, 1.0, 0.0, 0.0],
     [-3.0, 3.0, -2.0, -1.0, 1.0],
@@ -286,21 +281,21 @@ class DensePath:
         theta = (tq[:, None] - ts[i][:, None]) / h
         return theta, h, Y[i], F[i], Y[i + 1], F[i + 1], D[i + 1]
 
-    def eval(self, t) -> np.ndarray:
+    def _read(self, t, poly, first: np.ndarray) -> np.ndarray:
+        """poly on the step holding each time; the first knot's row of
+        `first` while the path holds one knot."""
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         if self._n == 1:
-            out = np.broadcast_to(self._Y[0], tq.shape + (self.dim,)).copy()
+            out = np.broadcast_to(first[0], tq.shape + (self.dim,)).copy()
         else:
-            out = _quartic(*self._step_data(tq))
+            out = poly(*self._step_data(tq))
         return out[0] if np.ndim(t) == 0 else out
 
+    def eval(self, t) -> np.ndarray:
+        return self._read(t, _quartic, self._Y)
+
     def deriv(self, t) -> np.ndarray:
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
-        if self._n == 1:
-            out = np.broadcast_to(self._F[0], tq.shape + (self.dim,)).copy()
-        else:
-            out = _quartic_deriv(*self._step_data(tq))
-        return out[0] if np.ndim(t) == 0 else out
+        return self._read(t, _quartic_deriv, self._F)
 
     def invert_col(self, col, y, sign) -> np.ndarray:
         """Arrival times of strictly monotone components at positions y.
@@ -860,9 +855,8 @@ class ClassicalSegment:
         crossed = self._signs * (x_new - kink) > 0.0
         if not np.count_nonzero(crossed):
             return None
-        h = np.full(np.count_nonzero(crossed), t_new - tn)
         t_cross = _invert_quartic(
-            np.full(h.shape, tn), h, xn[crossed], fn[crossed], x_new[crossed],
+            tn, t_new - tn, xn[crossed], fn[crossed], x_new[crossed],
             f_new[crossed], d[crossed], kink[crossed], self._signs[crossed],
         )
         t_kink = float(np.min(t_cross))
@@ -873,19 +867,20 @@ class ClassicalSegment:
         """Earliest gap closure inside the last accepted step, if any, as
         (time, index of the gap's left interface).
 
-        Each gap that can reach 0 is sampled for its first sign change, and
-        one _invert_quartic call locates every such closure by Newton's
-        method inside its bracket.  A later pair wins only when it closes
-        more than tol_event earlier, so closures within tol_event of each
-        other go to the leftmost pair.
-
-        Most steps end at a first test of a handful of numpy calls on one
-        block of every gap's data: each gap g0 exceeds twice its spread
-        plus its dip.  That block's coefficients come from one matrix
-        product, not from the sums below, so they differ from theirs by a
-        few roundings of terms no larger than a few g0; the factor 2 leaves
-        g0 / 2 for those, so a step that passes the first test also passes
-        the second.  Where the first fails, the second decides as before.
+        Each gap's data (g0, g1, h*s0, h*s1, gd) form one block, and one
+        matrix product gives its monomial coefficients c1..c4 in theta (c0
+        is g0).  A gap stays above g0 minus its spread sum_j |c_j| on
+        [0, 1], and between samples 1/12 apart it dips at most its dip
+        sum_j j |c_j| / 24 below the lower one.  So a gap whose g0 exceeds
+        twice its spread plus its dip cannot reach 0, and the search below
+        would return None for it, since none of its samples falls to its
+        dip (the factor 2 leaves g0 / 2 for their rounding); most steps end
+        there, when every gap does.  Otherwise
+        each gap whose samples fall to its dip is searched for its first
+        sign change, and one _invert_quartic call locates every such
+        closure by Newton's method inside its bracket.  A later pair wins
+        only when it closes more than tol_event earlier, so closures within
+        tol_event of each other go to the leftmost pair.
         """
         n = self.n_interfaces
         if n < 2 or len(self._path) < 2:
@@ -896,30 +891,15 @@ class ClassicalSegment:
         block = np.concatenate((Y[-2:], F[-2:], D[-1:]))
         gaps = block[:, 1:] - block[:, :-1]
         gaps[2:4] *= h
-        if np.count_nonzero(gaps[0] > _GAP_BOUND.dot(np.abs(_GAP_COEFFS.dot(gaps)))) == n - 1:
-            return None
-        # gap i's quartic, from the differences of adjacent columns at both
-        # ends of the step, and its monomial coefficients c1..c4 in theta
-        # (c0 is g0)
-        (g0, g1), (s0, s1) = (a[-2:, 1:] - a[-2:, :-1] for a in (Y, F))
-        gd = D[-1, 1:] - D[-1, :-1]
-        hs0, hs1 = h * s0, h * s1
-        c = np.array([
-            hs0,
-            -3 * g0 - 2 * h * s0 + 3 * g1 - hs1 + gd,
-            2 * g0 + hs0 - 2 * g1 + hs1 - 2 * gd,
-            gd,
-        ])
-        # |gap'| <= sum_j j |c_j| on [0, 1], so between samples 1/12 apart a
-        # gap dips at most a 24th of that below the lower one
+        c = _GAP_COEFFS.dot(gaps)
         abs_c = np.abs(c)
-        dip = _POWERS @ abs_c / 24.0
-        # each gap stays above g0 - sum_j |c_j| on [0, 1]; where that clears
-        # the dip by far more than the samples' rounding, no sample is near
-        spread = abs_c.sum(axis=0)
-        if (g0 - spread > dip + 1e-12 * (g0 + spread)).all():
+        if np.count_nonzero(gaps[0] > _GAP_BOUND.dot(abs_c)) == n - 1:
             return None
-        near = np.flatnonzero(_quartic_at(_SAMPLE_WEIGHTS, h, g0, s0, g1, s1, gd).min(axis=0) <= dip)
+        # gap i's quartic takes the unscaled slopes
+        g0, g1, gd = gaps[0], gaps[1], gaps[4]
+        s0, s1 = F[-2:, 1:] - F[-2:, :-1]
+        dip = _POWERS @ abs_c / 24.0
+        near = np.flatnonzero(_quartic(_SAMPLES[:, None], h, g0, s0, g1, s1, gd).min(axis=0) <= dip)
         # the first pair of thetas between which each near gap closes, from
         # the samples and the stationary points of its quartic, which catch
         # dips between samples (any real part in (0, 1) is kept, an extra

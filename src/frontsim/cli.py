@@ -16,7 +16,6 @@ from .state import H2Violation
 from .classical import StepFailure
 from .weak import (
     SurgeryH2Failure,
-    WeakSolution,
     events_as_json,
     ill_posedness_demo,
     run_weak,
@@ -72,12 +71,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _trajectories_csv(w: WeakSolution, t_end: float, n_samples: int) -> str:
-    times = np.linspace(0.0, t_end, n_samples)
-    header = "t," + ",".join(f"x_{lab}" for lab in w.segments[0].labels)
-    return _csv(header, times, w.positions(times))
-
-
 def _field_csv(value_at, xs, ts) -> str:
     """Rows t,x,v on the grid ts x xs, t-major: the text of _csv("t,x,v",
     T, X, v) on the flattened meshgrid.
@@ -106,6 +99,28 @@ def _field_grid(cfg: RunConfig):
     return np.linspace(lo, hi, int(n))
 
 
+def _write_run(cfg: RunConfig, out_dir: str, times, labels, positions, value_at, events: str,
+               curves, polygons, title: str) -> None:
+    """Write the four artifacts of every run: trajectories.csv (the columns
+    of positions, one per label, at times), field.csv (value_at on the
+    field grid), events.json (the text events) and spacetime.svg (curves
+    and polygons over the field grid's x range)."""
+    header = "t," + ",".join(f"x_{lab}" for lab in labels)
+    _write_text(os.path.join(out_dir, "trajectories.csv"), _csv(header, times, positions))
+    xs = _field_grid(cfg)
+    ts = np.linspace(0.0, cfg.t_end, cfg.field_t)
+    _write_text(os.path.join(out_dir, "field.csv"), _field_csv(value_at, xs, ts))
+    _write_text(os.path.join(out_dir, "events.json"), events)
+    svg = spacetime_svg(
+        curves,
+        polygons,
+        x_range=(float(xs[0]), float(xs[-1])),
+        t_range=(0.0, cfg.t_end),
+        title=title,
+    )
+    _write_text(os.path.join(out_dir, "spacetime.svg"), svg)
+
+
 def _run_standard(cfg: RunConfig, out_dir: str) -> None:
     w = run_weak(
         cfg.params,
@@ -116,24 +131,12 @@ def _run_standard(cfg: RunConfig, out_dir: str) -> None:
         tol_event=cfg.tol_event,
         margin=cfg.eta,
     )
-    _write_text(
-        os.path.join(out_dir, "trajectories.csv"),
-        _trajectories_csv(w, cfg.t_end, cfg.trajectory_samples),
-    )
-    xs = _field_grid(cfg)
-    ts = np.linspace(0.0, cfg.t_end, cfg.field_t)
-    _write_text(os.path.join(out_dir, "field.csv"), _field_csv(w.evaluate_v, xs, ts))
-    _write_text(os.path.join(out_dir, "events.json"), events_as_json(w))
-
+    times = np.linspace(0.0, cfg.t_end, cfg.trajectory_samples)
     curves, polygons = weak_solution_curves(w)
-    svg = spacetime_svg(
-        curves,
-        polygons,
-        x_range=(float(xs[0]), float(xs[-1])),
-        t_range=(0.0, cfg.t_end),
-        title=cfg.scenario or "front-tracking run",
+    _write_run(
+        cfg, out_dir, times, w.segments[0].labels, w.positions(times), w.evaluate_v, events_as_json(w),
+        curves, polygons, cfg.scenario or "front-tracking run",
     )
-    _write_text(os.path.join(out_dir, "spacetime.svg"), svg)
 
     if cfg.oracle_eps:
         oracle_dir = os.path.join(out_dir, "oracle")
@@ -172,23 +175,12 @@ def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
     front, back = ill_posedness_demo(cfg.params, cfg.t_end)
     times = np.linspace(0.0, cfg.t_end, cfg.trajectory_samples)
     x_front, x_back = front.position(times), back.position(times)
-    _write_text(os.path.join(out_dir, "trajectories.csv"), _csv("t,x_1,x_2", times, x_front, x_back))
     _write_text(os.path.join(out_dir, "divergence.csv"), _csv("t,separation", times, x_back - x_front))
-
-    xs = _field_grid(cfg)
-    ts = np.linspace(0.0, cfg.t_end, cfg.field_t)
-    _write_text(os.path.join(out_dir, "field.csv"), _field_csv(front.v, xs, ts))
-    _write_text(os.path.join(out_dir, "events.json"), json.dumps([]) + "\n")
-
     curves = [(1, np.column_stack([x_front, times])), (2, np.column_stack([x_back, times]))]
-    svg = spacetime_svg(
-        curves,
-        [],
-        x_range=(float(xs[0]), float(xs[-1])),
-        t_range=(0.0, cfg.t_end),
-        title="illposed: two continuations from degenerate data",
+    _write_run(
+        cfg, out_dir, times, (1, 2), np.column_stack([x_front, x_back]), front.v, json.dumps([]) + "\n",
+        curves, [], "illposed: two continuations from degenerate data",
     )
-    _write_text(os.path.join(out_dir, "spacetime.svg"), svg)
 
 
 def run_scenario(cfg: RunConfig) -> None:

@@ -115,10 +115,6 @@ def _constants(*values: float) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _as_float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
-
-
 def _scalar_like(out: np.ndarray, *inputs) -> np.ndarray | float:
     if all(np.ndim(v) == 0 for v in inputs):
         return float(out)
@@ -127,7 +123,7 @@ def _scalar_like(out: np.ndarray, *inputs) -> np.ndarray | float:
 
 def reaction_rate(p: Parameters, phase: Phase, v) -> np.ndarray | float:
     """g(u, v) = g1*u - g2*v/(g3*v + g4) for v >= 0."""
-    varr = _as_float_array(v)
+    varr = np.asarray(v, dtype=float)
     if np.any(varr < 0.0):
         raise ValueError("reaction_rate requires v >= 0")
     out = p.g1 * float(int(phase)) - p.g2 * varr / (p.g3 * varr + p.g4)
@@ -136,7 +132,7 @@ def reaction_rate(p: Parameters, phase: Phase, v) -> np.ndarray | float:
 
 def front_speed(p: Parameters, v) -> np.ndarray | float:
     """W(v) = a - b*v; positive below a/b, negative above."""
-    varr = _as_float_array(v)
+    varr = np.asarray(v, dtype=float)
     return _scalar_like(p.a - p.b * varr, v)
 
 

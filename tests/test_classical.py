@@ -301,6 +301,21 @@ def _profiles_instances(n):
     return out
 
 
+def _note_sample_scans(monkeypatch) -> list:
+    """Patch classical._quartic to note, per call, whether its theta is the
+    sample column, which only _scan_event's sampled search passes."""
+    noted = []
+    quartic = classical._quartic
+    column = classical._SAMPLES[:, None]
+
+    def noting(theta, *args):
+        noted.append(np.shape(theta) == column.shape and bool(np.array_equal(theta, column)))
+        return quartic(theta, *args)
+
+    monkeypatch.setattr(classical, "_quartic", noting)
+    return noted
+
+
 class TestQuarticDenseOutput:
     @pytest.fixture()
     def one_step(self, rng):
@@ -420,12 +435,12 @@ class TestQuarticDenseOutput:
         t_hit, pair = scan(2.0 * seg.tol_event)
         assert pair == 2 and t_hit == pytest.approx(0.5 * h - 2.0 * seg.tol_event, abs=1e-16)
 
-    def test_scan_event_first_test_implies_the_second(self, pstar, rng, monkeypatch):
+    def test_scan_event_early_test_never_changes_a_result(self, pstar, rng, monkeypatch):
         # steps whose gaps move by a hundredth of their size up to 5 times it,
         # and linear steps whose gaps end between -0.3 and 1.5 times their
-        # start, so that the first test passes, fails near its bound, and
-        # gaps close; with the first test disabled the second decides every
-        # step alone, and every result must be the same
+        # start, so that the early test passes, fails near its bound, and
+        # gaps close; with the early test disabled the sampled search decides
+        # every step alone, and every result must be the same
         seg = ClassicalSegment(pstar, IntervalSet((-3.0, -1.0, 1.0, 3.0)), Profile.constant(0.0, (-16.0, 16.0)), 0.0, 1.0)
         h = 0.01
         paths = []
@@ -442,31 +457,30 @@ class TestQuarticDenseOutput:
             path = DensePath(0.0, y0, (y1 - y0) / h)
             path.append(h, y1, (y1 - y0) / h, np.zeros(4))
             paths.append(path)
+        sampled = _note_sample_scans(monkeypatch)
 
         def scan_all():
-            out = []
+            out, searched = [], []
             for path in paths:
                 seg._path = path
+                before = sum(sampled)
                 out.append(seg._scan_event())
-            return out
+                searched.append(sum(sampled) > before)
+            return out, searched
 
-        got = scan_all()
-        # a nan bound fails every comparison, so the first test never ends a scan
+        got, searched = scan_all()
+        # steps that fail the early test and close no gap: the sampled
+        # search returns None for them
+        assert sum(s and r is None for s, r in zip(searched, got)) > 150
+        # a nan bound fails every comparison, so the early test never ends a scan
         monkeypatch.setattr(classical, "_GAP_BOUND", np.full(4, math.nan))
-        assert got == scan_all()
+        assert got == scan_all()[0]
         assert sum(r is None for r in got) > 150 and sum(r is not None for r in got) > 150
 
     def test_scan_event_skips_gaps_that_cannot_close(self, pstar, monkeypatch):
         # gaps of at least 2.5 that move far less than that per step: no
         # step needs the sampled scan of the gap quartics
-        sampled = []
-        quartic_at = classical._quartic_at
-
-        def counting(weights, *args):
-            sampled.append(weights is classical._SAMPLE_WEIGHTS)
-            return quartic_at(weights, *args)
-
-        monkeypatch.setattr(classical, "_quartic_at", counting)
+        sampled = _note_sample_scans(monkeypatch)
         omega, v0 = _profiles_instances(1)[0]
         seg, event = run_segment(pstar, omega, v0, 0.0, 1.0)
         assert event is None and seg.stats.steps > 10

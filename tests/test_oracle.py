@@ -288,6 +288,21 @@ class TestDynamics:
         for pos, want in zip(trace.interfaces[1:], expected):
             assert np.max(np.abs(pos - np.array(want))) <= 1e-10
 
+    @pytest.mark.xfail(
+        raises=FHNBlowUp,
+        strict=True,
+        reason="u settles slightly below 0 where v > 0, diffusion carries it into "
+        "the cell where v = 0, and there v_t = g1 u < 0",
+    )
+    def test_profile_reaching_zero_runs(self, pstar):
+        # test_pinned_positions' datum with v0 ending at 0, not 0.05: an
+        # admissible datum the oracle must run to be a check on it
+        cfg = small_cfg(pstar)
+        omega = IntervalSet((-2.0, -0.8, 0.6, 2.0))
+        v0 = Profile(np.array([-4.0, 0.0, 4.0]), np.array([0.1, 0.3, 0.0]))
+        trace = run_fhn(cfg, omega, v0, 0.5, sample_dt=0.2)
+        assert len(trace.interfaces) == 4
+
 
 class TestCompare:
     def test_identical_positions_give_zero(self, pstar, expanding_run):
