@@ -520,24 +520,17 @@ class ClassicalSegment:
         self._rhs_b = self._parity * -params.b
         self._rhs_a = self._parity * params.a
         x0 = np.asarray(omega_start.endpoints, dtype=float)
-        if n:
-            # the initial slopes are the endpoint velocities the validation read
-            f0 = np.array([c.velocity for c in checks])
-            self._signs = np.sign(f0)
-            self._path = DensePath(self.t_start, x0, f0)
-            self.finished = False
-        else:
-            self._signs = np.zeros(0)
-            self._path = DensePath(self.t_start, np.zeros(0), np.zeros(0))
-            self.finished = True
+        # the initial slopes are the endpoint velocities the validation read
+        f0 = np.array([c.velocity for c in checks], dtype=float)
+        self._signs = np.sign(f0)
+        self._path = DensePath(self.t_start, x0, f0)
+        self.finished = not n
         self._h = min(math.sqrt(self.tol_step), 0.25 * (self.t_goal - self.t_start))
         self._degeneracy_flagged = False
-        # A continuation's field is one fold over the whole history, and its
-        # first trial step is its segment's last proposed step size.  The
-        # field's kinks never move: the first profile's knots and endpoints
-        # and every event position since (a surviving front's speed is
-        # continuous through a surgery), so a front's speed is smooth except
-        # where it crosses one.  A continuation's knots are these.
+        # A continuation's first trial step is its segment's last proposed
+        # one.  The field's kinks never move: the first profile's knots and
+        # endpoints and every event position since (a surviving front's speed
+        # is continuous through a surgery); a continuation's knots are these.
         if continued:
             prior = profile_start.segment
             self._chain = (*prior._chain, prior)
@@ -548,7 +541,7 @@ class ClassicalSegment:
             self._kinks = np.unique(np.concatenate([np.asarray(profile_start.xs, dtype=float), x0]))
         # the kinks between nan ends: _next_kink's "none" without a mask
         self._kink_ends = np.concatenate([[math.nan], self._kinks, [math.nan]])
-        self._index_history()
+        self._index_history(x0)
 
     # -- basic queries ----------------------------------------------------
 
@@ -573,95 +566,111 @@ class ClassicalSegment:
         if not np.all((tq >= t_from - slack) & (tq <= self.t_end + slack)):
             raise ValueError(f"time outside [{t_from}, {self.t_end}]")
 
+    @property
+    def zero_gap(self) -> float:
+        """The gap below which the surgery after this segment takes two fronts as collided."""
+        return max(16.0 * self.tol_event, 1e-12 * float(np.max(np.abs(self._path.arrays()[1][-1]), initial=1.0)))
+
     # -- field reconstruction ---------------------------------------------
 
-    def _index_history(self) -> None:
-        """Flatten the finished segments before this one, and this one's fixed
-        data, into the arrays the fold reads, each (columns, 1) so that it
-        broadcasts against the points: one column per (segment, interface),
-        i.e. per segment start endpoint."""
+    def _index_history(self, x0: np.ndarray) -> None:
+        """Index the fold by front: one row per interface of the first segment
+        for its whole life, with its direction and first position ((fronts,
+        1), to broadcast against the points), and per segment its column
+        there (-1 once ended) and its reach, how far it has moved by the
+        segment's end (by the last step here; advance keeps it).
+
+        Raises RuntimeError when a surviving front has turned back: a row
+        takes its front as monotone.
+        """
         segs = (*self._chain, self)
-        self._origin = segs[0].profile_start
-        self._t_origin = segs[0].t_start
-        col_x0 = np.concatenate([np.asarray(s.omega_start.endpoints, dtype=float) for s in segs])[:, None]
-        self._col_sign = np.concatenate([s._signs for s in segs])[:, None]
-        self._col_from = self._col_sign * col_x0
-        self._col_t0 = np.concatenate([np.full(s.n_interfaces, s.t_start) for s in segs])[:, None]
-        # right after its start an interface that moves left lies below a
-        # point on its start position, one that moves right above it; a point
-        # counts an endpoint as below it when it exceeds this bound (x >= x0
-        # is x > the float just below x0)
-        self._col_below = np.where(self._col_sign < 0, np.nextafter(col_x0, -math.inf), col_x0)
-        seg_cols = np.cumsum([0] + [s.n_interfaces for s in segs])
-        # reduceat runs over the segments with columns (it would give an
-        # empty block the next column); None when that is every segment
-        filled = np.diff(seg_cols) > 0
-        self._seg_first = seg_cols[:-1][filled]
-        self._seg_filled = None if filled.all() else np.flatnonzero(filled)
-        self._own_cols = slice(seg_cols[-2], None)
-        # each segment path with columns and its column range: _arrivals
-        # inverts all of a path's crossings in one call
-        self._paths = [
-            (s._path, a, b) for s, a, b in zip(segs, seg_cols[:-1].tolist(), seg_cols[1:].tolist()) if b > a
-        ]
-        # how far each column's motion has reached: the end of a finished
-        # segment, the last accepted step of this one (kept by advance)
-        self._swept_to = np.concatenate([s._signs * s._path.arrays()[1][-1] for s in segs])[:, None]
-        self._resets = np.asarray([s.t_start for s in segs[1:]], dtype=float)
+        self._origin, self._t_origin = segs[0].profile_start, segs[0].t_start
+        if self._chain:
+            prior = self._chain[-1]
+            for name in ("_row_of", "_sign", "_from", "_below"):
+                setattr(self, name, getattr(prior, name))
+            cols, self._reach = prior._cols, np.vstack([prior._reach, prior._reach[-1]])
+        else:
+            self._row_of = dict(zip(self.labels, range(self.n_interfaces)))
+            self._sign = self._signs[:, None]
+            self._from = self._sign * x0[:, None]
+            # a point past this bound has the front below it: on the start
+            # position, for t -> t_start+, when the front moves left (x >= x0
+            # is x > the float below x0), the limit continuity of v needs
+            self._below = np.where(self._sign < 0, np.nextafter(x0[:, None], -math.inf), x0[:, None])
+            cols, self._reach = np.zeros((0, x0.size), dtype=np.intp), self._from.T.copy()
+        self._rows = np.array([self._row_of[lab] for lab in self.labels], dtype=np.intp)
+        back = np.flatnonzero(self._signs != self._sign[self._rows, 0])
+        if back.size:
+            raise RuntimeError(f"invariant violated: front {self.labels[back[0]]} turned back by t={self.t_start!r}")
+        col = np.full(self._sign.shape[0], -1, dtype=np.intp)
+        col[self._rows] = np.arange(self.n_interfaces)
+        self._cols = np.vstack([cols, col])
+        # ended fronts: which segment start each ended at (a row per start),
+        # where, and twice that surgery's zero gap
+        self._ended = np.flatnonzero(col < 0)
+        self._ended_in = ((self._cols[:-1] >= 0) & (self._cols[1:] < 0))[:, self._ended].astype(np.intp)
+        self._ended_pos = (self._sign * self._reach[-1][:, None])[self._ended]
+        self._ended_zone = (np.array([2.0 * s.zero_gap for s in segs[:-1]]) @ self._ended_in)[:, None]
+        self._starts = np.array([s.t_start for s in segs[1:]])[:, None]
 
     def _arrivals(self, xs: np.ndarray) -> np.ndarray | None:
-        """Crossing times at xs of every interface column of the history, one
-        row per column and one entry per point; inf where the interface never
-        crossed the point after its segment began.  None when no interface
-        swept any of the points.
+        """Crossing times at xs, one row per front of the history and one
+        entry per point; inf where the front never crossed the point after
+        the start of the segment that reached it; None when none did.
 
-        Only swept (point, column) pairs are inverted, with one invert_col
-        call per segment path over all of its columns' pairs, listed column
-        by column.
+        A front is monotone, so it crossed the points between its first
+        position and its reach, each in the first segment whose reach meets
+        it.  Only those pairs are inverted, with one invert_col call per
+        segment path over all of its pairs, listed front by front.
         """
-        # an interface is monotone, so it can only have crossed the points its
-        # motion swept; the rest stay unreached or behind its start.  One row
-        # per column: a path's pairs are its block of rows, column by column.
-        # ahead is freed before the inversions, whose temporaries set the
-        # peak memory of a large read
-        ahead = self._col_sign * xs
-        swept = ahead > self._col_from
-        swept &= ahead <= self._swept_to
+        # ahead is freed before the inversions, whose temporaries set the peak memory
+        ahead = self._sign * xs
+        swept = ahead > self._from
+        swept &= ahead <= self._reach[-1:].T
         del ahead
         if not np.count_nonzero(swept):
             return None
+        k = np.flatnonzero(swept)
+        f, p = np.divmod(k, xs.size)
+        groups = [slice(None)]
+        if len(self._cols) > 1:
+            # a front's reach never falls, so the segment that crossed a pair
+            # is the number of segments whose reach falls short of its point
+            seg = np.count_nonzero(self._reach[:, f] < self._sign[f, 0] * xs[p], axis=0)
+            order = np.argsort(seg, kind="stable")
+            groups = np.split(order, np.searchsorted(seg[order], np.arange(1, len(self._cols))))
         T = np.full(swept.shape, math.inf)
-        for path, a, b in self._paths:
-            k = np.flatnonzero(swept[a:b])
-            if k.size:
-                cols, rows = np.divmod(k, xs.size)
-                np.put(T, a * xs.size + k, path.invert_col(cols, xs[rows], self._col_sign[a + cols, 0]))
-        # crossings at or before a segment's start are part of its initial state
-        T[T <= self._col_t0] = math.inf
+        for s, cols, i in zip((*self._chain, self), self._cols, groups):
+            fi = f[i]
+            if fi.size:
+                t = s._path.invert_col(cols[fi], xs[p[i]], self._sign[fi, 0])
+                # crossings at or before a segment's start are part of its initial state
+                t[t <= s.t_start] = math.inf
+                T.flat[k[i]] = t
         return T
 
-    def _start_phases(self, xs: np.ndarray) -> np.ndarray:
-        """Membership of each point in each segment's excited set for
-        t -> t_start+, one row per segment of the history.
+    def _toggles(self, pts: np.ndarray, T: np.ndarray | None) -> np.ndarray | None:
+        """T plus a row per segment start, holding its time where a point's
+        phase toggles there with no crossing (between two fronts that
+        collided), else inf; T when no point is near an ended front.
 
-        A point is inside when an odd number of its segment's endpoints lie
-        below it.  An endpoint equal to the point counts as below it when its
-        interface moves left, i.e. lies below the point for t > t_start: the
-        point is then absorbed into the interior exactly when the interface
-        moves away from the component it bounds.  This is the limit the exact
-        flow composition needs for continuity of v.
+        A start tests the points within twice its surgery's zero gap of a
+        front that ended there.  A front's side of a point when it ended is
+        its side at the origin, flipped if it crossed the point (T); the
+        point toggles where an odd number of those fronts lie below it.
         """
-        return self._odd_per_segment(self._col_below < xs)
-
-    def _odd_per_segment(self, mask: np.ndarray) -> np.ndarray:
-        """Whether each point (column) of a (columns, points) mask holds an
-        odd number of True in each segment's block of rows."""
-        if self._seg_filled is None:
-            return np.logical_xor.reduceat(mask, self._seg_first, axis=0)
-        odd = np.zeros((len(self._chain) + 1, mask.shape[1]), dtype=bool)
-        if self._seg_first.size:
-            odd[self._seg_filled] = np.logical_xor.reduceat(mask, self._seg_first, axis=0)
-        return odd
+        near = np.abs(pts - self._ended_pos) <= self._ended_zone
+        c = np.flatnonzero(near.any(axis=0))
+        if not c.size:
+            return T
+        below = self._below[self._ended] < pts[c]
+        if T is not None:
+            below ^= np.isfinite(T[self._ended[:, None], c])
+        odd = (self._ended_in @ below % 2 == 1) & (self._ended_in @ near[:, c] > 0)
+        rows = np.full((self._starts.size, pts.size), math.inf)
+        rows[:, c] = np.where(odd, self._starts, math.inf)
+        return rows if T is None else np.concatenate([T, rows])
 
     def _v_field(self, xs: np.ndarray, tq) -> np.ndarray:
         """v(xs, tq): the exact flows folded from the first segment's profile
@@ -669,36 +678,26 @@ class ClassicalSegment:
 
         xs is an array of points of any shape, and tq one time for all of
         them (a float) or an array of times of the shape of the result, to
-        which xs's shape broadcasts.  The x-only work runs once per point of
-        xs: the start phases, the crossings, the segment starts that toggle
-        a phase, their sort and count, and the origin profile's values.  The
-        flows run on the broadcast shape, each entry with the dt sequence of
-        a one-point read.
-
-        Every event of the history is a phase toggle: a crossing, or a
-        segment start whose phase differs from the one the crossings before
-        it carry (the points between two colliding fronts).  Pieces of
-        equal phase across a segment start thus flow in one call, so the
-        work follows a point's phase changes, not the number of segments.
-        Where no point has an event, the fold is its first slot alone: each
-        point flows from the origin to tq in its start phase.
+        which xs's shape broadcasts.  The x-only work (phases, crossings,
+        toggles, their sort, the origin's values) runs once per point of xs;
+        the flows run on the broadcast shape, each entry with the dt
+        sequence of a one-point read.  A point starts in its phase among the
+        first segment's endpoints and toggles at each crossing and at each
+        segment start between two fronts that collided there (_toggles), so
+        the work follows its phase changes, not the number of segments.
         """
         pts = xs.ravel()
-        phases = self._start_phases(pts)
+        # inside when an odd number of the first segment's fronts lie below
+        phase0 = np.logical_xor.reduce(self._below < pts, axis=0).reshape(xs.shape)
         T = self._arrivals(pts)
-        if self._resets.size:
-            carried = phases[:-1]
-            if T is not None:
-                carried = carried ^ self._odd_per_segment(np.isfinite(T))[:-1]
-            resets = np.where(carried != phases[1:], self._resets[:, None], math.inf)
-            T = resets if T is None else np.concatenate([T, resets])
+        if self._ended.size:
+            T = self._toggles(pts, T)
         n_cross = 0
         if T is not None:
             T.sort(axis=0)
             n_cross = int(np.max(np.count_nonzero(np.isfinite(T), axis=0), initial=0))
             # each event row in xs's shape, to broadcast against tq
             T = T.reshape(T.shape[:1] + xs.shape)
-        phase0 = phases[0].reshape(xs.shape)
         v = np.empty(xs.shape if isinstance(tq, float) else tq.shape)
         v[...] = self._origin.eval(xs)
         prev = self._t_origin
@@ -815,7 +814,7 @@ class ClassicalSegment:
             self._finalize_event(*hit)
         elif t_new >= self.t_goal:
             self.finished = True
-        self._swept_to[self._own_cols, 0] = self._signs * self._path.arrays()[1][-1]
+        self._reach[-1, self._rows] = self._signs * self._path.arrays()[1][-1]
         return True
 
     def _next_kink(self, xn: np.ndarray, fn: np.ndarray) -> np.ndarray:

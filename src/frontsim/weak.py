@@ -141,7 +141,7 @@ def annihilation_surgery(
     pos = np.atleast_1d(seg.positions(ev.time)).astype(float)
     keep = [j for j in range(pos.size) if j + 1 not in ev.indices]
     events = [ev]
-    zero_gap = max(16.0 * seg.tol_event, 1e-12 * max(1.0, float(np.max(np.abs(pos))) if pos.size else 1.0))
+    zero_gap = seg.zero_gap
     while len(keep) > 1:
         gaps = np.diff(pos[keep])
         if np.all(gaps > zero_gap):

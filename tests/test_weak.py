@@ -111,6 +111,17 @@ class TestSurgery:
                 ClassicalSegment(pstar, new_omega, new_profile, t_start, 5.0, labels=labels)
         assert ClassicalSegment(pstar, new_omega, new_profile, ev.time, 5.0, labels=labels)._chain == (seg,)
 
+    def test_a_front_that_turns_back_is_an_invariant_violation(self, pstar):
+        # the fold gives each front one row for its whole life, which holds
+        # only while every front keeps its first direction; the first
+        # segment's rows are flipped here to stand for a front that turned
+        omega, v0 = merge_setup(pstar)
+        first, ev = run_segment(pstar, omega, v0, 0.0, 3.0)
+        new_omega, new_profile, _, labels = annihilation_surgery(first, ev)
+        first._sign = np.where(np.arange(first._sign.shape[0])[:, None] == 3, -first._sign, first._sign)
+        with pytest.raises(RuntimeError, match=re.escape(f"invariant violated: front 4 turned back by t={ev.time!r}")):
+            ClassicalSegment(pstar, new_omega, new_profile, ev.time, 3.0, labels=labels)
+
     def test_degenerate_survivors_raise_surgery_failure(self, pstar):
         omega, v0 = ramp_merge_setup(pstar)
         with pytest.warns(DegeneracyWarning), pytest.raises(SurgeryH2Failure) as err:
@@ -237,17 +248,23 @@ class TestRunWeak:
         assert {"time", "position", "indices", "labels"} <= set(rec)
 
 
-@pytest.fixture(scope="module")
-def cascade16(pstar):
-    """16 random intervals on v0 = 0 that all merge by t = 3."""
-    rng = np.random.default_rng(16)
-    lengths = rng.uniform(0.5, 2.0, 16)
-    gaps = rng.uniform(0.5, 2.0, 15)
+def _all_merge(pstar, m):
+    """m random intervals on v0 = 0 that all merge by t = 3: lengths and gaps
+    U(0.5, 2), drawn with seed m."""
+    rng = np.random.default_rng(m)
+    lengths = rng.uniform(0.5, 2.0, m)
+    gaps = rng.uniform(0.5, 2.0, m - 1)
     xs = [0.0, lengths[0]]
     for gap, length in zip(gaps, lengths[1:]):
         xs.extend([xs[-1] + gap, xs[-1] + gap + length])
     v0 = Profile.constant(0.0, (xs[0] - 20.0, xs[-1] + 20.0))
     return xs, gaps, v0, run_weak(pstar, IntervalSet(tuple(xs)), v0, 3.0)
+
+
+@pytest.fixture(scope="module")
+def cascade16(pstar):
+    """16 random intervals on v0 = 0 that all merge by t = 3."""
+    return _all_merge(pstar, 16)
 
 
 class TestPositionTable:
@@ -302,19 +319,25 @@ class TestPositionTable:
 
 
 class TestGeneratedCascade:
-    def test_random_intervals_all_merge(self, cascade16):
-        xs, gaps, v0, w = cascade16
-        # on v0 = 0 every front runs at W(0) = 1, so each gap closes at gap/2
-        by_labels = {ev.labels: ev for ev in w.events}
-        assert len(by_labels) == 15
-        for j, gap in enumerate(gaps):
-            ev = by_labels[(2 * j + 2, 2 * j + 3)]
-            assert ev.time == pytest.approx(gap / 2, abs=1e-12)
-            assert ev.position == pytest.approx(0.5 * (xs[2 * j + 1] + xs[2 * j + 2]), abs=1e-8)
-        final = w.positions(3.0)
-        assert final[~np.isnan(final)] == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
-        assert check_no_nucleation(w)
-        assert max(seg.profile_start.xs.size for seg in w.segments) < 4 * 32 + v0.xs.size
+    def test_random_intervals_all_merge(self, pstar, cascade16):
+        for m, (xs, gaps, v0, w) in ((16, cascade16), (64, _all_merge(pstar, 64))):
+            # on v0 = 0 every front runs at W(0) = 1, so each gap closes at gap/2
+            by_labels = {ev.labels: ev for ev in w.events}
+            assert len(by_labels) == m - 1
+            for j, gap in enumerate(gaps):
+                ev = by_labels[(2 * j + 2, 2 * j + 3)]
+                assert ev.time == pytest.approx(gap / 2, abs=1e-12)
+                assert ev.position == pytest.approx(0.5 * (xs[2 * j + 1] + xs[2 * j + 2]), abs=1e-8)
+            final = w.positions(3.0)
+            assert final[~np.isnan(final)] == pytest.approx([xs[0] - 3.0, xs[-1] + 3.0], abs=1e-8)
+            assert check_no_nucleation(w)
+            assert max(seg.profile_start.xs.size for seg in w.segments) < 4 * 2 * m + v0.xs.size
+            # the last segment's fold has one row per front of the first
+            # segment (one column per segment and front made 272 at m = 16
+            # and 4,160 at m = 64), with a column and a reach per segment
+            last = w.segments[-1]
+            assert last._sign.shape == (2 * m, 1)
+            assert last._reach.shape == last._cols.shape == (m, 2 * m)
 
     def test_segments_after_an_annihilation_start_warm(self, cascade16):
         # the error estimate is 0 at speed a, so only the step size's climb
@@ -563,6 +586,39 @@ class TestFlatFold:
         want = np.asarray([_composed_v(w, x, t) for x, t in probes])
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("profile", ["rest", "random"])
+    def test_equal_closures_toggle_between_the_collided_fronts(self, pstar, profile):
+        # k intervals of one length with one gap between them: on v0 = 0 all
+        # gaps close at once and the surgery collapses the extra pairs; a
+        # random v0 spreads the closures.  The fold toggles the points
+        # between each collided pair at the segment start after it; read
+        # there, one ulp outside and at the meeting point, at the event
+        # time, after it and at t_end
+        rng = np.random.default_rng(31 if profile == "rest" else 32)
+        for _ in range(6):
+            k = int(rng.integers(3, 7))
+            length, gap, offset = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-5.0, 5.0)
+            xs = (offset + np.arange(k)[:, None] * (length + gap) + [0.0, length]).ravel()
+            span = (xs[0] - 10.0, xs[-1] + 10.0)
+            if profile == "rest":
+                v0 = Profile.constant(0.0, span)
+            else:
+                knots = np.linspace(*span, 4 * k + 10)
+                v0 = Profile(knots, rng.uniform(0.0, 0.3, knots.size))
+            w = run_weak(pstar, IntervalSet(tuple(xs)), v0, 1.5 * gap + rng.uniform(0.05, 0.5))
+            assert len(w.events) == k - 1
+            for ev in w.events:
+                seg = next(s for s in w.segments if s.t_end == ev.time)
+                a, b = seg.positions(ev.time)[[seg.labels.index(lab) for lab in ev.labels]]
+                pts = [*np.linspace(a, b, 5), np.nextafter(min(a, b), -math.inf), np.nextafter(max(a, b), math.inf)]
+                for t in (ev.time, 0.5 * (ev.time + w.t_end), w.t_end):
+                    got = np.asarray(w.evaluate_v(np.asarray([ev.position, *pts]), np.full(len(pts) + 1, t)))
+                    want = [_composed_v(w, x, t) for x in [ev.position, *pts]]
+                    assert np.max(np.abs(got - want)) <= 1e-12
+                    if profile == "rest" and t > ev.time and ev.kind == EventKind.MERGE:
+                        # the meeting point joined the excited set at the merge
+                        assert got[0] > 0.0
+
     def test_flow_calls_do_not_grow_with_segments(self, cascade16, monkeypatch):
         # one evaluation late in the cascade costs as many kernel calls as one
         # in its first segment, however many annihilations came between
@@ -664,21 +720,25 @@ class TestBatchedFieldRead:
     flow; both keep every value bit for bit."""
 
     def test_invert_col_on_a_chained_segment(self, cascade16):
+        # the fold lists a path's pairs front by front, with each front's
+        # column on that path and its sign from its row
         rng = np.random.default_rng(3)
         _, _, _, w = cascade16
         seg = w.segments[-1]
-        assert len(seg._chain) == 15 and len(seg._paths) == 16
-        for path, a, b in seg._paths:
-            cols, ys, want = [], [], []
-            for j in range(b - a):
-                sign = seg._col_sign[a + j, 0]
-                x = path.eval(rng.uniform(path.t_start, path.t_end, 20))[:, j]
+        assert len(seg._chain) == 15 and len(seg._cols) == 16
+        for path, cols in zip([s._path for s in (*seg._chain, seg)], seg._cols):
+            fronts = np.flatnonzero(cols >= 0)
+            assert fronts.size == path.dim
+            rows, ys, want = [], [], []
+            for f in fronts:
+                sign = seg._sign[f, 0]
+                x = path.eval(rng.uniform(path.t_start, path.t_end, 20))[:, cols[f]]
                 y = np.concatenate([x, [x.min() - 1.0, x.max() + 1.0]])
-                cols.append(np.full(y.size, j))
+                rows.append(np.full(y.size, f))
                 ys.append(y)
-                want.append(path.invert_col(j, y, sign))
-            col = np.concatenate(cols)
-            got = path.invert_col(col, np.concatenate(ys), seg._col_sign[a + col, 0])
+                want.append(path.invert_col(cols[f], y, sign))
+            row = np.concatenate(rows)
+            got = path.invert_col(cols[row], np.concatenate(ys), seg._sign[row, 0])
             np.testing.assert_array_equal(got, np.concatenate(want))
 
     @pytest.mark.parametrize("run", ["cascade16", "merge_run"])
@@ -686,25 +746,49 @@ class TestBatchedFieldRead:
         w = request.getfixturevalue(run)
         w = w[3] if run == "cascade16" else w
         xs = np.linspace(w.segments[0].profile_start.xs[0], w.segments[0].profile_start.xs[-1], 801)
+        row_of = {lab: f for f, lab in enumerate(w.segments[0].labels)}
         calls = []
         invert = classical.DensePath.invert_col
-        monkeypatch.setattr(classical.DensePath, "invert_col", lambda *a: calls.append(1) or invert(*a))
+        monkeypatch.setattr(
+            classical.DensePath,
+            "invert_col",
+            lambda path, c, y, s: calls.append((id(path), np.size(y))) or invert(path, c, y, s),
+        )
         for seg in w.segments[1:]:
             calls.clear()
             got = seg._arrivals(xs)
-            assert len(calls) <= len(seg._paths)
-            # one call per swept column, as the fold made before; the fold's
-            # column arrays are (columns, 1), so .T lays them along a row
-            ahead = seg._col_sign.T * xs[:, None]
-            swept = (ahead > seg._col_from.T) & (ahead <= seg._swept_to.T)
-            want = np.full(swept.shape, math.inf)
-            paths = [(path, j) for path, a, b in seg._paths for j in range(b - a)]
-            for c in np.flatnonzero(swept.any(axis=0)):
-                path, j = paths[c]
-                want[swept[:, c], c] = invert(path, j, xs[swept[:, c]], seg._col_sign[c, 0])
-            want[want <= seg._col_t0.T] = math.inf
-            np.testing.assert_array_equal(got, want.T)
+            # at most one call per segment path
+            assert len({path for path, _ in calls}) == len(calls) <= len(seg._chain) + 1
+            # the reference reads each segment's own columns: column j swept
+            # the points from its start position to its end position, and a
+            # crossing at or before the segment's start is dropped
+            want = np.full((len(row_of), xs.size), math.inf)
+            inverted = np.zeros(want.shape, dtype=bool)
+            for s in (*seg._chain, seg):
+                ends = s._path.arrays()[1][-1]
+                for j, (lab, x0, sign) in enumerate(zip(s.labels, s.omega_start.endpoints, s._signs)):
+                    swept = (sign * xs > sign * x0) & (sign * xs <= sign * ends[j])
+                    f = row_of[lab]
+                    # one inversion per swept (front, point) pair
+                    assert not (inverted[f] & swept).any()
+                    inverted[f] |= swept
+                    t = invert(s._path, j, xs[swept], sign)
+                    want[f, swept] = np.where(t <= s.t_start, math.inf, t)
+            np.testing.assert_array_equal(got, want)
+            # and the fold inverts each swept pair once
+            assert sum(n for _, n in calls) == np.count_nonzero(inverted)
+            assert got.shape[0] == 2 * w.segments[0].omega_start.m
             assert np.isfinite(got).any()
+
+    def test_a_crossing_that_rounds_onto_its_segment_start_is_dropped(self, pstar):
+        # a gap of 2 closes at t = 1, and the surviving right front then
+        # starts at -0.1: it crosses the point one ulp ahead of it within an
+        # ulp of t = 1, which rounds onto the segment's start
+        w = run_weak(pstar, IntervalSet((-7.0, -3.2, -1.2, -1.1)), Profile.constant(0.0, (-20.0, 10.0)), 2.0)
+        seg = w.segments[1]
+        x = np.nextafter(seg.omega_start.endpoints[1], math.inf)
+        assert seg._path.invert_col(1, x, 1.0)[0] == seg.t_start
+        assert np.isinf(seg._arrivals(np.array([x]))).all()
 
     @pytest.mark.parametrize("run", ["cascade16", "shrinking_run"])
     def test_rest_state_skips_the_quiescent_flow(self, run, request, monkeypatch):
