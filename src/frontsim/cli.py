@@ -30,7 +30,7 @@ from .config import (
     preset_config,
     schema_help,
 )
-from .render import spacetime_svg, weak_solution_curves
+from .render import path_curves, spacetime_svg, weak_solution_curves
 
 _NUMERICAL_ERRORS = (
     StepFailure,
@@ -176,7 +176,7 @@ def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
     times = np.linspace(0.0, cfg.t_end, cfg.trajectory_samples)
     x_front, x_back = front.position(times), back.position(times)
     _write_text(os.path.join(out_dir, "divergence.csv"), _csv("t,separation", times, x_back - x_front))
-    curves = [(1, np.column_stack([x_front, times])), (2, np.column_stack([x_back, times]))]
+    curves = [(1, path_curves(front.path)[0]), (2, path_curves(back.path)[0])]
     _write_run(
         cfg, out_dir, times, (1, 2), np.column_stack([x_front, x_back]), front.v, json.dumps([]) + "\n",
         curves, [], "illposed: two continuations from degenerate data",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,12 @@ class TestRunScenario:
         seps = [float(r.split(",")[1]) for r in div[1:]]
         assert all(b >= a for a, b in zip(seps, seps[1:]))
         assert seps[-1] > 0
+        # one polyline per branch through its path's knots, and no polygon
+        svg = (tmp_path / "spacetime.svg").read_text()
+        front, back = ill_posedness_demo(cfg.params, cfg.t_end)
+        lines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert [len(pts.split()) for pts in lines] == [len(front.path), len(back.path)]
+        assert "<polygon" not in svg
 
     def test_csv_text_is_the_per_value_format(self, rng):
         # all rows in one formatting operation read as format(x, ".17g")

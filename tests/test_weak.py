@@ -10,7 +10,8 @@ import pytest
 from frontsim.kinetics import flow_inside, flow_outside, front_speed
 from frontsim.render import spacetime_svg, weak_solution_curves
 from frontsim.state import H2Violation, IntervalSet, Profile
-from frontsim import classical, render, weak
+from frontsim import classical, cli, render, weak
+from frontsim.config import RunConfig, preset_config
 from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, _ContinuedField, run_segment
 from frontsim.weak import (
     SpaceTimePolynomial,
@@ -349,30 +350,28 @@ class TestGeneratedCascade:
 
     def test_curves_match_a_tuple_built_reference(self, cascade16):
         _, _, _, w = cascade16
-        n = 160  # the samples weak_solution_curves takes of each segment
         want_curves: dict[int, list] = {}
         want_polygons = []
         for seg in w.segments:
-            ts = np.linspace(seg.t_start, seg.t_end, n)
-            pos = seg.positions(ts)
+            ts, pos = seg._path.arrays()[:2]  # the segment's accepted step ends
             for j, label in enumerate(seg.labels):
                 want_curves.setdefault(label, []).extend(zip(pos[:, j], ts))
             for comp in range(seg.n_interfaces // 2):
                 loop = list(zip(pos[:, 2 * comp], ts)) + list(zip(pos[::-1, 2 * comp + 1], ts[::-1]))
-                want_polygons.append(np.asarray(loop))
+                want_polygons.append((np.asarray(loop), len(ts)))
         curves, polygons = weak_solution_curves(w)
         assert [label for label, _ in curves] == sorted(want_curves)
         for label, pts in curves:
             assert pts.shape == (len(want_curves[label]), 2)
             np.testing.assert_array_equal(pts, np.asarray(want_curves[label]))
         assert len(polygons) == len(want_polygons) == sum(seg.n_interfaces // 2 for seg in w.segments)
-        for got, want in zip(polygons, want_polygons):
-            assert got.shape == (2 * n, 2)
+        for got, (want, knots) in zip(polygons, want_polygons):
+            assert got.shape == (2 * knots, 2)
             np.testing.assert_array_equal(got, want)
 
     def test_svg_points_match_a_per_pair_reference(self, cascade16):
-        # spacetime_svg formats each distinct coordinate once; the reference
-        # formats every pair of every shape on its own
+        # spacetime_svg formats each shape with one % operation; the
+        # reference formats every pair of every shape on its own
         xs, _, _, w = cascade16
         curves, polygons = weak_solution_curves(w)
         x_range, t_range = (xs[0] - 4.0, xs[-1] + 4.0), (0.0, 3.0)
@@ -518,6 +517,54 @@ class TestGeneratedAdmissible:
                 speeds = np.abs(seg._path.deriv(ts))
                 slowed += bool(np.any(np.diff(speeds, axis=0) < 0.0))
         assert finished >= 5 and slowed >= 5
+
+
+class TestPictureFidelity:
+    """The space-time picture draws each front as a polyline through its
+    segment's step ends; it must show the quartic dense output."""
+
+    @staticmethod
+    def _assert_faithful(cfg: RunConfig, w: WeakSolution) -> None:
+        # the pixels of the picture the CLI draws of this run
+        xs = cli._field_grid(cfg)
+        m = render._Mapper(xs[0], xs[-1], 0.0, cfg.t_end)
+        curves, _ = weak_solution_curves(w)
+        for label, pts in curves:
+            start = 0
+            for seg in w.segments:
+                if label not in seg.labels:
+                    continue
+                block = pts[start:start + len(seg._path)]
+                start += len(seg._path)
+                ts = np.linspace(seg.t_start, seg.t_end, 160)
+                drawn = np.column_stack([np.interp(ts, block[:, 1], block[:, 0]), ts])
+                exact = np.column_stack([seg.positions(ts)[:, seg.labels.index(label)], ts])
+                # 0.024 px at most on this data
+                assert np.abs(m.pixels(drawn) - m.pixels(exact)).max() <= 0.05
+            assert start == len(pts)
+        last = {label: pts[-1, 1] for label, pts in curves}
+        for ev in w.events:
+            for label in ev.labels:
+                assert last[label] == ev.time
+
+    @pytest.mark.parametrize("name", ["shrinking", "merge"])
+    def test_presets(self, name):
+        cfg = preset_config(name)
+        w = run_weak(
+            cfg.params, cfg.omega, cfg.profile, cfg.t_end,
+            tol_step=cfg.tol_step, tol_event=cfg.tol_event, margin=cfg.eta,
+        )
+        assert len(w.events) == 1
+        self._assert_faithful(cfg, w)
+
+    def test_cascade(self, pstar, cascade16):
+        xs, _, v0, w = cascade16
+        self._assert_faithful(RunConfig(pstar, IntervalSet(tuple(xs)), v0, 3.0), w)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_admissible_draw(self, pstar, seed):
+        omega, v0 = _admissible_draw(np.random.default_rng(seed), pstar, 2)
+        self._assert_faithful(RunConfig(pstar, omega, v0, 2.0), run_weak(pstar, omega, v0, 2.0))
 
 
 def _crossings(seg, x: float, end: float) -> list[float]:
