@@ -57,9 +57,10 @@ class RunConfig:
     field_t: int = 21
 
     def __post_init__(self) -> None:
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.tol_step <= 0 or self.tol_event <= 0:
+        # written so that nan fails them
+        if not self.t_end > 0:
+            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        if not (self.tol_step > 0 and self.tol_event > 0):
             raise ValueError("tolerances must be positive")
 
 

@@ -23,13 +23,14 @@ even reflection before each step (the Neumann boundary), and the diffusion
 and reaction terms fold into one Horner cubic in u plus the neighbour sum
 and the v coupling.  Its constants are read-only 0-d float64 arrays, the
 rule the kinetics module states.  After each update the checks run in a
-fixed order: v below -1e-8 raises, v is clamped at 0 only when min(v) is
-not > 0 (elsewhere the clamp is the identity), and |u| above 10 raises.
+fixed order: v at or past the pole of g2*v/(g3*v + g4) raises (min(v)*g3 + g4
+not > 0, which nan fails too), v is clamped at 0 only when min(v) is not > 0
+(elsewhere the clamp is the identity), and |u| above 10 raises.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -56,7 +57,8 @@ SQRT2 = math.sqrt(2.0)
 
 
 class FHNBlowUp(RuntimeError):
-    """The explicit scheme became unstable (|u| exceeded the blow-up bound)."""
+    """The explicit scheme left its range: v reached the pole of the recovery
+    kinetics, or |u| exceeded the blow-up bound."""
 
 
 class DomainTooSmall(ValueError):
@@ -70,35 +72,33 @@ class InterfaceCountMismatch(RuntimeError):
 @dataclass(frozen=True)
 class FHNConfig:
     """Discretization of the two-component model on a truncated line with
-    homogeneous Neumann boundaries.
+    homogeneous Neumann boundaries, for the front model's parameters.
 
-    Stability requires dt <= dx^2/2 (explicit diffusion) and dt <= eps^2/4
-    (stiff reaction); both are enforced.  `freeze_v` pins v at its initial
-    data, which isolates the u-front speed for calibration tests.
+    Its sharp-interface limit carries params' wave speeds: alpha = a/sqrt(2)
+    and beta = b/(6*sqrt(2)).  dx defaults to eps/2 and dt to
+    min(0.45*dx^2, eps^2/4); then every value must be finite, and stability
+    requires dt <= dx^2/2 (explicit diffusion) and dt <= eps^2/4 (stiff
+    reaction), both enforced.
 
-    A step reads u from a row of n + 2 cells whose ghost cells mirror the
-    first interior neighbours, so the boundary stencil is 2(u_1 - u_0)/dx^2,
-    and overwrites u with ((p3*u + p2)*u + p1)*u + (dt/dx^2)*(u_{i+1} +
-    u_{i-1}) - (dt*beta/eps)*v once every term is read, the coefficients
-    fixed per run as read-only 0-d arrays; v is updated in place from the
-    old u and v.  Then v below -1e-8 raises FHNBlowUp, v is clamped at 0
+    Each step (see _Kernel) updates u and v in place from the old u and v,
+    with the Neumann stencil 2(u_1 - u_0)/dx^2 at the boundary.  Then v at or
+    past the pole of g2*v/(g3*v + g4) raises FHNBlowUp, v is clamped at 0
     when min(v) is not > 0, and |u| above 10 raises FHNBlowUp.
     """
 
+    params: Parameters
     eps: float
-    alpha: float
-    beta: float
-    g1: float
-    g2: float
-    g3: float
-    g4: float
     x_left: float
     x_right: float
-    dx: float
-    dt: float
-    freeze_v: bool = False
+    _: KW_ONLY
+    dx: float | None = None
+    dt: float | None = None
 
     def __post_init__(self) -> None:
+        if self.dx is None:
+            object.__setattr__(self, "dx", 0.5 * self.eps)
+        if self.dt is None:
+            object.__setattr__(self, "dt", min(0.45 * self.dx**2, 0.25 * self.eps**2))
         # nan fails every comparison below, so it would pass them all
         for name in ("eps", "dx", "dt", "x_left", "x_right"):
             value = getattr(self, name)
@@ -116,47 +116,17 @@ class FHNConfig:
             raise ValueError("stiff reaction requires dt <= eps^2/4")
 
     @property
-    def a(self) -> float:
-        return SQRT2 * self.alpha
+    def alpha(self) -> float:
+        return self.params.a / SQRT2
 
     @property
-    def b(self) -> float:
-        return 6.0 * SQRT2 * self.beta
+    def beta(self) -> float:
+        return self.params.b / (6.0 * SQRT2)
 
     @property
     def grid(self) -> np.ndarray:
         n = int(round((self.x_right - self.x_left) / self.dx)) + 1
         return self.x_left + self.dx * np.arange(n)
-
-    @classmethod
-    def for_front_model(
-        cls,
-        p: Parameters,
-        eps: float,
-        x_left: float,
-        x_right: float,
-        *,
-        dx: float | None = None,
-        dt: float | None = None,
-        freeze_v: bool = False,
-    ) -> "FHNConfig":
-        """Config whose sharp-interface limit carries the given wave speeds."""
-        dx = 0.5 * eps if dx is None else dx
-        dt = min(0.45 * dx**2, 0.25 * eps**2) if dt is None else dt
-        return cls(
-            eps=eps,
-            alpha=p.a / SQRT2,
-            beta=p.b / (6.0 * SQRT2),
-            g1=p.g1,
-            g2=p.g2,
-            g3=p.g3,
-            g4=p.g4,
-            x_left=x_left,
-            x_right=x_right,
-            dx=dx,
-            dt=dt,
-            freeze_v=freeze_v,
-        )
 
 
 @dataclass
@@ -214,19 +184,20 @@ class _Kernel:
     a smaller fixed cost with the same bits, and at a few thousand cells
     that fixed cost is much of a step.
 
-    The checks run in a fixed order after the update: v below -1e-8 raises,
-    then v is clamped at 0, but only when min(v) is not > 0, where the clamp
-    is the identity; then |u| above 10 raises.  With freeze_v, v is never
-    updated, checked or clamped.
+    The checks run in a fixed order after the update: v at or past the pole
+    of g2*v/(g3*v + g4) raises, that is when min(v)*g3 + g4 is not > 0 (so
+    nan raises too); then v is clamped at 0, but only when min(v) is not
+    > 0, where the clamp is the identity; then |u| above 10 raises.
     """
 
     def __init__(self, cfg: FHNConfig, u: np.ndarray, v: np.ndarray) -> None:
+        p = cfg.params
         r = cfg.dt / cfg.dx**2
         k = cfg.dt / cfg.eps**2
         c = 0.5 - cfg.eps * cfg.alpha
         consts = _constants(
             r, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c,
-            cfg.dt * cfg.g1, cfg.dt * cfg.g2, cfg.g3, cfg.g4, 0.0,
+            cfg.dt * p.g1, cfg.dt * p.g2, p.g3, p.g4, 0.0,
         )
         fields = np.zeros((2, u.size + 2))
         both = fields[:, 1:-1]
@@ -234,7 +205,7 @@ class _Kernel:
         self.u, self.v = both
         U = fields[0]
         temps = [np.empty(u.size) for _ in range(4)]
-        self._frozen = cfg.freeze_v
+        self._pole = (float(p.g3), float(p.g4))
         self._bound = (U, U[2:], U[:-2], self.u, self.v, both, *temps, *consts)
 
     def step(self) -> None:
@@ -252,22 +223,21 @@ class _Kernel:
         mul(t, u, t)
         add(t, s, t)
         mul(v, kv, s)
-        if not self._frozen:
-            mul(u, dt_g1, z)
-            mul(v, g3, q)
-            add(q, g4, q)
-            np.divide(v, q, q)
-            mul(q, dt_g2, q)
-            sub(z, q, z)
-            add(v, z, v)
+        mul(u, dt_g1, z)
+        mul(v, g3, q)
+        add(q, g4, q)
+        np.divide(v, q, q)
+        mul(q, dt_g2, q)
+        sub(z, q, z)
+        add(v, z, v)
         sub(t, s, u)
         u_min, v_min = np.minimum.reduce(both, axis=1).tolist()
-        if not self._frozen:
-            if v_min < -1e-8:
-                raise FHNBlowUp(f"recovery field went negative ({v_min:.3e})")
-            if not v_min > 0.0:
-                # numpy deprecates a third positional argument of np.maximum
-                np.maximum(v, zero, out=v)
+        c3, c4 = self._pole
+        if not v_min * c3 + c4 > 0.0:
+            raise FHNBlowUp(f"recovery field reached the pole of g3*v + g4 = 0 (min v = {v_min:.3e})")
+        if not v_min > 0.0:
+            # numpy deprecates a third positional argument of np.maximum
+            np.maximum(v, zero, out=v)
         if np.maximum.reduce(u) > 10.0 or u_min < -10.0:
             raise FHNBlowUp("u exceeded the blow-up bound; scheme unstable")
 
@@ -400,7 +370,7 @@ def eps_sweep(
         pad = p.a * t_end + 1.0 + 10.0 * eps
         lo = min(l for l, _ in omega.pairs) - pad
         hi = max(r for _, r in omega.pairs) + pad
-        cfg = FHNConfig.for_front_model(p, eps, lo, hi)
+        cfg = FHNConfig(p, eps, lo, hi)
         trace = run_fhn(cfg, omega, profile, t_end, sample_dt=sample_dt)
         reports.append(compare_trajectories(trace, weak, t_end))
     return reports

@@ -138,8 +138,9 @@ def validate_initial(
     together.  Raises H2Violation listing the degenerate endpoints.
     """
     eta = default_margin(p) if margin is None else float(margin)
-    if eta <= 0.0:
-        raise ValueError("degeneracy margin must be positive")
+    # nan fails every comparison, so `eta <= 0.0` would let it pass
+    if not eta > 0.0:
+        raise ValueError(f"degeneracy margin must be positive, got {eta!r}")
 
     checks = []
     if omega.endpoints:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -108,19 +108,7 @@ class WeakSolution:
 
 
 def events_as_json(w: WeakSolution) -> str:
-    records = [
-        {
-            "time": ev.time,
-            "kind": ev.kind.value,
-            "indices": list(ev.indices),
-            "labels": list(ev.labels),
-            "position": ev.position,
-            "components_before": ev.components_before,
-            "components_after": ev.components_after,
-        }
-        for ev in w.events
-    ]
-    return json.dumps(records, sort_keys=True, indent=2) + "\n"
+    return json.dumps([asdict(ev) for ev in w.events], sort_keys=True, indent=2) + "\n"
 
 
 # --- surgery ---------------------------------------------------------------

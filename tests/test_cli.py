@@ -9,7 +9,7 @@ import frontsim.cli
 import frontsim.config
 from frontsim.classical import DegeneracyWarning
 from frontsim.cli import _csv, main, run_scenario
-from frontsim.config import ConfigError, preset_config, validate_config
+from frontsim.config import ConfigError, RunConfig, preset_config, validate_config
 from frontsim import IntervalSet, Parameters, Profile
 from frontsim.weak import ill_posedness_demo, run_weak
 
@@ -261,6 +261,15 @@ sample_dt = 0.1
         with pytest.raises(ConfigError) as err:
             validate_config(text)
         assert any("tol_step" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize("field", ["t_end", "tol_step", "tol_event"])
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+    def test_run_config_rejects_non_positive_and_nan(self, field, bad):
+        # nan fails every comparison, so each check must be one nan fails
+        kw = dict(t_end=1.0, tol_step=1e-8, tol_event=1e-10)
+        kw[field] = bad
+        with pytest.raises(ValueError, match="must be positive"):
+            RunConfig(Parameters(1, 1, 3, 1, 1, 2), IntervalSet((-1.0, 1.0)), Profile.constant(0.0), **kw)
 
     def test_errors_are_aggregated(self):
         text = GOOD_CONFIG.replace("g3 = 3\n", "").replace("t_end = 1.0", "t_end = -2")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import frontsim.oracle
+from frontsim.kinetics import Parameters
 from frontsim.state import IntervalSet, Profile
 from frontsim.oracle import (
     DomainTooSmall,
@@ -24,7 +25,7 @@ from conftest import expanding_setup, merge_setup, shrinking_setup
 
 
 def small_cfg(pstar, eps=0.05, lo=-4.0, hi=4.0, **kw):
-    return FHNConfig.for_front_model(pstar, eps, lo, hi, **kw)
+    return FHNConfig(pstar, eps, lo, hi, **kw)
 
 
 def one_step(cfg, u, v):
@@ -37,15 +38,15 @@ def one_step(cfg, u, v):
 class TestConfig:
     def test_parameter_map_consistency(self, pstar):
         cfg = small_cfg(pstar)
-        assert cfg.a == pytest.approx(pstar.a, abs=1e-15)
-        assert cfg.b == pytest.approx(pstar.b, abs=1e-15)
+        assert math.sqrt(2) * cfg.alpha == pytest.approx(pstar.a, abs=1e-15)
+        assert 6 * math.sqrt(2) * cfg.beta == pytest.approx(pstar.b, abs=1e-15)
 
     def test_stability_constraints_enforced(self, pstar):
         with pytest.raises(ValueError):
             small_cfg(pstar, dt=1.0)  # violates dt <= dx^2/2
         eps = 0.05
         with pytest.raises(ValueError):
-            FHNConfig.for_front_model(pstar, eps, -4, 4, dx=1.0, dt=0.9 * eps**2)
+            FHNConfig(pstar, eps, -4, 4, dx=1.0, dt=0.9 * eps**2)
 
     @pytest.mark.parametrize("field", ["eps", "dx", "dt", "x_left", "x_right"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -55,7 +56,7 @@ class TestConfig:
         kw[field] = bad
         eps, lo, hi = kw.pop("eps"), kw.pop("x_left"), kw.pop("x_right")
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            FHNConfig.for_front_model(pstar, eps, lo, hi, **kw)
+            FHNConfig(pstar, eps, lo, hi, **kw)
 
     def test_default_steps_satisfy_both_bounds(self, pstar):
         cfg = small_cfg(pstar, eps=0.02)
@@ -94,7 +95,7 @@ def _pulse_at_rest(cfg):
 
 
 def _below_rest(cfg):
-    # u < 0 on v = 0 takes v into (-1e-8, 0), where the clamp acts
+    # u < 0 on v = 0 takes v below 0, where the clamp acts
     x = cfg.grid
     return np.full_like(x, -1e-6), np.zeros_like(x)
 
@@ -112,7 +113,7 @@ class TestStep:
         s2 = one_step(cfg, np.ones_like(x), np.zeros_like(x))
         # f(1) = 0 and the plateau is flat, so u only feels the -eps*beta*v term
         assert np.allclose(s2.u, 1.0, atol=1e-12)
-        assert np.allclose(s2.v, cfg.dt * cfg.g1)
+        assert np.allclose(s2.v, cfg.dt * cfg.params.g1)
 
     def test_translation_invariance_of_uniform_states(self, pstar):
         cfg = small_cfg(pstar)
@@ -121,25 +122,29 @@ class TestStep:
         assert np.ptp(s2.u) == 0.0
         assert np.ptp(s2.v) == 0.0
 
-    def test_negative_recovery_raises(self, pstar):
-        # u < 0 on v = 0 drives v below zero in one step
+    def test_negative_recovery_is_clamped(self, pstar):
+        # u < 0 on v = 0 drives v below zero in one step; the clamp puts it back
         cfg = small_cfg(pstar)
         x = cfg.grid
-        with pytest.raises(FHNBlowUp, match="recovery field went negative"):
-            one_step(cfg, np.full_like(x, -0.05), np.zeros_like(x))
+        s2 = one_step(cfg, np.full_like(x, -0.05), np.zeros_like(x))
+        assert np.all(s2.v == 0.0)
+
+    def test_recovery_at_the_pole_raises(self, pstar):
+        # v within 1e-9 of the pole -g4/g3 of g2*v/(g3*v + g4), on its far
+        # side: the step carries v further past it, and the next step would
+        # divide by g3*v + g4 < 0.  (Exactly on the rounded pole g3*v + g4
+        # is 0, and the step sends v to +inf instead.)
+        cfg = small_cfg(pstar)
+        x = cfg.grid
+        pole = -pstar.g4 / pstar.g3
+        with pytest.raises(FHNBlowUp, match="pole of g3"):
+            one_step(cfg, np.zeros_like(x), np.full_like(x, pole * (1.0 + 1e-9)))
 
     def test_u_blow_up_raises(self, pstar):
         cfg = small_cfg(pstar)
         x = cfg.grid
         with pytest.raises(FHNBlowUp, match="u exceeded the blow-up bound"):
             one_step(cfg, np.full_like(x, 11.0), np.zeros_like(x))
-
-    def test_frozen_negative_recovery_is_kept(self, pstar):
-        cfg = small_cfg(pstar, freeze_v=True)
-        x = cfg.grid
-        v = np.full_like(x, -1e-3)
-        s2 = one_step(cfg, np.zeros_like(x), v)
-        assert np.array_equal(s2.v, v)
 
     def test_run_is_repeated_steps(self, pstar):
         # run_fhn is n steps of one kernel: same bits, input left alone
@@ -159,34 +164,33 @@ class TestStep:
         assert np.array_equal(trace.final.v, kernel.v)
 
     @pytest.mark.parametrize(
-        "start, freeze_v, branch",
+        "start, branch",
         [
-            pytest.param(_two_pulses, False, None, id="False"),
-            pytest.param(_two_pulses, True, None, id="True"),
-            pytest.param(_pulse_at_rest, False, "v_min_zero", id="v_min_zero"),
-            pytest.param(_below_rest, False, "clamped", id="clamped"),
+            pytest.param(_two_pulses, None, id="False"),
+            pytest.param(_pulse_at_rest, "v_min_zero", id="v_min_zero"),
+            pytest.param(_below_rest, "clamped", id="clamped"),
         ],
     )
-    def test_kernel_matches_plain_reference_step(self, pstar, start, freeze_v, branch):
+    def test_kernel_matches_plain_reference_step(self, pstar, start, branch):
         # the step as plain array expressions, each operation in the kernel's
         # order, so every value must agree bit for bit; the reference clamps
         # v every step, the kernel only when min(v) is not > 0
-        cfg = small_cfg(pstar, freeze_v=freeze_v)
+        cfg = small_cfg(pstar)
         u, v = start(cfg)
         r, k = cfg.dt / cfg.dx**2, cfg.dt / cfg.eps**2
         c = 0.5 - cfg.eps * cfg.alpha
         p3, p2, p1, kv = -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c, k * cfg.eps * cfg.beta
-        dt_g1, dt_g2 = cfg.dt * cfg.g1, cfg.dt * cfg.g2
+        g1, g2, g3, g4 = cfg.params.g1, cfg.params.g2, cfg.params.g3, cfg.params.g4
+        dt_g1, dt_g2 = cfg.dt * g1, cfg.dt * g2
         kernel = frontsim.oracle._Kernel(cfg, u, v)
         taken = {"v_min_zero": 0, "clamped": 0}
         for _ in range(200):
             padded = np.concatenate([u[1:2], u, u[-2:-1]])
             u_new = ((u * p3 + p2) * u + p1) * u + (padded[2:] + padded[:-2]) * r - v * kv
-            if not freeze_v:
-                v = v + (u * dt_g1 - v / (v * cfg.g3 + cfg.g4) * dt_g2)
-                taken["v_min_zero"] += np.min(v) == 0.0
-                taken["clamped"] += -1e-8 < np.min(v) < 0.0
-                v = np.maximum(v, 0.0)
+            v = v + (u * dt_g1 - v / (v * g3 + g4) * dt_g2)
+            taken["v_min_zero"] += np.min(v) == 0.0
+            taken["clamped"] += np.min(v) < 0.0
+            v = np.maximum(v, 0.0)
             u = u_new
             kernel.step()
             assert np.array_equal(kernel.u, u) and np.array_equal(kernel.v, v)
@@ -233,10 +237,12 @@ class TestExtract:
 
 
 class TestDynamics:
-    def test_frozen_recovery_front_speed(self, pstar):
-        # with v pinned at 0 the front must travel at the limiting speed a
+    def test_frozen_recovery_front_speed(self):
+        # with v pinned near 0 the front must travel at the limiting speed a;
+        # g1 = g2 = 1e-9 keep v below ~1e-9 over the run
         eps = 0.02
-        cfg = FHNConfig.for_front_model(pstar, eps, -2.0, 3.0, freeze_v=True)
+        p = Parameters(g1=1e-9, g2=1e-9, g3=3, g4=1, a=1, b=2)
+        cfg = FHNConfig(p, eps, -2.0, 3.0)
         omega = IntervalSet((-1.5, 0.0))
         trace = run_fhn(cfg, omega, Profile.constant(0.0, (-4, 4)), 1.0, sample_dt=0.1)
         # track the right-moving front only
@@ -246,7 +252,8 @@ class TestDynamics:
                 ts.append(t)
                 xs.append(pos[-1])
         speed = np.polyfit(ts, xs, 1)[0]
-        assert speed == pytest.approx(pstar.a, rel=0.10)
+        assert np.max(trace.final.v) < 1.1e-9
+        assert speed == pytest.approx(p.a, rel=0.10)
 
     def test_fields_stay_bounded(self, pstar):
         cfg = small_cfg(pstar)
@@ -263,7 +270,7 @@ class TestDynamics:
         t_track = w.events[0].time
         drops = []
         for eps in (0.05, 0.02):
-            cfg = FHNConfig.for_front_model(pstar, eps, -6.0, 6.0)
+            cfg = FHNConfig(pstar, eps, -6.0, 6.0)
             trace = run_fhn(cfg, omega, v0, 1.3, sample_dt=0.01)
             t_drop = next(
                 t for t, pos in zip(trace.times, trace.interfaces) if t > 0.2 and len(pos) < 4
@@ -288,15 +295,11 @@ class TestDynamics:
         for pos, want in zip(trace.interfaces[1:], expected):
             assert np.max(np.abs(pos - np.array(want))) <= 1e-10
 
-    @pytest.mark.xfail(
-        raises=FHNBlowUp,
-        strict=True,
-        reason="u settles slightly below 0 where v > 0, diffusion carries it into "
-        "the cell where v = 0, and there v_t = g1 u < 0",
-    )
     def test_profile_reaching_zero_runs(self, pstar):
         # test_pinned_positions' datum with v0 ending at 0, not 0.05: an
-        # admissible datum the oracle must run to be a check on it
+        # admissible datum the oracle must run to be a check on it.  u settles
+        # slightly below 0 where v > 0 and diffusion carries it into the cell
+        # where v = 0, so v_t = g1 u < 0 there; the clamp keeps v at 0
         cfg = small_cfg(pstar)
         omega = IntervalSet((-2.0, -0.8, 0.6, 2.0))
         v0 = Profile(np.array([-4.0, 0.0, 4.0]), np.array([0.1, 0.3, 0.0]))
@@ -341,7 +344,7 @@ def _sweep_on_wide_grid(p, omega, profile, weak, eps_list, t_end):
     for eps in eps_list:
         lo = min(l for l, _ in omega.pairs) - (10.0 * eps + speed * t_end + 1.0)
         hi = max(r for _, r in omega.pairs) + (10.0 * eps + speed * t_end + 1.0)
-        cfg = FHNConfig.for_front_model(p, eps, lo, hi)
+        cfg = FHNConfig(p, eps, lo, hi)
         reports.append(compare_trajectories(run_fhn(cfg, omega, profile, t_end), weak, t_end))
     return reports
 

@@ -82,6 +82,14 @@ class TestValidateInitial:
         checks = validate_initial(pstar, omega, v0, 1e-12)
         assert len(checks) == 2
 
+    @pytest.mark.parametrize("margin", [math.nan, 0.0, -1e-6])
+    def test_margin_must_be_positive(self, pstar, margin):
+        # W = 0 at both endpoints, so a margin that passed the check (nan
+        # fails every comparison) would accept this ill-posed start
+        omega = IntervalSet((-1.0, 1.0))
+        with pytest.raises(ValueError, match="degeneracy margin must be positive"):
+            validate_initial(pstar, omega, Profile.constant(0.5), margin)
+
     def test_default_margin_scale(self, pstar):
         assert default_margin(pstar) == pytest.approx(1e-6 * max(pstar.a, pstar.b * pstar.M))
 
