@@ -497,7 +497,9 @@ class ClassicalSegment:
             raise ValueError(f"a continuation starts at its segment's end t={t_from!r}, not at t={t_start!r}")
         if not (tol_step > 0.0 and tol_event > 0.0):
             raise ValueError("tolerances must be positive")
-        checks = validate_initial(params, omega_start, profile_start, margin)
+        # one margin for the start check and the degeneracy warning
+        self.margin = default_margin(params) if margin is None else float(margin)
+        checks = validate_initial(params, omega_start, profile_start, self.margin)
         self.params = params
         self.omega_start = omega_start
         self.profile_start = profile_start
@@ -505,7 +507,6 @@ class ClassicalSegment:
         self.t_goal = float(t_end)
         self.tol_step = float(tol_step)
         self.tol_event = float(tol_event)
-        self.margin = default_margin(params) if margin is None else float(margin)
         self.stats = SegmentStats()
         self.event: EventRecord | None = None
 

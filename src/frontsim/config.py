@@ -164,7 +164,6 @@ _KINETICS = ("g1", "g2", "g3", "g4", "a", "b")
 
 _SCHEMA = {
     **{("parameters", name): _key(_number, _POSITIVE) for name in _KINETICS},
-    ("parameters", "m"): _key(_number_or_auto, _POSITIVE, default=None),
     ("initial", "intervals"): _key(
         _numbers, _check(lambda xs: xs and len(xs) % 2 == 0, "need a non-empty, even-length endpoint list")
     ),
@@ -309,12 +308,9 @@ def validate_config(text: str, base_dir: str = ".", environ: Mapping[str, str] |
             profile = Profile.constant(values["profile_value"], span)
         except ValueError as exc:
             errors.append(f"initial.profile_span: {exc}")
-    if all(name in values for name in _KINETICS + ("m",)):
-        m = values["m"]
-        if m is None:
-            m = max(1.0, profile.bound) if profile is not None else 1.0
+    if all(name in values for name in _KINETICS):
         try:
-            params = Parameters(**{name: values[name] for name in _KINETICS}, M=m)
+            params = Parameters(**{name: values[name] for name in _KINETICS})
         except ValueError as exc:
             errors.append(f"parameters: {exc}")
 

@@ -45,13 +45,11 @@ class Phase(IntEnum):
 
 @dataclass(frozen=True)
 class Parameters:
-    """Kinetic constants, wave-speed coefficients and the reference level M.
+    """Kinetic constants g1..g4 and the speed law's coefficients a, b.
 
     Requires g1*g3 > g2 so that g(1, v) > 0 for every v >= 0; a warning is
     emitted when the stronger condition g1*g3 > 2*g2 fails, since parts of the
-    theory assume it.  M only scales the default endpoint margin
-    (state.default_margin): flow outputs are independent of it (set it to
-    max(1, sup v0) by convention).
+    theory assume it.
     """
 
     g1: float
@@ -60,14 +58,11 @@ class Parameters:
     g4: float
     a: float
     b: float
-    M: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("g1", "g2", "g3", "g4", "a", "b"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"parameter {name} must be strictly positive")
-        if not self.M > 0.0:
-            raise ValueError("reference level M must be positive")
         if not self.g1 * self.g3 > self.g2:
             raise ValueError(
                 "require g1*g3 > g2 so the excited reaction rate stays positive "

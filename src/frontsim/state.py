@@ -120,7 +120,7 @@ class EndpointCheck:
 
 def default_margin(p: Parameters) -> float:
     """Default degeneracy margin for the |W| != 0 endpoint condition."""
-    return 1e-6 * max(p.a, p.b * p.M)
+    return 1e-6 * max(p.a, p.b)
 
 
 def validate_initial(

@@ -471,11 +471,10 @@ class IllPosedBranch:
 
     The excited set is (s(t), inf); the field is taken as the inside flow of
     the initial profile to the right of s(t) and the outside flow to its left.
-    The 'front' branch drives s with the inside reading of v at the interface,
-    the 'back' branch with the outside reading; both start with zero speed.
+    The front branch drives s with the inside reading of v at the interface,
+    the back branch with the outside reading; both start with zero speed.
     """
 
-    role: str
     params: Parameters
     path: DensePath
 
@@ -512,23 +511,15 @@ def ill_posedness_demo(params: Parameters, horizon: float) -> tuple[IllPosedBran
     v0 (it then recedes) or by the outside flow (it then advances), yielding
     two solutions from the same data.
     """
-    if horizon <= 0.0:
+    # nan fails every comparison, so `horizon <= 0.0` would let it pass
+    if not horizon > 0.0:
         raise ValueError("horizon must be positive")
 
-    def v0_at(s: float) -> float:
-        return max(params.v_star - math.atan(s), 0.0)
+    def branch(flow) -> IllPosedBranch:
+        def rhs(t, y):
+            v = flow(params, max(params.v_star - math.atan(float(y[0])), 0.0), max(t, 0.0))
+            return np.array([params.a - params.b * v])
 
-    def rhs_front(t, y):
-        v = flow_inside(params, v0_at(float(y[0])), max(t, 0.0))
-        return np.array([params.a - params.b * v])
+        return IllPosedBranch(params, integrate_adaptive(rhs, 0.0, [0.0], horizon, tol=_ILLPOSED_TOL))
 
-    def rhs_back(t, y):
-        v = flow_outside(params, v0_at(float(y[0])), max(t, 0.0))
-        return np.array([params.a - params.b * v])
-
-    front = integrate_adaptive(rhs_front, 0.0, [0.0], horizon, tol=_ILLPOSED_TOL)
-    back = integrate_adaptive(rhs_back, 0.0, [0.0], horizon, tol=_ILLPOSED_TOL)
-    return (
-        IllPosedBranch("front", params, front),
-        IllPosedBranch("back", params, back),
-    )
+    return branch(flow_inside), branch(flow_outside)

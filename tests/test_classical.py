@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from frontsim.kinetics import Phase, flow_inside, flow_outside, reaction_rate
-from frontsim.state import H2Violation, IntervalSet, Profile
+from frontsim.state import H2Violation, IntervalSet, Profile, default_margin
 from frontsim.classical import (
     ClassicalSegment,
     DensePath,
@@ -232,6 +232,20 @@ class TestSolverBehavior:
         omega = IntervalSet((-1.0, 1.0))
         with pytest.raises(H2Violation):
             run_segment(pstar, omega, Profile.constant(0.5, (-5, 5)), 0.0, 1.0)
+
+    def test_one_margin_per_segment(self, pstar):
+        # the start check and the degeneracy warning read the segment's one
+        # margin: the default is resolved once, and |W| just past it starts
+        eta = default_margin(pstar)
+        omega = IntervalSet((-1.0, 1.0))
+
+        def start(w):
+            v0 = Profile.constant((pstar.a - w) / pstar.b, (-5.0, 5.0))
+            return ClassicalSegment(pstar, omega, v0, 0.0, 1.0, margin=None)
+
+        assert start(1.01 * eta).margin == eta
+        with pytest.raises(H2Violation):
+            start(0.99 * eta)
 
     def test_self_convergence_order(self, pstar):
         # quartering the tolerance must shrink trajectory differences by

@@ -44,7 +44,7 @@ MESSAGE_CASES = {
     "eta not a number": ((), "eta = x\n", None, ["run.eta: not a number: 'x'"]),
     "not an integer": ((), "[output]\nfield_t = 2.5\n", None, ["output.field_t: not an integer: '2.5'"]),
     "not positive": ((("t_end = 1.0", "t_end = -2"),), "", None, ["run.t_end: must be positive, got -2.0"]),
-    "m not positive": ((("b = 2", "b = 2\nm = 0"),), "", None, ["parameters.m: must be positive, got 0.0"]),
+    "retired m": ((("b = 2", "b = 2\nm = 2"),), "", None, ["parameters.m: unknown key"]),
     "at least two": ((), "[output]\ntrajectory_samples = 1\n", None, ["output.trajectory_samples: must be >= 2"]),
     "list of numbers": (
         (), "[oracle]\neps = 0.05 x\n", None, ["oracle.eps: expected a list of numbers, got '0.05 x'"],
@@ -200,7 +200,6 @@ g3 = 3
 g4 = 0.5
 a = 1.25
 b = 2.5
-m = 4
 
 [initial]
 intervals = -3, -1, 1, 3
@@ -228,7 +227,7 @@ sample_dt = 0.1
 """
         cfg = validate_config(text, base_dir=str(tmp_path))
         p = cfg.params
-        assert (p.g1, p.g2, p.g3, p.g4, p.a, p.b, p.M) == (2.0, 1.5, 3.0, 0.5, 1.25, 2.5, 4.0)
+        assert (p.g1, p.g2, p.g3, p.g4, p.a, p.b) == (2.0, 1.5, 3.0, 0.5, 1.25, 2.5)
         assert cfg.omega.pairs == ((-3.0, -1.0), (1.0, 3.0))
         # profile_samples wins over profile_file
         assert cfg.profile.xs.tolist() == [-10.0, 0.0, 10.0]

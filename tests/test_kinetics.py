@@ -32,12 +32,12 @@ def g_of(p, u, v):
 # antiderivative by exactly t, so they are the flows' reference below.
 
 def antiderivative_outside(p, v):
-    """From the reference level M: -(g3/g2)*(v - M) - (g4/g2)*ln(v/M),
-    strictly decreasing and divergent as v -> 0+."""
+    """From 1: -(g3/g2)*(v - 1) - (g4/g2)*ln(v), strictly decreasing and
+    divergent as v -> 0+."""
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0.0):
         raise ValueError("antiderivative_outside requires v > 0 (diverges at 0)")
-    return -(p.g3 / p.g2) * (v - p.M) - (p.g4 / p.g2) * np.log(v / p.M)
+    return -(p.g3 / p.g2) * (v - 1.0) - (p.g4 / p.g2) * np.log(v)
 
 
 def antiderivative_inside(p, v):
@@ -95,10 +95,10 @@ class TestPointwise:
 
 class TestAntiderivatives:
     def test_outside_zero_at_reference(self, pstar):
-        assert antiderivative_outside(pstar, pstar.M) == 0.0
+        assert antiderivative_outside(pstar, 1.0) == 0.0
 
     def test_outside_value_against_quadrature(self, pstar):
-        oracle = quad(lambda s: 1.0 / g_of(pstar, 0, s), pstar.M, 0.5, epsabs=1e-13)[0]
+        oracle = quad(lambda s: 1.0 / g_of(pstar, 0, s), 1.0, 0.5, epsabs=1e-13)[0]
         assert oracle == pytest.approx(ANTI_OUT_HALF, abs=1e-12)
         assert antiderivative_outside(pstar, 0.5) == pytest.approx(ANTI_OUT_HALF, abs=1e-12)
 
@@ -128,7 +128,7 @@ class TestAntiderivatives:
 
     def test_quadrature_agreement_on_grids(self, pstar):
         for v in np.linspace(0.1, 4.0, 9):
-            q_out = quad(lambda s: 1.0 / g_of(pstar, 0, s), pstar.M, v, epsabs=1e-12)[0]
+            q_out = quad(lambda s: 1.0 / g_of(pstar, 0, s), 1.0, v, epsabs=1e-12)[0]
             q_in = quad(lambda s: 1.0 / g_of(pstar, 1, s), 0.0, v, epsabs=1e-12)[0]
             assert antiderivative_outside(pstar, v) == pytest.approx(q_out, abs=1e-9)
             assert antiderivative_inside(pstar, v) == pytest.approx(q_in, abs=1e-9)
@@ -208,15 +208,6 @@ class TestFlows:
         vals = flow_inside(pstar, 0.0, ts)
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] > pstar.v_star  # crosses the stall level a/b
-
-    def test_reference_level_does_not_change_flows(self):
-        pa = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2, M=1.0)
-        pb = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2, M=2.5)
-        v0 = np.linspace(0.0, 4.0, 17)
-        for t in (0.1, 1.0, 7.0):
-            assert np.allclose(
-                flow_outside(pa, v0, t), flow_outside(pb, v0, t), rtol=0, atol=1e-12
-            )
 
     def test_tiny_start_decays_exponentially(self, pstar):
         v0 = 1e-16

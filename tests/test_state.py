@@ -91,7 +91,7 @@ class TestValidateInitial:
             validate_initial(pstar, omega, Profile.constant(0.5), margin)
 
     def test_default_margin_scale(self, pstar):
-        assert default_margin(pstar) == pytest.approx(1e-6 * max(pstar.a, pstar.b * pstar.M))
+        assert default_margin(pstar) == 1e-6 * max(pstar.a, pstar.b)
 
     def test_empty_interval_set_is_vacuous(self, pstar):
         assert validate_initial(pstar, IntervalSet.empty(), Profile.constant(0.3, (-1, 1))) == ()

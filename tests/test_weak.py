@@ -1134,6 +1134,13 @@ class TestIllPosedDemo:
         v0 = pstar.v_star - math.atan(x)
         assert front.v(x, t) == pytest.approx(flow_inside(pstar, v0, t), rel=1e-10)
 
+    @pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0])
+    def test_horizon_must_be_positive(self, pstar, horizon):
+        # nan fails every comparison, so a `horizon <= 0` check passed it
+        # and returned one-knot paths
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            ill_posedness_demo(pstar, horizon)
+
 
 class TestUniquenessProbe:
     def test_tolerance_refinement_converges(self, pstar):
