@@ -25,10 +25,8 @@ still crosses one is taken again to end there.  Gap closures (collisions of
 adjacent interfaces), kink crossings and arrival times at given positions
 are all roots of the quartic dense output, located by one bracketed Newton
 rule (_invert_quartic); _quartic is the one form of a step's polynomial,
-which every read, sample and root finder evaluates.  tol_event sets the
-window within which two closures count as simultaneous, the slacks of the
-step cap and the kink crossing, and the gap below which surgery takes
-interfaces as collided.
+which every read, sample and root finder evaluates.  The one event
+tolerance is the constant TOL_EVENT.
 """
 from __future__ import annotations
 
@@ -478,7 +476,6 @@ class ClassicalSegment:
         t_end: float,
         *,
         tol_step: float = 1e-8,
-        tol_event: float = 1e-10,
         margin: float | None = None,
         labels: tuple[int, ...] | None = None,
     ):
@@ -495,8 +492,8 @@ class ClassicalSegment:
         if continued and profile_start.segment.t_end != t_start:
             t_from = profile_start.segment.t_end
             raise ValueError(f"a continuation starts at its segment's end t={t_from!r}, not at t={t_start!r}")
-        if not (tol_step > 0.0 and tol_event > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not tol_step > 0.0:
+            raise ValueError(f"tol_step must be positive, got {tol_step!r}")
         # one margin for the start check and the degeneracy warning
         self.margin = default_margin(params) if margin is None else float(margin)
         checks = validate_initial(params, omega_start, profile_start, self.margin)
@@ -506,7 +503,6 @@ class ClassicalSegment:
         self.t_start = float(t_start)
         self.t_goal = float(t_end)
         self.tol_step = float(tol_step)
-        self.tol_event = float(tol_event)
         self.stats = SegmentStats()
         self.event: EventRecord | None = None
 
@@ -570,7 +566,7 @@ class ClassicalSegment:
     @property
     def zero_gap(self) -> float:
         """The gap below which the surgery after this segment takes two fronts as collided."""
-        return max(16.0 * self.tol_event, 1e-12 * float(np.max(np.abs(self._path.arrays()[1][-1]), initial=1.0)))
+        return max(16.0 * TOL_EVENT, 1e-12 * float(np.max(np.abs(self._path.arrays()[1][-1]), initial=1.0)))
 
     # -- field reconstruction ---------------------------------------------
 
@@ -820,8 +816,8 @@ class ClassicalSegment:
 
     def _next_kink(self, xn: np.ndarray, fn: np.ndarray) -> np.ndarray:
         """Per front, the nearest known kink ahead of it in its direction of
-        motion and farther than it moves in 16*tol_event; nan where none."""
-        reach = xn + fn * (16.0 * self.tol_event)
+        motion and farther than it moves in 16*TOL_EVENT; nan where none."""
+        reach = xn + fn * (16.0 * TOL_EVENT)
         # indices into _kink_ends, whose nan ends stand for "none"
         i = np.where(
             self._signs > 0,
@@ -832,7 +828,7 @@ class ClassicalSegment:
 
     def _step_cap(self, xn: np.ndarray, fn: np.ndarray, kink: np.ndarray) -> float:
         """Linear-predicted time to the crossing of each front's next kink
-        (from _next_kink), or to the next gap closure plus 16*tol_event so
+        (from _next_kink), or to the next gap closure plus 16*TOL_EVENT so
         that the closure falls inside the step.
 
         A step that reaches a kink earlier than predicted is taken again
@@ -845,12 +841,12 @@ class ClassicalSegment:
         # the least positive entry of each; nan is not positive
         to_kink = float(np.minimum.reduce(to_kinks, initial=math.inf, where=to_kinks > 0.0))
         to_gap = float(np.minimum.reduce(gap, initial=math.inf, where=gap > 0.0))
-        return min(to_kink, to_gap + 16.0 * self.tol_event)
+        return min(to_kink, to_gap + 16.0 * TOL_EVENT)
 
     def _kink_crossing(self, tn, xn, fn, kink, t_new, x_new, f_new, d) -> float | None:
         """Earliest time at which the trial step (tn, t_new) carries a front
         across its next kink (_next_kink at the step's start), located on the
-        step's quartic; None unless it lies more than 16*tol_event inside the
+        step's quartic; None unless it lies more than 16*TOL_EVENT inside the
         step."""
         crossed = self._signs * (x_new - kink) > 0.0
         if not np.count_nonzero(crossed):
@@ -860,7 +856,7 @@ class ClassicalSegment:
             f_new[crossed], d[crossed], kink[crossed], self._signs[crossed],
         )
         t_kink = float(np.min(t_cross))
-        slack = 16.0 * self.tol_event
+        slack = 16.0 * TOL_EVENT
         return t_kink if tn + slack < t_kink < t_new - slack else None
 
     def _scan_event(self) -> tuple[float, int] | None:
@@ -879,8 +875,8 @@ class ClassicalSegment:
         each gap whose samples fall to its dip is searched for its first
         sign change, and one _invert_quartic call locates every such
         closure by Newton's method inside its bracket.  A later pair wins
-        only when it closes more than tol_event earlier, so closures within
-        tol_event of each other go to the leftmost pair.
+        only when it closes more than TOL_EVENT earlier, so closures within
+        TOL_EVENT of each other go to the leftmost pair.
         """
         n = self.n_interfaces
         if n < 2 or len(self._path) < 2:
@@ -918,10 +914,10 @@ class ClassicalSegment:
         i = np.array(pairs)
         # the gap falls to 0 at the closure
         t_a = _invert_quartic(t0, h, g0[i], s0[i], g1[i], s1[i], gd[i], 0.0, -1.0, np.array(lo), np.array(hi))
-        # ties within tol_event resolve to the leftmost pair, i.e. first i
+        # ties within TOL_EVENT resolve to the leftmost pair, i.e. first i
         best = 0
         for j in range(1, i.size):
-            if t_a[j] < t_a[best] - self.tol_event:
+            if t_a[j] < t_a[best] - TOL_EVENT:
                 best = j
         return float(t_a[best]), int(i[best])
 
@@ -936,6 +932,11 @@ class ClassicalSegment:
 
 # steps allowed to one segment or one integrate_adaptive call
 MAX_STEPS = 500_000
+# the event tolerance: the window within which two gap closures count as
+# simultaneous, the slack 16*TOL_EVENT of the step cap and of the kink
+# crossing, and the floor of zero_gap, the gap below which the surgery takes
+# two fronts as collided
+TOL_EVENT = 1e-10
 
 
 def run_segment(
@@ -946,7 +947,6 @@ def run_segment(
     t_end: float,
     *,
     tol_step: float = 1e-8,
-    tol_event: float = 1e-10,
     margin: float | None = None,
     labels: tuple[int, ...] | None = None,
 ) -> tuple[ClassicalSegment, EventRecord | None]:
@@ -958,7 +958,6 @@ def run_segment(
         t_start,
         t_end,
         tol_step=tol_step,
-        tol_event=tol_event,
         margin=margin,
         labels=labels,
     )

@@ -49,7 +49,7 @@ and a [key] left out is computed from the other keys or not used:
 
 values: intervals = x1 x2 [x3 x4 ...]; profile = constant|samples;
   profile_samples = x v; x v; ... or profile_file = a two-column CSV;
-  profile_span = xmin xmax; field_x = xmin xmax n; eps = 0.05 0.02 ...
+  field_x = xmin xmax n; eps = 0.05 0.02 ...
 
 environment overrides, for config files and sweeps (not --preset):
   FRONTSIM_<SECTION>__<KEY>=value, e.g.
@@ -91,10 +91,7 @@ def _field_grid(cfg: RunConfig):
     if cfg.field_x is not None:
         lo, hi, n = cfg.field_x
     else:
-        speed = cfg.params.a + cfg.params.b * max(1.0, cfg.profile.bound)
-        pairs = cfg.omega.pairs
-        lo = min(l for l, _ in pairs) - speed * cfg.t_end - 1.0
-        hi = max(r for _, r in pairs) + speed * cfg.t_end + 1.0
+        lo, hi = cfg.omega.hull(cfg.params.a * cfg.t_end + 1.0)
         n = 101
     return np.linspace(lo, hi, int(n))
 
@@ -128,7 +125,6 @@ def _run_standard(cfg: RunConfig, out_dir: str) -> None:
         cfg.profile,
         cfg.t_end,
         tol_step=cfg.tol_step,
-        tol_event=cfg.tol_event,
         margin=cfg.eta,
     )
     times = np.linspace(0.0, cfg.t_end, cfg.trajectory_samples)

@@ -46,7 +46,6 @@ class RunConfig:
     profile: Profile
     t_end: float
     tol_step: float = 1e-8
-    tol_event: float = 1e-10
     eta: float | None = None
     out_dir: str = "out"
     scenario: str | None = None
@@ -60,8 +59,10 @@ class RunConfig:
         # written so that nan fails them
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end!r}")
-        if not (self.tol_step > 0 and self.tol_event > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_step > 0:
+            raise ValueError(f"tol_step must be positive, got {self.tol_step!r}")
+        if self.eta is not None and not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta!r}")
 
 
 _PRESET_PARAMS = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
@@ -131,10 +132,6 @@ _numbers = _parser(
 )
 
 
-def _number_or_auto(raw: str) -> float | None:
-    return None if raw.strip().lower() == "auto" else _number(raw)
-
-
 def _grid(raw: str) -> tuple[float, float, int]:
     vals = _numbers(raw)
     if len(vals) != 3 or vals[0] >= vals[1] or vals[2] < 2:
@@ -177,11 +174,9 @@ _SCHEMA = {
     ),
     ("initial", "profile_samples"): _key(str, default=None),
     ("initial", "profile_file"): _key(str, default=None),
-    ("initial", "profile_span"): _key(_numbers, _check(lambda s: len(s) == 2, "expected two numbers"), default=None),
     ("run", "t_end"): _key(_number, _POSITIVE, "t_end"),
     ("run", "tol_step"): _key(_number, _POSITIVE, "tol_step"),
-    ("run", "tol_event"): _key(_number, _POSITIVE, "tol_event"),
-    ("run", "eta"): _key(_number_or_auto, _POSITIVE, "eta"),
+    ("run", "eta"): _key(_number, _POSITIVE, "eta"),
     ("output", "dir"): _key(str, field="out_dir"),
     ("output", "trajectory_samples"): _key(_integer, _AT_LEAST_2, "trajectory_samples"),
     ("output", "field_x"): _key(_grid, field="field_x"),
@@ -198,15 +193,14 @@ def schema_help() -> str:
     """The keys of each section: a bare key is required, [key=default] is
     optional, and a [key] left out is computed from the other keys or not used."""
 
-    def entry(key: str, parse, default) -> str:
+    def entry(key: str, default) -> str:
         if default is MISSING:
             return key
-        shown = "auto" if parse is _number_or_auto else default
-        return f"[{key}]" if shown in (None, ()) else f"[{key}={shown}]"
+        return f"[{key}]" if default in (None, ()) else f"[{key}={default}]"
 
     return "\n".join(
         textwrap.fill(
-            " ".join(entry(key, parse, default) for (s, key), (parse, _, _, default) in _SCHEMA.items() if s == sec),
+            " ".join(entry(key, default) for (s, key), (_, _, _, default) in _SCHEMA.items() if s == sec),
             initial_indent=f"  [{sec}]".ljust(15),
             subsequent_indent=" " * 15,
             break_on_hyphens=False,
@@ -296,18 +290,19 @@ def validate_config(text: str, base_dir: str = ".", environ: Mapping[str, str] |
             omega = IntervalSet(values["intervals"])
         except ValueError as exc:
             errors.append(f"initial.intervals: {exc}")
+    # 1 beyond the fronts' reach (IntervalSet.hull), where a constant
+    # profile's two knots lie, so that no front comes near these kinks
+    hull = None
+    if omega is not None and "a" in values and "t_end" in values:
+        hull = omega.hull(values["a"] * values["t_end"] + 1.0)
+        if not np.all(np.isfinite(hull)):
+            errors.append("run.t_end: the fronts' reach a*t_end + 1 overflows")
+            hull = None
     kind = values.get("profile")
     if kind == "samples":
         profile = _sampled_profile(values, base_dir, errors)
-    elif kind == "constant" and omega is not None and "profile_value" in values and "profile_span" in values:
-        span = values["profile_span"]
-        if span is None:
-            pad = 2.0 + (values.get("a", 1.0) + values.get("b", 1.0)) * values.get("t_end", 1.0)
-            span = (omega.endpoints[0] - pad, omega.endpoints[-1] + pad)
-        try:
-            profile = Profile.constant(values["profile_value"], span)
-        except ValueError as exc:
-            errors.append(f"initial.profile_span: {exc}")
+    elif kind == "constant" and hull is not None and "profile_value" in values:
+        profile = Profile.constant(values["profile_value"], hull)
     if all(name in values for name in _KINETICS):
         try:
             params = Parameters(**{name: values[name] for name in _KINETICS})

@@ -11,11 +11,10 @@ b = 6*sqrt(2)*beta.  This module solves that system directly with an explicit
 centered finite-difference scheme (Neumann boundaries), extracts the half-level
 crossings of u as interface positions, and compares them with tracked fronts.
 
-The truncated domain needs only the outward front speed a: an endpoint moves
-outward at W(v) = a - b*v <= a because v >= 0, inward motion stays inside
-the initial hull and merges create no fronts, so eps_sweep pads the hull of
-the initial intervals by a*t_end + 1 + 10*eps on each side, the last two
-terms for the diffuse front's lag and tanh tail.
+The truncated domain needs only the outward front speed a: no front leaves
+the fronts' reach IntervalSet.hull(a*t), so eps_sweep's grid spans
+hull(a*t_end + 1 + 10*eps), the last two terms for the diffuse front's lag
+and tanh tail.
 
 One kernel takes every step, in place on buffers allocated once per run: u
 and v are the rows of one buffer, u with a ghost cell at each end, set by
@@ -358,19 +357,14 @@ def eps_sweep(
 ) -> list[ComparisonReport]:
     """Run the finite-difference model for each eps and compare with `weak`.
 
-    Each grid spans the hull of `omega` padded on each side by
-    a*t_end + 1 + 10*eps.  An endpoint moves outward at W(v) = a - b*v <= a,
-    since v >= 0 everywhere; inward motion stays inside the initial hull,
-    and merges create no fronts, so no sharp front leaves the hull widened
-    by a*t_end.  The 1 + 10*eps covers the diffuse front's O(eps) lag and
-    its tanh tail (about 1e-9 at the boundary for eps = 0.05).
+    Each grid spans omega.hull(a*t_end + 1 + 10*eps): no sharp front
+    leaves omega.hull(a*t_end) (see IntervalSet.hull), and the 1 + 10*eps
+    covers the diffuse front's O(eps) lag and its tanh tail (about 1e-9 at
+    the boundary for eps = 0.05).
     """
     reports = []
     for eps in eps_list:
-        pad = p.a * t_end + 1.0 + 10.0 * eps
-        lo = min(l for l, _ in omega.pairs) - pad
-        hi = max(r for _, r in omega.pairs) + pad
-        cfg = FHNConfig(p, eps, lo, hi)
+        cfg = FHNConfig(p, eps, *omega.hull(p.a * t_end + 1.0 + 10.0 * eps))
         trace = run_fhn(cfg, omega, profile, t_end, sample_dt=sample_dt)
         reports.append(compare_trajectories(trace, weak, t_end))
     return reports

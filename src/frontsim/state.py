@@ -68,6 +68,18 @@ class IntervalSet:
         e = self.endpoints
         return tuple((e[2 * j], e[2 * j + 1]) for j in range(self.m))
 
+    def hull(self, pad: float) -> tuple[float, float]:
+        """(first endpoint - pad, last endpoint + pad).
+
+        The fronts' reach: no front of a solution from this set leaves
+        hull(a*t) by time t.  An endpoint moves outward at W(v) = a - b*v
+        <= a, since v >= 0 everywhere; inward motion stays inside the hull;
+        and merges create no fronts.
+        """
+        if not self.endpoints:
+            raise ValueError("the empty set has no hull")
+        return self.endpoints[0] - pad, self.endpoints[-1] + pad
+
 
 @dataclass(frozen=True)
 class Profile:

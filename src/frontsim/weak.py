@@ -163,7 +163,6 @@ def run_weak(
     t_end: float,
     *,
     tol_step: float = 1e-8,
-    tol_event: float = 1e-10,
     margin: float | None = None,
 ) -> WeakSolution:
     """Evolve (omega0, v0) to t_end, continuing through every annihilation.
@@ -192,7 +191,6 @@ def run_weak(
                 t,
                 t_end,
                 tol_step=tol_step,
-                tol_event=tol_event,
                 margin=margin,
                 labels=labels,
             )
@@ -250,7 +248,7 @@ def check_no_nucleation(w: WeakSolution) -> bool:
         for t in np.linspace(seg.t_start, seg.t_end, 5):
             pos = np.atleast_1d(seg.positions(float(t)))
             # at an annihilation knot the colliding gap sits within rounding of 0
-            if np.any(np.diff(pos) < -max(1e-8, 100.0 * seg.tol_event)):
+            if np.any(np.diff(pos) < -1e-8):
                 return False
     return True
 

@@ -428,11 +428,11 @@ class TestQuarticDenseOutput:
         first = min(r.real for r in gap.roots() if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0)
         t_hit, pair = seg._scan_event()
         assert pair == 0
-        assert t_hit == pytest.approx(first * h, abs=2.0 * seg.tol_event)
+        assert t_hit == pytest.approx(first * h, abs=2.0 * classical.TOL_EVENT)
 
     def test_scan_event_ties_go_to_the_left_pair(self, pstar):
         # two linear gaps, pair 0 closing at mid-step and pair 2 earlier by
-        # `ahead`: within tol_event of each other the left pair wins, beyond
+        # `ahead`: within TOL_EVENT of each other the left pair wins, beyond
         # it the earlier closure
         h = 0.01
         seg = ClassicalSegment(pstar, IntervalSet((-3.0, -1.0, 1.0, 3.0)), Profile.constant(0.0, (-16.0, 16.0)), 0.0, 1.0)
@@ -444,10 +444,10 @@ class TestQuarticDenseOutput:
             seg._path.append(h, [0.0, -1.0, 4.0, 2.0 + g], slope, np.zeros(4))
             return seg._scan_event()
 
-        t_hit, pair = scan(0.5 * seg.tol_event)
+        t_hit, pair = scan(0.5 * classical.TOL_EVENT)
         assert pair == 0 and t_hit == pytest.approx(0.5 * h, abs=1e-16)
-        t_hit, pair = scan(2.0 * seg.tol_event)
-        assert pair == 2 and t_hit == pytest.approx(0.5 * h - 2.0 * seg.tol_event, abs=1e-16)
+        t_hit, pair = scan(2.0 * classical.TOL_EVENT)
+        assert pair == 2 and t_hit == pytest.approx(0.5 * h - 2.0 * classical.TOL_EVENT, abs=1e-16)
 
     def test_scan_event_early_test_never_changes_a_result(self, pstar, rng, monkeypatch):
         # steps whose gaps move by a hundredth of their size up to 5 times it,

@@ -59,10 +59,12 @@ MESSAGE_CASES = {
         (("profile_value = 0.0", "profile_value = -1"),), "", None,
         ["initial.profile_value: profile values must be non-negative"],
     ),
-    "span of three": (
-        (("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 1 2 3"),), "", None,
-        ["initial.profile_span: expected two numbers"],
+    "retired profile_span": (
+        (("profile_value = 0.0", "profile_value = 0.0\nprofile_span = -12 12"),), "", None,
+        ["initial.profile_span: unknown key"],
     ),
+    "retired tol_event": ((), "tol_event = 1e-11\n", None, ["run.tol_event: unknown key"]),
+    "retired eta auto": ((), "eta = auto\n", None, ["run.eta: not a number: 'auto'"]),
     "bad sample pair": (
         ((SAMPLES, "profile = samples\nprofile_samples = -2 0; 1; 2 1"),), "", None,
         ["initial.profile_samples: bad sample pair '1'"],
@@ -125,17 +127,9 @@ FIXED_CASES = {
         ((SAMPLES, "profile = samples\nprofile_samples = ;"),), "", None,
         ["initial.profile_samples: profile needs matching 1-D sample arrays"],
     ),
-    "span reversed": (
-        (("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 2 1"),), "", None,
-        ["initial.profile_span: profile abscissae must be strictly increasing"],
-    ),
-    "span empty": (
-        (("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 1 1"),), "", None,
-        ["initial.profile_span: profile abscissae must be strictly increasing"],
-    ),
     "automatic span overflows": (
-        (("t_end = 1.0", "t_end = 1e308"),), "", None,
-        ["initial.profile_span: profile samples must be finite"],
+        (("a = 1", "a = 1e10"), ("t_end = 1.0", "t_end = 1e300")), "", None,
+        ["run.t_end: the fronts' reach a*t_end + 1 overflows"],
     ),
     "profile value inf": (
         (("profile_value = 0.0", "profile_value = inf"),), "", None,
@@ -207,12 +201,10 @@ profile = samples
 profile_value = 0.25
 profile_samples = -10 0.1; 0 0.3; 10 0.2
 profile_file = profile.csv
-profile_span = -12 12
 
 [run]
 t_end = 1.5
 tol_step = 1e-7
-tol_event = 1e-11
 eta = 0.05
 
 [output]
@@ -232,10 +224,17 @@ sample_dt = 0.1
         # profile_samples wins over profile_file
         assert cfg.profile.xs.tolist() == [-10.0, 0.0, 10.0]
         assert cfg.profile.vs.tolist() == [0.1, 0.3, 0.2]
-        assert (cfg.t_end, cfg.tol_step, cfg.tol_event, cfg.eta) == (1.5, 1e-7, 1e-11, 0.05)
+        assert (cfg.t_end, cfg.tol_step, cfg.eta) == (1.5, 1e-7, 0.05)
         assert (cfg.out_dir, cfg.trajectory_samples, cfg.field_t) == ("results", 11, 5)
         assert cfg.field_x == (-8.0, 8.0, 33) and type(cfg.field_x[2]) is int
         assert (cfg.oracle_eps, cfg.oracle_sample_dt, cfg.scenario) == ((0.05, 0.02), 0.1, None)
+
+    def test_constant_knots_and_default_field_grid_lie_beyond_the_reach(self):
+        # both span intervals.hull(a*t_end + 1): (-1, 1) padded by 1*1 + 1
+        cfg = validate_config(GOOD_CONFIG)
+        assert cfg.profile.xs.tolist() == [-3.0, 3.0]
+        xs = frontsim.cli._field_grid(cfg)
+        assert (xs[0], xs[-1], xs.size) == (-3.0, 3.0, 101)
 
     def test_good_config(self):
         cfg = validate_config(GOOD_CONFIG)
@@ -261,11 +260,11 @@ sample_dt = 0.1
             validate_config(text)
         assert any("tol_step" in e for e in err.value.errors)
 
-    @pytest.mark.parametrize("field", ["t_end", "tol_step", "tol_event"])
+    @pytest.mark.parametrize("field", ["t_end", "tol_step", "eta"])
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
     def test_run_config_rejects_non_positive_and_nan(self, field, bad):
         # nan fails every comparison, so each check must be one nan fails
-        kw = dict(t_end=1.0, tol_step=1e-8, tol_event=1e-10)
+        kw = dict(t_end=1.0, tol_step=1e-8, eta=1e-6)
         kw[field] = bad
         with pytest.raises(ValueError, match="must be positive"):
             RunConfig(Parameters(1, 1, 3, 1, 1, 2), IntervalSet((-1.0, 1.0)), Profile.constant(0.0), **kw)
@@ -460,7 +459,7 @@ class TestMainExitCodes:
         sweep_dir = tmp_path / "configs"
         sweep_dir.mkdir()
         (sweep_dir / "a.ini").write_text(
-            GOOD_CONFIG.replace("profile_value = 0.0", "profile_value = 0.0\nprofile_span = 2 1")
+            GOOD_CONFIG.replace("profile_value = 0.0", "profile_value = -1")
         )
         (sweep_dir / "b.ini").write_bytes(b"[run]\nt_end = \xff\n")
         (sweep_dir / "c.ini").write_text(GOOD_CONFIG)

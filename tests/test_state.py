@@ -34,6 +34,11 @@ class TestIntervalSet:
         assert omega.pairs == ((-3.0, -1.0), (1.0, 3.0))
         assert sum(r - l for l, r in omega.pairs) == 4.0
 
+    def test_hull(self):
+        assert IntervalSet((-3.0, -1.0, 1.0, 3.0)).hull(2.0) == (-5.0, 5.0)
+        with pytest.raises(ValueError, match="no hull"):
+            IntervalSet.empty().hull(1.0)
+
 
 class TestProfile:
     def test_eval_examples(self):

@@ -516,6 +516,11 @@ class TestGeneratedAdmissible:
                 ts = np.linspace(seg.t_start, seg.t_end, 40)
                 speeds = np.abs(seg._path.deriv(ts))
                 slowed += bool(np.any(np.diff(speeds, axis=0) < 0.0))
+                # every knot lies in the fronts' reach at its own time
+                t_knots, x_knots = seg._path.arrays()[:2]
+                lo, hi = omega.hull(pstar.a * t_knots[:, None])
+                rounding = 1e-12 * (1.0 + np.abs(x_knots))
+                assert np.all((x_knots >= lo - rounding) & (x_knots <= hi + rounding))
         assert finished >= 5 and slowed >= 5
 
 
@@ -552,7 +557,7 @@ class TestPictureFidelity:
         cfg = preset_config(name)
         w = run_weak(
             cfg.params, cfg.omega, cfg.profile, cfg.t_end,
-            tol_step=cfg.tol_step, tol_event=cfg.tol_event, margin=cfg.eta,
+            tol_step=cfg.tol_step, margin=cfg.eta,
         )
         assert len(w.events) == 1
         self._assert_faithful(cfg, w)
