@@ -49,7 +49,6 @@ __all__ = [
     "ClassicalSegment",
     "DensePath",
     "run_segment",
-    "integrate_adaptive",
 ]
 
 
@@ -930,7 +929,7 @@ class ClassicalSegment:
         self.finished = True
 
 
-# steps allowed to one segment or one integrate_adaptive call
+# steps allowed to one segment
 MAX_STEPS = 500_000
 # the event tolerance: the window within which two gap closures count as
 # simultaneous, the slack 16*TOL_EVENT of the step cap and of the kink
@@ -967,25 +966,3 @@ def run_segment(
         seg.advance()
     return seg, seg.event
 
-
-def integrate_adaptive(
-    f,
-    t0: float,
-    y0,
-    t_end: float,
-    *,
-    tol: float = 1e-9,
-) -> DensePath:
-    """Generic adaptive 5(4) integration of y' = f(t, y) with dense output."""
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    path = DensePath(t0, y, f(t0, y))
-    stats = SegmentStats()
-    h = min(math.sqrt(tol), 0.25 * (t_end - t0))
-    while path.t_end < t_end:
-        if stats.steps >= MAX_STEPS:
-            raise StepFailure(f"step budget {MAX_STEPS} exhausted at t={path.t_end!r}")
-        tn, yn, fn = path.last()
-        h = min(h, t_end - tn)
-        t_new, y_new, f_new, d, h = _dopri5_step(f, tn, yn, fn, h, tol, t_end, stats)
-        path.append(t_new, y_new, f_new, d)
-    return path

@@ -168,14 +168,14 @@ def _run_standard(cfg: RunConfig, out_dir: str) -> None:
 
 
 def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
-    front, back = ill_posedness_demo(cfg.params, cfg.t_end)
+    recede, advance = ill_posedness_demo(cfg.params, cfg.t_end)
     times = np.linspace(0.0, cfg.t_end, cfg.trajectory_samples)
-    x_front, x_back = front.position(times), back.position(times)
-    _write_text(os.path.join(out_dir, "divergence.csv"), _csv("t,separation", times, x_back - x_front))
-    curves = [(1, path_curves(front.path)[0]), (2, path_curves(back.path)[0])]
+    x_recede, x_advance = (w.positions(times)[:, 0] for w in (recede, advance))
+    _write_text(os.path.join(out_dir, "divergence.csv"), _csv("t,separation", times, x_recede - x_advance))
+    curves = [(k, path_curves(w.segments[0]._path)[0]) for k, w in ((1, recede), (2, advance))]
     _write_run(
-        cfg, out_dir, times, (1, 2), np.column_stack([x_front, x_back]), front.v, json.dumps([]) + "\n",
-        curves, [], "illposed: two continuations from degenerate data",
+        cfg, out_dir, times, (1, 2), np.column_stack([x_recede, x_advance]), recede.evaluate_v,
+        events_as_json(recede), curves, [], "illposed: two continuations from degenerate data",
     )
 
 

@@ -67,9 +67,10 @@ class RunConfig:
 
 _PRESET_PARAMS = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
 
-# per-preset fields of the RunConfig; the illposed demo builds its half-line
-# start (0, inf) with the degenerate endpoint and its arctan profile itself,
-# so its omega and profile below are placeholders the demo never reads
+# per-preset fields of the RunConfig; the illposed demo builds its two data
+# itself (ill_posedness_demo: (0, R) with the arctan profile raised or
+# lowered off the degenerate endpoint), so its omega and profile below are
+# placeholders the demo never reads
 PRESETS = {
     "expanding": dict(
         omega=IntervalSet((-1.0, 1.0)),

@@ -6,8 +6,9 @@ the touching point of two components, a vanish deletes an empty component),
 and the next classical segment continues from the surgered data, its field
 the exact field at the collision time.  The module also provides numerical
 checks of the integral identities that characterize weak solutions, the
-structural no-nucleation test, and the two-continuation demo of the
-degenerate-start ill-posedness.
+structural no-nucleation test, and the ill-posedness demo: two run_weak runs
+from data just either side of a start with W = 0 at an endpoint, whose
+solutions stay apart as the data meet.
 """
 from __future__ import annotations
 
@@ -17,16 +18,14 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .kinetics import Parameters, Phase, flow_inside, flow_outside, front_speed, reaction_rate
+from .kinetics import Parameters, Phase, front_speed, reaction_rate
 # validate_initial is not called here; tracing tools (perfbench) patch it
 # under this module's name as well as classical's
-from .state import H2Violation, IntervalSet, Profile, validate_initial  # noqa: F401
+from .state import H2Violation, IntervalSet, Profile, default_margin, validate_initial  # noqa: F401
 from .classical import (
     ClassicalSegment,
-    DensePath,
     EventRecord,
     _ContinuedField,
-    integrate_adaptive,
     run_segment,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "tensor_test_functions",
     "weak_residual",
     "interface_speed_integral",
-    "IllPosedBranch",
     "ill_posedness_demo",
     "events_as_json",
 ]
@@ -463,61 +461,32 @@ def interface_speed_integral(w: WeakSolution, label: int, t1: float, t2: float) 
 
 # --- ill-posedness demo -------------------------------------------------------
 
-@dataclass(frozen=True)
-class IllPosedBranch:
-    """One continuation from the degenerate half-line start.
+def ill_posedness_demo(params: Parameters, horizon: float) -> tuple[WeakSolution, WeakSolution]:
+    """Two weak solutions, (recede, advance), either side of the degenerate
+    start Omega(0) = (0, R), v0 = max(a/b - arctan x, 0), where W(v0(0)) = 0.
 
-    The excited set is (s(t), inf); the field is taken as the inside flow of
-    the initial profile to the right of s(t) and the outside flow to its left.
-    The front branch drives s with the inside reading of v at the interface,
-    the back branch with the outside reading; both start with zero speed.
-    """
-
-    params: Parameters
-    path: DensePath
-
-    def position(self, t) -> np.ndarray | float:
-        out = self.path.eval(t)[..., 0]
-        return float(out) if np.ndim(t) == 0 else out
-
-    def initial_profile(self, x):
-        return np.maximum(self.params.v_star - np.arctan(np.asarray(x, dtype=float)), 0.0)
-
-    def v(self, x, t):
-        xs = np.asarray(x, dtype=float)
-        ts = np.asarray(t, dtype=float)
-        v0 = self.initial_profile(xs)
-        s = self.path.eval(ts)[..., 0]
-        inside = xs > s
-        out = np.where(
-            inside,
-            flow_inside(self.params, v0, np.maximum(ts, 0.0)),
-            flow_outside(self.params, v0, np.maximum(ts, 0.0)),
-        )
-        return float(out) if np.ndim(x) == 0 and np.ndim(t) == 0 else out
-
-
-# the step tolerance of both ill-posedness branches
-_ILLPOSED_TOL = 1e-9
-
-
-def ill_posedness_demo(params: Parameters, horizon: float) -> tuple[IllPosedBranch, IllPosedBranch]:
-    """Two distinct continuations from Omega(0) = (0, inf), v0 = a/b - arctan x.
-
-    The start violates the endpoint non-degeneracy condition (W(v0(0)) = 0),
-    and the interface may consistently be driven either by the inside flow of
-    v0 (it then recedes) or by the outside flow (it then advances), yielding
-    two solutions from the same data.
+    Each is run_weak's run from v0 shifted by +eta/b or -eta/b, eta twice the
+    default margin, so that W(v0(0)) = -eta or +eta passes the start check.
+    On the raised datum the left front reads the inside flow and recedes
+    (moves right); on the lowered one it reads the outside flow and advances
+    (moves left).  As eta -> 0 both data tend to the degenerate one, but the
+    two solutions do not tend to each other.  R = tan(a/b) + 1 lies where v0
+    is 0 (eta/b when raised), so the right front moves outward and meets
+    nothing.  The profile's
+    knots are 2,001 evenly spaced on [-a*horizon - 1, tan(a/b)], which
+    covers the left front's reach a*horizon, and 0.
     """
     # nan fails every comparison, so `horizon <= 0.0` would let it pass
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-
-    def branch(flow) -> IllPosedBranch:
-        def rhs(t, y):
-            v = flow(params, max(params.v_star - math.atan(float(y[0])), 0.0), max(t, 0.0))
-            return np.array([params.a - params.b * v])
-
-        return IllPosedBranch(params, integrate_adaptive(rhs, 0.0, [0.0], horizon, tol=_ILLPOSED_TOL))
-
-    return branch(flow_inside), branch(flow_outside)
+    eta = 2.0 * default_margin(params)
+    x_zero = math.tan(params.v_star)
+    xs = np.union1d(np.linspace(-params.a * horizon - 1.0, x_zero, 2001), [0.0])
+    omega = IntervalSet((0.0, x_zero + 1.0))
+    recede, advance = (
+        run_weak(params, omega, Profile(xs, np.maximum(params.v_star - np.arctan(xs) + shift, 0.0)), horizon)
+        for shift in (eta / params.b, -eta / params.b)
+    )
+    if recede.events or advance.events:
+        raise RuntimeError("a branch of the ill-posedness demo recorded an event; invariant violated")
+    return recede, advance

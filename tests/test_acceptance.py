@@ -15,7 +15,7 @@ from frontsim.kinetics import (
     flow_inside,
     flow_outside,
 )
-from frontsim.state import IntervalSet, Profile
+from frontsim.state import IntervalSet, Profile, default_margin
 from frontsim.classical import EventKind, run_segment
 from frontsim.weak import (
     WeakSolution,
@@ -278,25 +278,30 @@ def test_criterion_08_uniqueness_probe(pstar):
 
 def test_criterion_09_ill_posedness_demo(pstar):
     start = time.perf_counter()
-    front, back = ill_posedness_demo(pstar, 0.1)
-    zero_start = (
-        front.position(0.0) == 0.0
-        and back.position(0.0) == 0.0
-        and front.path.deriv(0.0)[0] == 0.0
-        and back.path.deriv(0.0)[0] == 0.0
+    recede, advance = ill_posedness_demo(pstar, 0.1)
+    # W(v0(0)) is -eta or +eta, and a left endpoint moves at -W
+    eta = 2.0 * default_margin(pstar)
+    slopes = [w.segments[0]._path.deriv(0.0)[0] for w in (recede, advance)]
+    eta_start = (
+        recede.positions(0.0)[0] == 0.0
+        and advance.positions(0.0)[0] == 0.0
+        and abs(slopes[0] - eta) <= 1e-15
+        and abs(slopes[1] + eta) <= 1e-15
     )
     ts = np.linspace(0.002, 0.1, 50)
-    s1 = np.array([front.position(float(t)) for t in ts])
-    s2 = np.array([back.position(float(t)) for t in ts])
-    ordered = bool(np.all(s1 < 0.0) and np.all(s2 > 0.0))
-    widening = bool(np.all(np.diff(s2 - s1) > 0.0))
+    s_recede, s_advance = recede.positions(ts)[:, 0], advance.positions(ts)[:, 0]
+    ordered = bool(np.all(s_advance < 0.0) and np.all(s_recede > 0.0))
+    widening = bool(np.all(np.diff(s_recede - s_advance) > 0.0))
+    # the eta -> 0 limits at t = 0.1, by linear extrapolation from eta = 1e-5 and 4e-6
+    err = max(abs(s_recede[-1] - 7.4591e-3), abs(s_advance[-1] + 1.8643e-3))
     elapsed = time.perf_counter() - start
-    ok = zero_start and ordered and widening
+    ok = eta_start and ordered and widening and err <= 1e-6
     _report(
         9,
         "two continuations from degenerate data",
         ok,
-        f"zero_start={zero_start} s1<0<s2={ordered} separation increasing={widening}",
+        f"start at 0 with slopes +-eta={eta_start} s_advance<0<s_recede={ordered} "
+        f"separation increasing={widening} t=0.1 off the eta->0 limits by {err:.1e} (<=1e-6)",
         elapsed,
         5.0,
     )

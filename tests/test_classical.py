@@ -622,8 +622,12 @@ class TestStepFailure:
         ids=["jump", "singular"],
     )
     def test_message_names_the_failing_test(self, f, tol, t_range, failed):
+        # y' = f(t, y) on [0, 2] from y = (0, 1), one _dopri5_step after another
+        t, y, stats = 0.0, np.array([0.0, 1.0]), classical.SegmentStats()
+        fy, h = f(t, y), math.sqrt(tol)
         with np.errstate(divide="ignore"), pytest.raises(classical.StepFailure) as info:
-            classical.integrate_adaptive(f, 0.0, [0.0, 1.0], 2.0, tol=tol)
+            while t < 2.0:
+                t, y, fy, _, h = classical._dopri5_step(f, t, y, fy, min(h, 2.0 - t), tol, 2.0, stats)
         m = re.fullmatch(
             r"cannot satisfy tol_step=(\S+) at t=(\S+): h=(\S+), err=(\S+) > allowed=(\S+), "
             r"largest at interface k=(\d+); failed test: (.+)",

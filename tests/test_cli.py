@@ -342,9 +342,9 @@ class TestRunScenario:
         assert seps[-1] > 0
         # one polyline per branch through its path's knots, and no polygon
         svg = (tmp_path / "spacetime.svg").read_text()
-        front, back = ill_posedness_demo(cfg.params, cfg.t_end)
+        branches = ill_posedness_demo(cfg.params, cfg.t_end)
         lines = re.findall(r'<polyline points="([^"]*)"', svg)
-        assert [len(pts.split()) for pts in lines] == [len(front.path), len(back.path)]
+        assert [len(pts.split()) for pts in lines] == [len(w.segments[0]._path) for w in branches]
         assert "<polygon" not in svg
 
     def test_csv_text_is_the_per_value_format(self, rng):
@@ -370,8 +370,8 @@ class TestRunScenario:
             assert len(w.events) >= 3
             value_at, xs = w.evaluate_v, np.linspace(ends[0] - 4.0, ends[-1] + 4.0, 101)
         else:
-            front, back = ill_posedness_demo(params, t_end)
-            value_at = front.v if source == "illposed_front" else back.v
+            recede, advance = ill_posedness_demo(params, t_end)
+            value_at = (recede if source == "illposed_front" else advance).evaluate_v
             xs = np.linspace(-6.0, 6.0, 101)
         ts = np.linspace(0.0, t_end, 21)
         X, T = np.meshgrid(xs, ts)

@@ -9,7 +9,7 @@ import pytest
 
 from frontsim.kinetics import flow_inside, flow_outside, front_speed
 from frontsim.render import spacetime_svg, weak_solution_curves
-from frontsim.state import H2Violation, IntervalSet, Profile
+from frontsim.state import H2Violation, IntervalSet, Profile, default_margin
 from frontsim import classical, cli, render, weak
 from frontsim.config import RunConfig, preset_config
 from frontsim.classical import ClassicalSegment, DegeneracyWarning, EventKind, _ContinuedField, run_segment
@@ -1121,23 +1121,69 @@ class TestWindowNodes:
             np.testing.assert_array_equal(a, b)
 
 
+# the eta -> 0 limits of the two branches at t = 0.1, by linear extrapolation
+# from eta = 1e-5 and 4e-6
+RECEDE_LIMIT, ADVANCE_LIMIT = 7.4591e-3, -1.8643e-3
+
+
+def _shifted_branches(p, eta: float, horizon: float) -> tuple[WeakSolution, WeakSolution]:
+    """The demo's two runs with the degenerate datum shifted by +-eta/b."""
+    xs = np.union1d(np.linspace(-p.a * horizon - 1.0, math.tan(p.v_star), 2001), [0.0])
+    omega = IntervalSet((0.0, math.tan(p.v_star) + 1.0))
+    return tuple(
+        run_weak(p, omega, Profile(xs, np.maximum(p.v_star - np.arctan(xs) + shift, 0.0)), horizon)
+        for shift in (eta / p.b, -eta / p.b)
+    )
+
+
 class TestIllPosedDemo:
     def test_two_distinct_continuations(self, pstar):
-        front, back = ill_posedness_demo(pstar, 0.1)
-        assert front.position(0.0) == 0.0 and back.position(0.0) == 0.0
-        assert front.path.deriv(0.0)[0] == 0.0 and back.path.deriv(0.0)[0] == 0.0
+        recede, advance = ill_posedness_demo(pstar, 0.1)
+        eta = 2.0 * default_margin(pstar)
+        assert recede.positions(0.0)[0] == 0.0 and advance.positions(0.0)[0] == 0.0
+        # a left endpoint moves at -W, and W(v0(0)) is -eta or +eta
+        assert recede.segments[0]._path.deriv(0.0)[0] == pytest.approx(eta, abs=1e-15)
+        assert advance.segments[0]._path.deriv(0.0)[0] == pytest.approx(-eta, abs=1e-15)
         ts = np.linspace(0.005, 0.1, 24)
-        s1 = np.array([front.position(t) for t in ts])
-        s2 = np.array([back.position(t) for t in ts])
-        assert np.all(s1 < 0.0) and np.all(s2 > 0.0)
-        sep = s2 - s1
-        assert np.all(np.diff(sep) > 0.0)
+        s_recede, s_advance = recede.positions(ts)[:, 0], advance.positions(ts)[:, 0]
+        assert np.all(s_advance < 0.0) and np.all(s_recede > 0.0)
+        assert np.all(np.diff(s_recede - s_advance) > 0.0)
+        assert abs(s_recede[-1] - RECEDE_LIMIT) <= 1e-6
+        assert abs(s_advance[-1] - ADVANCE_LIMIT) <= 1e-6
 
     def test_branch_fields_follow_their_flows(self, pstar):
-        front, _ = ill_posedness_demo(pstar, 0.05)
-        x, t = 0.3, 0.04  # inside the excited half-line, where v0 > 0
-        v0 = pstar.v_star - math.atan(x)
-        assert front.v(x, t) == pytest.approx(flow_inside(pstar, v0, t), rel=1e-10)
+        x, t = 0.3, 0.04  # inside the excited set and never swept, where v0 > 0
+        for w in ill_posedness_demo(pstar, 0.05):
+            v0 = w.segments[0].profile_start.eval(x)
+            assert w.evaluate_v(x, t) == pytest.approx(flow_inside(pstar, v0, t), rel=1e-10)
+
+    def test_swept_point_reads_the_composite_flow(self, pstar):
+        # a point the receding front sweeps is inside until the front crosses
+        # it at T, and outside after
+        recede, _ = ill_posedness_demo(pstar, 0.1)
+        seg = recede.segments[0]
+        x = 0.5 * recede.positions(0.1)[0]
+        T = float(seg._path.invert_col(0, x, seg._signs[0])[0])
+        assert 0.0 < T < 0.1
+        want = flow_outside(pstar, flow_inside(pstar, seg.profile_start.eval(x), T), 0.1 - T)
+        assert recede.evaluate_v(x, 0.1) == pytest.approx(want, rel=1e-10)
+
+    def test_both_branches_are_weak_solutions(self, pstar):
+        window = (-0.02, 0.02, 0.0, 0.1)
+        for w in ill_posedness_demo(pstar, 0.1):
+            assert check_no_nucleation(w)
+            for f in tensor_test_functions(window, 1):
+                assert max(weak_residual(w, window, f, f)) <= 1e-8
+
+    def test_branches_stay_apart_as_eta_falls(self, pstar):
+        # the data differ by 2*eta/b, the solutions by about 9.3e-3 at t = 0.1
+        demo = ill_posedness_demo(pstar, 0.1)
+        built = _shifted_branches(pstar, 2.0 * default_margin(pstar), 0.1)
+        for a, b in zip(demo, built):
+            assert a.positions(0.1).tolist() == b.positions(0.1).tolist()
+        for eta in (1e-3, 1e-4, 1e-5):
+            recede, advance = _shifted_branches(pstar, eta, 0.1)
+            assert recede.positions(0.1)[0] - advance.positions(0.1)[0] >= 9e-3
 
     @pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0])
     def test_horizon_must_be_positive(self, pstar, horizon):
