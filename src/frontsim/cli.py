@@ -158,7 +158,7 @@ def _run_standard(cfg: RunConfig, out_dir: str) -> None:
                 }
             )
             _write_text(
-                os.path.join(oracle_dir, f"errors_eps_{report.eps:g}.csv"),
+                os.path.join(oracle_dir, f"errors_eps_{float(report.eps)!r}.csv"),
                 _csv("t,error", report.times, report.abs_errors),
             )
         _write_text(

@@ -149,6 +149,9 @@ def _check(ok: Callable[[Any], bool], message: str) -> Callable[[Any], str | Non
 
 _POSITIVE = _check(lambda v: v > 0, "must be positive, got {0!r}")
 _AT_LEAST_2 = _check(lambda n: n >= 2, "must be >= 2")
+_EPS_POSITIVE = _check(lambda eps: all(e > 0 for e in eps), "all eps must be positive")
+# each eps names its own oracle/errors_eps_<eps>.csv, so a repeat would overwrite one
+_EPS_ONCE = _check(lambda eps: len(set(eps)) == len(eps), "each eps must be given once, got {0!r}")
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
@@ -182,9 +185,7 @@ _SCHEMA = {
     ("output", "trajectory_samples"): _key(_integer, _AT_LEAST_2, "trajectory_samples"),
     ("output", "field_x"): _key(_grid, field="field_x"),
     ("output", "field_t"): _key(_integer, _AT_LEAST_2, "field_t"),
-    ("oracle", "eps"): _key(
-        _numbers, _check(lambda eps: all(e > 0 for e in eps), "all eps must be positive"), "oracle_eps"
-    ),
+    ("oracle", "eps"): _key(_numbers, lambda eps: _EPS_POSITIVE(eps) or _EPS_ONCE(eps), "oracle_eps"),
     ("oracle", "sample_dt"): _key(_number, _POSITIVE, "oracle_sample_dt"),
 }
 _SECTIONS = dict.fromkeys(sec for sec, _ in _SCHEMA)

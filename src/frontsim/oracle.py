@@ -7,9 +7,10 @@ system
     v_t = g(u, v),                    f_eps(u) = u*(1-u)*(u - 1/2 + eps*alpha),
 
 with the wave-speed coefficients related by a = sqrt(2)*alpha and
-b = 6*sqrt(2)*beta.  This module solves that system directly with an explicit
-centered finite-difference scheme (Neumann boundaries), extracts the half-level
-crossings of u as interface positions, and compares them with tracked fronts.
+b = 6*sqrt(2)*beta.  This module solves that system directly with explicit Euler
+and the fourth-order five-point Laplacian (Neumann boundaries) on a grid of
+dx = eps, extracts the half-level crossings of u as interface positions, and
+compares them with tracked fronts.
 
 The truncated domain needs only the outward front speed a: no front leaves
 the fronts' reach IntervalSet.hull(a*t), so eps_sweep's grid spans
@@ -17,10 +18,10 @@ hull(a*t_end + 1 + 10*eps), the last two terms for the diffuse front's lag
 and tanh tail.
 
 One kernel takes every step, in place on buffers allocated once per run: u
-and v are the rows of one buffer, u with a ghost cell at each end, set by
+and v are the rows of one buffer, u with two ghost cells at each end, set by
 even reflection before each step (the Neumann boundary), and the diffusion
-and reaction terms fold into one Horner cubic in u plus the neighbour sum
-and the v coupling.  Its constants are read-only 0-d float64 arrays, the
+and reaction terms fold into one Horner cubic in u plus the two neighbour
+sums and the v coupling.  Its constants are read-only 0-d float64 arrays, the
 rule the kinetics module states.  After each update the checks run in a
 fixed order: v at or past the pole of g2*v/(g3*v + g4) raises (min(v)*g3 + g4
 not > 0, which nan fails too), v is clamped at 0 only when min(v) is not > 0
@@ -74,15 +75,17 @@ class FHNConfig:
     homogeneous Neumann boundaries, for the front model's parameters.
 
     Its sharp-interface limit carries params' wave speeds: alpha = a/sqrt(2)
-    and beta = b/(6*sqrt(2)).  dx defaults to eps/2 and dt to
-    min(0.45*dx^2, eps^2/4); then every value must be finite, and stability
-    requires dt <= dx^2/2 (explicit diffusion) and dt <= eps^2/4 (stiff
-    reaction), both enforced.
+    and beta = b/(6*sqrt(2)).  dx defaults to eps and dt to
+    min(0.3375*dx^2, eps^2/4), which on the default grid is eps^2/4; then
+    every value must be finite, and stability requires dt <= 3*dx^2/8
+    (explicit diffusion: the five-point Laplacian's spectral radius is
+    16/(3*dx^2)) and dt <= eps^2/4 (stiff reaction), both enforced.
 
     Each step (see _Kernel) updates u and v in place from the old u and v,
-    with the Neumann stencil 2(u_1 - u_0)/dx^2 at the boundary.  Then v at or
-    past the pole of g2*v/(g3*v + g4) raises FHNBlowUp, v is clamped at 0
-    when min(v) is not > 0, and |u| above 10 raises FHNBlowUp.
+    with the five-point Laplacian (-1, 16, -30, 16, -1)/(12*dx^2) and its
+    two ghost cells per side set by even reflection at the boundary.  Then v
+    at or past the pole of g2*v/(g3*v + g4) raises FHNBlowUp, v is clamped
+    at 0 when min(v) is not > 0, and |u| above 10 raises FHNBlowUp.
     """
 
     params: Parameters
@@ -95,9 +98,9 @@ class FHNConfig:
 
     def __post_init__(self) -> None:
         if self.dx is None:
-            object.__setattr__(self, "dx", 0.5 * self.eps)
+            object.__setattr__(self, "dx", self.eps)
         if self.dt is None:
-            object.__setattr__(self, "dt", min(0.45 * self.dx**2, 0.25 * self.eps**2))
+            object.__setattr__(self, "dt", min(0.3375 * self.dx**2, 0.25 * self.eps**2))
         # nan fails every comparison below, so it would pass them all
         for name in ("eps", "dx", "dt", "x_left", "x_right"):
             value = getattr(self, name)
@@ -109,8 +112,8 @@ class FHNConfig:
             raise ValueError("empty domain")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
-        if self.dt > 0.5 * self.dx**2:
-            raise ValueError("stability requires dt <= dx^2/2")
+        if self.dt > 0.375 * self.dx**2:
+            raise ValueError("stability requires dt <= 3*dx^2/8")
         if self.dt > 0.25 * self.eps**2:
             raise ValueError("stiff reaction requires dt <= eps^2/4")
 
@@ -167,21 +170,23 @@ def init_fhn(cfg: FHNConfig, omega: IntervalSet, profile: Profile) -> FHNState:
 class _Kernel:
     """The explicit step, in place on buffers allocated once.
 
-    u and v are the interiors of the two rows of one (2, n + 2) buffer, so
+    u and v are the interiors of the two rows of one (2, n + 4) buffer, so
     one reduction along the rows gives both minima the checks read.  Each
-    step sets u's two ghost cells by even reflection (U[0] = U[2],
-    U[-1] = U[-3]), which is the Neumann stencil 2(u_1 - u_0)/dx^2 at the
-    boundary.  Diffusion and the reaction cubic fold into
+    step sets u's two ghost cells at each end by even reflection
+    (U[0] = U[4], U[1] = U[3], U[-1] = U[-5], U[-2] = U[-4]), the Neumann
+    boundary of the five-point Laplacian (-1, 16, -30, 16, -1)/(12*dx^2).
+    Diffusion and the reaction cubic fold into
 
-        u_new = ((p3*u + p2)*u + p1)*u + r*(U[i+1] + U[i-1]) - kv*v,
+        u_new = ((p3*u + p2)*u + p1)*u
+                + (r1*(U[i+1] + U[i-1]) - r2*(U[i+2] + U[i-2])) - kv*v,
 
-    with r = dt/dx^2, k = dt/eps^2, c = 1/2 - eps*alpha, p3 = -k,
-    p2 = k(1 + c), p1 = 1 - 2r - k*c and kv = k*eps*beta, and
-    v += dt*g1*u - dt*g2*v/(g3*v + g4); both read the old u and v, and both
-    land in place once every term is read.  The constants (and the clamp's
-    0) are read-only 0-d float64 arrays, not floats: a ufunc takes those at
-    a smaller fixed cost with the same bits, and at a few thousand cells
-    that fixed cost is much of a step.
+    with r = dt/dx^2, r1 = 16r/12, r2 = r/12, k = dt/eps^2,
+    c = 1/2 - eps*alpha, p3 = -k, p2 = k(1 + c), p1 = 1 - 2.5r - k*c and
+    kv = k*eps*beta, and v += dt*g1*u - dt*g2*v/(g3*v + g4); both read the
+    old u and v, and both land in place once every term is read.  The
+    constants (and the clamp's 0) are read-only 0-d float64 arrays, not
+    floats: a ufunc takes those at a smaller fixed cost with the same bits,
+    and at a few hundred cells that fixed cost is most of a step.
 
     The checks run in a fixed order after the update: v at or past the pole
     of g2*v/(g3*v + g4) raises, that is when min(v)*g3 + g4 is not > 0 (so
@@ -195,26 +200,31 @@ class _Kernel:
         k = cfg.dt / cfg.eps**2
         c = 0.5 - cfg.eps * cfg.alpha
         consts = _constants(
-            r, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c,
+            16.0 * r / 12.0, r / 12.0, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c,
             cfg.dt * p.g1, cfg.dt * p.g2, p.g3, p.g4, 0.0,
         )
-        fields = np.zeros((2, u.size + 2))
-        both = fields[:, 1:-1]
+        fields = np.zeros((2, u.size + 4))
+        both = fields[:, 2:-2]
         both[0], both[1] = u, v
         self.u, self.v = both
         U = fields[0]
         temps = [np.empty(u.size) for _ in range(4)]
         self._pole = (float(p.g3), float(p.g4))
-        self._bound = (U, U[2:], U[:-2], self.u, self.v, both, *temps, *consts)
+        self._bound = (U, U[3:-1], U[1:-3], U[4:], U[:-4], self.u, self.v, both, *temps, *consts)
 
     def step(self) -> None:
-        (U, right, left, u, v, both, s, t, q, z,
-         r, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero) = self._bound
+        (U, right, left, right2, left2, u, v, both, s, t, q, z,
+         r1, r2, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero) = self._bound
         mul, add, sub = np.multiply, np.add, np.subtract
-        U[0] = U[2]
-        U[-1] = U[-3]
+        U[0] = U[4]
+        U[1] = U[3]
+        U[-1] = U[-5]
+        U[-2] = U[-4]
         add(right, left, s)
-        mul(s, r, s)
+        mul(s, r1, s)
+        add(right2, left2, q)
+        mul(q, r2, q)
+        sub(s, q, s)
         mul(u, p3, t)
         add(t, p2, t)
         mul(t, u, t)

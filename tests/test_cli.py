@@ -94,6 +94,9 @@ MESSAGE_CASES = {
         ["output.field_x: expected 'xmin xmax n' with xmin < xmax and n >= 2"],
     ),
     "eps positive": ((), "[oracle]\neps = 0.05 0\n", None, ["oracle.eps: all eps must be positive"]),
+    "eps repeated": (
+        (), "[oracle]\neps = 0.05 0.02 0.05\n", None, ["oracle.eps: each eps must be given once, got (0.05, 0.02, 0.05)"],
+    ),
     "odd intervals": (
         (("intervals = -1 1", "intervals = -1 1 2"),), "", None,
         ["initial.intervals: need a non-empty, even-length endpoint list"],
@@ -431,7 +434,7 @@ class TestMainExitCodes:
     def test_oracle_flag_validation(self, tmp_path, capsys):
         # a bad list fails as a config file's oracle.eps does: exit 1 before
         # the run, with no traceback and no output directory
-        for eps in ("0,1", "nan", "inf", "0.05,1e400", ""):
+        for eps in ("0,1", "nan", "inf", "0.05,1e400", "", "0.05,0.02,0.05"):
             out = tmp_path / "out"
             assert main(["run", "--preset", "expanding", "--out", str(out), "--oracle", f"eps={eps}"]) == 1
             assert "Traceback" not in capsys.readouterr().err
@@ -496,3 +499,24 @@ class TestMainExitCodes:
         summary = json.loads((tmp_path / "oracle" / "summary.json").read_text())
         assert summary[0]["eps"] == 0.05
         assert summary[0]["sup_abs_error"] > 0
+        assert sorted(p.name for p in (tmp_path / "oracle").iterdir()) == ["errors_eps_0.05.csv", "summary.json"]
+
+    def test_oracle_csv_per_eps(self, tmp_path):
+        # eps values that agree to 6 significant digits still get a CSV each,
+        # named by repr, and each CSV holds its own run's errors
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "expanding", "--out", str(out), "--oracle", "eps=0.05,0.05000001"]) == 0
+        summary = json.loads((out / "oracle" / "summary.json").read_text())
+        assert [r["eps"] for r in summary] == [0.05, 0.05000001]
+        for r in summary:
+            rows = (out / "oracle" / f"errors_eps_{r['eps']!r}.csv").read_text().splitlines()
+            errors = [float(row.split(",")[1]) for row in rows[1:]]
+            assert len(errors) == r["samples"] and max(errors) == r["sup_abs_error"]
+
+    def test_oracle_repeated_eps_is_one(self, tmp_path, capsys):
+        # a repeated eps would write its CSV twice under one name
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "expanding", "--out", str(out), "--oracle", "eps=0.05,0.05"]) == 1
+        err = capsys.readouterr().err
+        assert "--oracle eps: each eps must be given once, got (0.05, 0.05)" in err and "Traceback" not in err
+        assert not out.exists()

@@ -43,7 +43,12 @@ class TestConfig:
 
     def test_stability_constraints_enforced(self, pstar):
         with pytest.raises(ValueError):
-            small_cfg(pstar, dt=1.0)  # violates dt <= dx^2/2
+            small_cfg(pstar, dt=1.0)  # violates dt <= 3*dx^2/8
+        dx = 0.02
+        small_cfg(pstar, dx=dx, dt=0.375 * dx**2)
+        with pytest.raises(ValueError, match="stability requires dt <= 3"):
+            # just above the five-point Laplacian's bound, below eps^2/4
+            small_cfg(pstar, dx=dx, dt=0.376 * dx**2)
         eps = 0.05
         with pytest.raises(ValueError):
             FHNConfig(pstar, eps, -4, 4, dx=1.0, dt=0.9 * eps**2)
@@ -60,7 +65,7 @@ class TestConfig:
 
     def test_default_steps_satisfy_both_bounds(self, pstar):
         cfg = small_cfg(pstar, eps=0.02)
-        assert cfg.dt <= 0.5 * cfg.dx**2
+        assert cfg.dt <= 0.375 * cfg.dx**2
         assert cfg.dt <= 0.25 * cfg.eps**2
 
 
@@ -178,15 +183,18 @@ class TestStep:
         cfg = small_cfg(pstar)
         u, v = start(cfg)
         r, k = cfg.dt / cfg.dx**2, cfg.dt / cfg.eps**2
+        r1, r2 = 16.0 * r / 12.0, r / 12.0
         c = 0.5 - cfg.eps * cfg.alpha
-        p3, p2, p1, kv = -k, k * (1.0 + c), 1.0 - 2.0 * r - k * c, k * cfg.eps * cfg.beta
+        p3, p2, p1, kv = -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c, k * cfg.eps * cfg.beta
         g1, g2, g3, g4 = cfg.params.g1, cfg.params.g2, cfg.params.g3, cfg.params.g4
         dt_g1, dt_g2 = cfg.dt * g1, cfg.dt * g2
         kernel = frontsim.oracle._Kernel(cfg, u, v)
         taken = {"v_min_zero": 0, "clamped": 0}
         for _ in range(200):
-            padded = np.concatenate([u[1:2], u, u[-2:-1]])
-            u_new = ((u * p3 + p2) * u + p1) * u + (padded[2:] + padded[:-2]) * r - v * kv
+            # two ghost cells a side, by even reflection: u[2], u[1] | u | u[-2], u[-3]
+            P = np.concatenate([u[2:0:-1], u, u[-2:-4:-1]])
+            lap = (P[3:-1] + P[1:-3]) * r1 - (P[4:] + P[:-4]) * r2
+            u_new = ((u * p3 + p2) * u + p1) * u + lap - v * kv
             v = v + (u * dt_g1 - v / (v * g3 + g4) * dt_g2)
             taken["v_min_zero"] += np.min(v) == 0.0
             taken["clamped"] += np.min(v) < 0.0
@@ -255,6 +263,37 @@ class TestDynamics:
         assert np.max(trace.final.v) < 1.1e-9
         assert speed == pytest.approx(p.a, rel=0.10)
 
+    def test_slow_front_does_not_pin(self):
+        # a front much slower than a cell per front width must not lock onto
+        # the lattice: at W = 0.005 it crosses under a cell of the default
+        # grid dx = eps by t = 3, and the fitted speed stays within 5% of W
+        # (0.00493; the lattice modulates it by about 2%)
+        eps, W = 0.02, 0.005
+        p = Parameters(g1=1e-9, g2=1e-9, g3=3, g4=1, a=W, b=2)
+        cfg = FHNConfig(p, eps, -2.0, 3.0)
+        trace = run_fhn(cfg, IntervalSet((-1.5, 0.0)), Profile.constant(0.0, (-4, 4)), 3.0, sample_dt=0.1)
+        late = trace.times >= 0.3
+        xs = [pos[-1] for pos, keep in zip(trace.interfaces, late) if keep]
+        speed = np.polyfit(trace.times[late], xs, 1)[0]
+        assert np.max(trace.final.v) < 1e-8
+        assert speed == pytest.approx(W, rel=0.05)
+
+    def test_grid_bias_against_a_fine_grid(self, pstar):
+        # the default grid dx = eps against dx = eps/4 on the merge datum,
+        # sampled every 0.1 to t = 0.9, before the fronts meet at t = 1; the
+        # bound lies between 2.4e-3 (five-point stencil, dx = eps) and
+        # 6.8e-3 (three-point, dx = eps/2).  The fine run's dt = cfg.dt/16
+        # keeps the samples at the same times
+        eps, t_end = 0.05, 0.9
+        omega, v0 = merge_setup(pstar)
+        lo, hi = omega.hull(pstar.a * t_end + 1.0 + 10.0 * eps)
+        cfg = FHNConfig(pstar, eps, lo, hi)
+        fine = FHNConfig(pstar, eps, lo, hi, dx=eps / 4, dt=cfg.dt / 16)
+        got, want = (run_fhn(c, omega, v0, t_end, sample_dt=0.1) for c in (cfg, fine))
+        np.testing.assert_allclose(got.times, want.times, rtol=0.0, atol=1e-12)
+        bias = max(np.max(np.abs(a - b)) for a, b in zip(got.interfaces, want.interfaces, strict=True))
+        assert bias <= 4e-3
+
     def test_fields_stay_bounded(self, pstar):
         cfg = small_cfg(pstar)
         trace = run_fhn(cfg, IntervalSet((-1.0, 1.0)), Profile.constant(0.2, (-4, 4)), 0.5)
@@ -281,15 +320,16 @@ class TestDynamics:
 
     def test_pinned_positions(self, pstar):
         # reference positions from the step computed term by term (f(u) and
-        # the Laplacian apart); the Horner form rounds differently, ~1e-14
+        # the five-point Laplacian (-1, 16, -30, 16, -1)/(12*dx^2) apart);
+        # the Horner form rounds differently, ~1e-14
         cfg = small_cfg(pstar)
         omega = IntervalSet((-2.0, -0.8, 0.6, 2.0))
         v0 = Profile(np.array([-4.0, 0.0, 4.0]), np.array([0.1, 0.3, 0.05]))
         trace = run_fhn(cfg, omega, v0, 0.5, sample_dt=0.2)
         expected = [
-            [-2.1110741584476576, -0.7149742120058705, 0.5162018711680526, 2.1213282323144202],
-            [-2.212829647242028, -0.6453309490183664, 0.4482930254845229, 2.2348124558771887],
-            [-2.2638930555265655, -0.6133274556808825, 0.41736344925741425, 2.292285033975116],
+            [-2.111519085568126, -0.7149909018955242, 0.5162167197706221, 2.121680090352546],
+            [-2.2135419952025117, -0.6448211095224997, 0.44784662647853524, 2.235197458349656],
+            [-2.26467194200353, -0.6131197304554766, 0.41715658454806703, 2.292803436428849],
         ]
         assert len(trace.interfaces) == 4
         for pos, want in zip(trace.interfaces[1:], expected):
