@@ -562,11 +562,6 @@ class ClassicalSegment:
         if not np.all((tq >= t_from - slack) & (tq <= self.t_end + slack)):
             raise ValueError(f"time outside [{t_from}, {self.t_end}]")
 
-    @property
-    def zero_gap(self) -> float:
-        """The gap below which the surgery after this segment takes two fronts as collided."""
-        return max(16.0 * TOL_EVENT, 1e-12 * float(np.max(np.abs(self._path.arrays()[1][-1]), initial=1.0)))
-
     # -- field reconstruction ---------------------------------------------
 
     def _index_history(self, x0: np.ndarray) -> None:
@@ -579,14 +574,22 @@ class ClassicalSegment:
         Raises RuntimeError when a surviving front has turned back: a row
         takes its front as monotone.
         """
-        segs = (*self._chain, self)
-        self._origin, self._t_origin = segs[0].profile_start, segs[0].t_start
         if self._chain:
             prior = self._chain[-1]
-            for name in ("_row_of", "_sign", "_from", "_below"):
+            for name in ("_origin", "_t_origin", "_row_of", "_sign", "_from", "_below"):
                 setattr(self, name, getattr(prior, name))
             cols, self._reach = prior._cols, np.vstack([prior._reach, prior._reach[-1]])
+            # the intervals (lo, hi] whose phase flips at this start (_toggles),
+            # between the sorted thresholds of the fronts the surgery removed
+            kept = set(self.labels)
+            gone = np.array([lab not in kept for lab in prior.labels], dtype=bool)
+            end = prior._path.arrays()[1][-1][gone]
+            th = np.sort(np.where(prior._signs[gone] < 0, np.nextafter(end, -math.inf), end))
+            self._lo = np.vstack([prior._lo, th[0::2, None]])
+            self._hi = np.vstack([prior._hi, th[1::2, None]])
+            self._at = np.vstack([prior._at, np.full((th.size // 2, 1), self.t_start)])
         else:
+            self._origin, self._t_origin = self.profile_start, self.t_start
             self._row_of = dict(zip(self.labels, range(self.n_interfaces)))
             self._sign = self._signs[:, None]
             self._from = self._sign * x0[:, None]
@@ -595,6 +598,7 @@ class ClassicalSegment:
             # is x > the float below x0), the limit continuity of v needs
             self._below = np.where(self._sign < 0, np.nextafter(x0[:, None], -math.inf), x0[:, None])
             cols, self._reach = np.zeros((0, x0.size), dtype=np.intp), self._from.T.copy()
+            self._lo = self._hi = self._at = np.empty((0, 1))
         self._rows = np.array([self._row_of[lab] for lab in self.labels], dtype=np.intp)
         back = np.flatnonzero(self._signs != self._sign[self._rows, 0])
         if back.size:
@@ -602,13 +606,6 @@ class ClassicalSegment:
         col = np.full(self._sign.shape[0], -1, dtype=np.intp)
         col[self._rows] = np.arange(self.n_interfaces)
         self._cols = np.vstack([cols, col])
-        # ended fronts: which segment start each ended at (a row per start),
-        # where, and twice that surgery's zero gap
-        self._ended = np.flatnonzero(col < 0)
-        self._ended_in = ((self._cols[:-1] >= 0) & (self._cols[1:] < 0))[:, self._ended].astype(np.intp)
-        self._ended_pos = (self._sign * self._reach[-1][:, None])[self._ended]
-        self._ended_zone = (np.array([2.0 * s.zero_gap for s in segs[:-1]]) @ self._ended_in)[:, None]
-        self._starts = np.array([s.t_start for s in segs[1:]])[:, None]
 
     def _arrivals(self, xs: np.ndarray) -> np.ndarray | None:
         """Crossing times at xs, one row per front of the history and one
@@ -647,25 +644,20 @@ class ClassicalSegment:
         return T
 
     def _toggles(self, pts: np.ndarray, T: np.ndarray | None) -> np.ndarray | None:
-        """T plus a row per segment start, holding its time where a point's
-        phase toggles there with no crossing (between two fronts that
-        collided), else inf; T when no point is near an ended front.
+        """T plus a row per interval (lo, hi], holding its start time at the
+        points inside it, whose phase flips there with no crossing, else
+        inf; T when no point lies in one.
 
-        A start tests the points within twice its surgery's zero gap of a
-        front that ended there.  A front's side of a point when it ended is
-        its side at the origin, flipped if it crossed the point (T); the
-        point toggles where an odd number of those fronts lie below it.
+        A monotone front that ended at p lies below x exactly when x > p,
+        or x >= p (x > the float below p) when it moved left: its
+        threshold.  Of the fronts removed at one start, an odd number lie
+        below x exactly when x lies between their sorted thresholds paired
+        off in order.
         """
-        near = np.abs(pts - self._ended_pos) <= self._ended_zone
-        c = np.flatnonzero(near.any(axis=0))
-        if not c.size:
+        inside = (self._lo < pts) & (pts <= self._hi)
+        if not np.count_nonzero(inside):
             return T
-        below = self._below[self._ended] < pts[c]
-        if T is not None:
-            below ^= np.isfinite(T[self._ended[:, None], c])
-        odd = (self._ended_in @ below % 2 == 1) & (self._ended_in @ near[:, c] > 0)
-        rows = np.full((self._starts.size, pts.size), math.inf)
-        rows[:, c] = np.where(odd, self._starts, math.inf)
+        rows = np.where(inside, self._at, math.inf)
         return rows if T is None else np.concatenate([T, rows])
 
     def _v_field(self, xs: np.ndarray, tq) -> np.ndarray:
@@ -679,14 +671,14 @@ class ClassicalSegment:
         the flows run on the broadcast shape, each entry with the dt
         sequence of a one-point read.  A point starts in its phase among the
         first segment's endpoints and toggles at each crossing and at each
-        segment start between two fronts that collided there (_toggles), so
-        the work follows its phase changes, not the number of segments.
+        segment start whose interval (lo, hi] holds it (_toggles), so the
+        work follows its phase changes, not the number of segments.
         """
         pts = xs.ravel()
         # inside when an odd number of the first segment's fronts lie below
         phase0 = np.logical_xor.reduce(self._below < pts, axis=0).reshape(xs.shape)
         T = self._arrivals(pts)
-        if self._ended.size:
+        if self._lo.size:
             T = self._toggles(pts, T)
         n_cross = 0
         if T is not None:
@@ -933,8 +925,8 @@ class ClassicalSegment:
 MAX_STEPS = 500_000
 # the event tolerance: the window within which two gap closures count as
 # simultaneous, the slack 16*TOL_EVENT of the step cap and of the kink
-# crossing, and the floor of zero_gap, the gap below which the surgery takes
-# two fronts as collided
+# crossing, and the floor of the surgery's zero gap, below which it takes two
+# fronts as collided
 TOL_EVENT = 1e-10
 
 

@@ -180,7 +180,12 @@ def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
 
 
 def run_scenario(cfg: RunConfig) -> None:
-    """Execute one configuration and write its artifacts under cfg.out_dir."""
+    """Execute one configuration and write its artifacts under cfg.out_dir.
+    An oracle_eps that fails the schema's oracle.eps check (a repeated or
+    non-positive eps) raises ValueError before anything runs."""
+    problem = _SCHEMA[("oracle", "eps")][1](cfg.oracle_eps)
+    if problem:
+        raise ValueError(f"oracle.eps: {problem}")
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     if cfg.scenario == "illposed":

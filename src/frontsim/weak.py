@@ -23,6 +23,7 @@ from .kinetics import Parameters, Phase, front_speed, reaction_rate
 # under this module's name as well as classical's
 from .state import H2Violation, IntervalSet, Profile, default_margin, validate_initial  # noqa: F401
 from .classical import (
+    TOL_EVENT,
     ClassicalSegment,
     EventRecord,
     _ContinuedField,
@@ -127,7 +128,7 @@ def annihilation_surgery(
     pos = np.atleast_1d(seg.positions(ev.time)).astype(float)
     keep = [j for j in range(pos.size) if j + 1 not in ev.indices]
     events = [ev]
-    zero_gap = seg.zero_gap
+    zero_gap = max(16.0 * TOL_EVENT, 1e-12 * float(np.max(np.abs(pos), initial=1.0)))
     while len(keep) > 1:
         gaps = np.diff(pos[keep])
         if np.all(gaps > zero_gap):

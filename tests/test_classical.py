@@ -247,6 +247,23 @@ class TestSolverBehavior:
         with pytest.raises(H2Violation):
             start(0.99 * eta)
 
+    @pytest.mark.parametrize(
+        "t_end, kw, match",
+        [
+            (0.0, {}, "segment needs t_end > t_start"),
+            (-1.0, {}, "segment needs t_end > t_start"),
+            (math.nan, {}, "segment needs t_end > t_start"),
+            (1.0, {"tol_step": 0.0}, "tol_step must be positive, got 0.0"),
+            (1.0, {"tol_step": math.nan}, "tol_step must be positive, got nan"),
+            (1.0, {"labels": (1,)}, "one label per endpoint required"),
+            (1.0, {"labels": (1, 2, 3)}, "one label per endpoint required"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, pstar, t_end, kw, match):
+        omega, v0 = expanding_setup(pstar)
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            ClassicalSegment(pstar, omega, v0, 0.0, t_end, **kw)
+
     def test_self_convergence_order(self, pstar):
         # quartering the tolerance must shrink trajectory differences by
         # at least 4x per level (observed order two under log2 scaling)
@@ -345,6 +362,18 @@ class TestQuarticDenseOutput:
         assert one_step.t_end == 0.45
         assert np.max(np.abs(one_step.eval(ts) - before)) <= 1e-14
         assert np.max(np.abs(one_step.deriv(ts) - slopes)) <= 1e-13
+
+    @pytest.mark.parametrize("t_cut", [0.2, 0.1, 0.7000001, math.nan])
+    def test_rejects_knots_outside_the_last_step(self, one_step, t_cut):
+        y = np.zeros(3)
+        for t in (0.7, 0.5):
+            with pytest.raises(ValueError, match="^knot times must increase$"):
+                one_step.append(t, y, y, y)
+        with pytest.raises(ValueError, match="^t_cut must lie inside the final step$"):
+            one_step.truncate_last(t_cut)
+        with pytest.raises(ValueError, match="^t_cut must lie inside the final step$"):
+            DensePath(0.2, y, y).truncate_last(0.2)
+        assert one_step.t_end == 0.7 and len(one_step) == 2
 
     def test_invert_col_inverts_eval(self, pstar):
         # a kinked v0 makes the fronts' speeds vary from step to step

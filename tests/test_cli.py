@@ -294,6 +294,10 @@ sample_dt = 0.1
     def test_env_override(self):
         cfg = validate_config(GOOD_CONFIG, environ={"FRONTSIM_RUN__T_END": "0.25"})
         assert cfg.t_end == 0.25
+        # a section the file lacks is added
+        assert "[output]" not in GOOD_CONFIG
+        cfg = validate_config(GOOD_CONFIG, environ={"FRONTSIM_OUTPUT__FIELD_T": "5"})
+        assert cfg.field_t == 5
 
     def test_env_names_outside_the_schema_are_ignored(self):
         environ = {"FRONTSIM__RUN": "2", "FRONTSIM_NOPE__T_END": "2", "FRONTSIM_RUN": "2", "PATH": "/"}
@@ -381,6 +385,27 @@ class TestRunScenario:
         v = np.asarray(value_at(X.ravel(), T.ravel()))
         assert frontsim.cli._field_csv(value_at, xs, ts) == _csv("t,x,v", T.ravel(), X.ravel(), v)
 
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            ((0.05, 0.05), "each eps must be given once, got (0.05, 0.05)"),
+            ((0.05, 0.0), "all eps must be positive"),
+        ],
+    )
+    def test_bad_eps_set_in_code_raises_before_the_run(self, tmp_path, monkeypatch, eps, message):
+        # set in code, not through a config file or --oracle, whose schema
+        # check rejects it first: a repeated eps would write its CSV twice
+        # under one name, and eps 0 failed only after the run's artifacts
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the check")
+
+        monkeypatch.setattr(frontsim.cli, "run_weak", solve)
+        cfg = preset_config("expanding", out_dir=str(tmp_path / "out"))
+        cfg.oracle_eps = eps
+        with pytest.raises(ValueError, match=f"^{re.escape('oracle.eps: ' + message)}$"):
+            run_scenario(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_scenario(preset_config("shrinking", out_dir=str(out1)))
@@ -430,6 +455,28 @@ class TestMainExitCodes:
 
     def test_missing_target(self):
         assert main(["run"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sweep", "{sweep}", "{config}"], "--sweep excludes a config file or --preset"),
+            (["--sweep", "{sweep}", "--preset", "expanding"], "--sweep excludes a config file or --preset"),
+            (["{config}", "--preset", "expanding"], "give either a config file or --preset, not both"),
+            (["--sweep", "{empty}"], "no .ini configs in {empty}"),
+        ],
+    )
+    def test_conflicting_or_empty_targets_are_one(self, tmp_path, capsys, argv, message):
+        paths = {"sweep": tmp_path / "configs", "empty": tmp_path / "empty", "config": tmp_path / "configs" / "a.ini"}
+        for d in ("sweep", "empty"):
+            paths[d].mkdir()
+        paths["config"].write_text(GOOD_CONFIG)
+        (paths["empty"] / "notes.txt").write_text("not a config")
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(["run", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message.format(**paths) in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_oracle_flag_validation(self, tmp_path, capsys):
         # a bad list fails as a config file's oracle.eps does: exit 1 before

@@ -63,6 +63,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             FHNConfig(pstar, eps, lo, hi, **kw)
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(eps=0.0), "eps must be positive"),
+            (dict(eps=-0.05, dx=0.02, dt=1e-4), "eps must be positive"),
+            (dict(lo=4.0), "empty domain"),
+            (dict(lo=5.0), "empty domain"),
+            (dict(dx=0.0, dt=1e-4), "dx and dt must be positive"),
+            (dict(dx=-0.02, dt=1e-4), "dx and dt must be positive"),
+            (dict(dt=0.0), "dx and dt must be positive"),
+            (dict(dt=-1e-4), "dx and dt must be positive"),
+        ],
+    )
+    def test_non_positive_values_rejected(self, pstar, kw, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            small_cfg(pstar, **kw)
+
     def test_default_steps_satisfy_both_bounds(self, pstar):
         cfg = small_cfg(pstar, eps=0.02)
         assert cfg.dt <= 0.375 * cfg.dx**2

@@ -54,6 +54,9 @@ class TestProfile:
             Profile(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             Profile(np.array([0.0, 1.0]), np.array([-0.1, 1.0]))
+        for xs in ([0.0, math.inf], [math.nan, 1.0], [-math.inf, 0.0]):
+            with pytest.raises(ValueError, match="^profile samples must be finite$"):
+                Profile(np.array(xs), np.array([0.5, 0.5]))
 
     def test_constant(self):
         f = Profile.constant(0.7, (-2.0, 2.0))

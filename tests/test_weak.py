@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -294,6 +296,13 @@ class TestPositionTable:
         assert np.count_nonzero(np.isnan(row)) == 2
         np.testing.assert_array_equal(row[~np.isnan(row)], w.segments[1].positions(ev.time))
 
+    def test_empty_solution_raises(self, pstar):
+        empty = WeakSolution(pstar)
+        with pytest.raises(ValueError, match="^empty weak solution$"):
+            empty.segment_index(0.0)
+        with pytest.raises(ValueError, match="^empty weak solution$"):
+            empty.evaluate_v(0.0, 0.0)
+
     def test_past_the_end_raises(self, merge_run):
         with pytest.raises(ValueError):
             merge_run.positions([1.0, merge_run.t_end + 1.0])
@@ -572,14 +581,17 @@ class TestPictureFidelity:
         self._assert_faithful(RunConfig(pstar, omega, v0, 2.0), run_weak(pstar, omega, v0, 2.0))
 
 
+@functools.lru_cache(maxsize=1024)
+def _arrival_times(seg, x: float) -> np.ndarray:
+    """The time each interface of seg reaches x, from one invert_col call
+    over its columns (each entry that of a one-column call)."""
+    return seg._path.invert_col(np.arange(seg.n_interfaces), np.full(seg.n_interfaces, x), seg._signs)
+
+
 def _crossings(seg, x: float, end: float) -> list[float]:
     """Times in (seg.t_start, end] at which an interface of seg crosses x."""
-    out = []
-    for col, sign in enumerate(seg._signs):
-        ta = seg._path.invert_col(col, x, sign)[0]
-        if seg.t_start < ta <= end:
-            out.append(ta)
-    return sorted(out)
+    ta = _arrival_times(seg, float(x))
+    return sorted(ta[(seg.t_start < ta) & (ta <= end)].tolist())
 
 
 def _composed_v(w: WeakSolution, x: float, t: float) -> float:
@@ -670,6 +682,35 @@ class TestFlatFold:
                     if profile == "rest" and t > ev.time and ev.kind == EventKind.MERGE:
                         # the meeting point joined the excited set at the merge
                         assert got[0] > 0.0
+
+    def test_long_history_matches_composition(self, pstar):
+        # 32 intervals on a random v0 in [0, 0.3] (|W| >= 0.4), so every gap
+        # closes by t = 2.5: 31 annihilations, each recording an interval
+        # whose points flip phase at its segment start.  Read at each meeting
+        # point, at the removed fronts' end positions and 1 ulp either side,
+        # at the event time, after it and at t_end, and on grid points far
+        # from every event
+        rng = np.random.default_rng(33)
+        lengths, gaps = rng.uniform(0.5, 2.0, 32), rng.uniform(0.5, 2.0, 31)
+        xs = np.cumsum(np.ravel(np.column_stack([np.append(0.0, gaps), lengths])))
+        knots = np.linspace(xs[0] - 6.0, xs[-1] + 6.0, 106)
+        w = run_weak(pstar, IntervalSet(tuple(xs)), Profile(knots, rng.uniform(0.0, 0.3, knots.size)), 3.0)
+        assert len(w.events) == 31
+        probes = []
+        for seg in w.segments[:-1]:
+            ev = seg.event
+            ends = seg.positions(ev.time)[[seg.labels.index(lab) for lab in ev.labels]]
+            pts = [ev.position, *ends, *np.nextafter(ends, -math.inf), *np.nextafter(ends, math.inf)]
+            probes += [(x, t) for x in pts for t in (ev.time, 0.5 * (ev.time + w.t_end), w.t_end)]
+        meets = np.array([ev.position for ev in w.events])
+        grid = np.linspace(knots[0], knots[-1], 121)
+        far = grid[np.min(np.abs(grid[:, None] - meets), axis=1) > 0.1]
+        assert far.size >= 90
+        probes += [(x, t) for x in far for t in (0.5, 1.5, w.t_end)]
+        xq, tq = np.asarray(probes).T
+        got = np.asarray(w.evaluate_v(xq, tq))
+        want = np.asarray([_composed_v(w, x, t) for x, t in probes])
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_flow_calls_do_not_grow_with_segments(self, cascade16, monkeypatch):
         # one evaluation late in the cascade costs as many kernel calls as one
@@ -952,6 +993,43 @@ class TestNoNucleation:
     def test_vacuous_for_empty(self, pstar):
         assert check_no_nucleation(WeakSolution(pstar))
 
+    @pytest.mark.parametrize(
+        "run, case",
+        [
+            *((run, case) for run in ("merge_run", "shrinking_run") for case in ("extra event", "missing event")),
+            # no segment after the vanish holds a front
+            *(("merge_run", case) for case in ("late start", "unknown label", "moved survivor", "out of order")),
+        ],
+    )
+    def test_rejects_corrupted_runs(self, run, case, request, pstar):
+        # an odd interface count, or an odd drop, cannot be built: an
+        # IntervalSet always holds an even number of endpoints
+        w = request.getfixturevalue(run)
+        assert check_no_nucleation(w)
+        segments, events = list(w.segments), list(w.events)
+        if case == "extra event":
+            events.append(events[0])
+        elif case == "missing event":
+            events.clear()
+        elif case == "out of order":
+            # a stand-in that swaps the last segment's two fronts
+            last = copy.copy(segments[-1])
+            last.positions = lambda t, _read=last.positions: _read(t)[..., ::-1]
+            segments[-1] = last
+        else:
+            last = segments[-1]
+            ends, t_start, labels = last.omega_start.endpoints, last.t_start, last.labels
+            if case == "late start":
+                t_start += 0.1
+            elif case == "unknown label":
+                labels = (labels[0], 99)
+            else:
+                ends = (ends[0] - 0.01, ends[1])
+            segments[-1] = ClassicalSegment(
+                pstar, IntervalSet(ends), Profile.constant(0.0, (-16.0, 16.0)), t_start, w.t_end, labels=labels
+            )
+        assert not check_no_nucleation(WeakSolution(pstar, segments, events))
+
 
 class TestWeakResidual:
     def test_expanding_constant_testfunction(self, expanding_run):
@@ -983,6 +1061,21 @@ class TestWeakResidual:
             r1, r2 = weak_residual(merge_run, window, f, f)
             assert r1 <= 1e-8
             assert r2 <= 1e-8
+
+    @pytest.mark.parametrize(
+        "window, match",
+        [
+            ((1.0, 1.0, 0.5, 1.5), "window must satisfy x1 < x2 and t1 < t2"),
+            ((2.0, 1.0, 0.5, 1.5), "window must satisfy x1 < x2 and t1 < t2"),
+            ((-1.0, 1.0, 1.5, 0.5), "window must satisfy x1 < x2 and t1 < t2"),
+            ((-1.0, 1.0, 0.5, 4.0), "window exceeds the solution horizon"),
+            ((-1.0, 1.0, -1.0, 0.5), "window exceeds the solution horizon"),
+        ],
+    )
+    def test_rejects_bad_windows(self, merge_run, window, match):
+        one = SpaceTimePolynomial([[1.0]], window)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            weak_residual(merge_run, window, one, one)
 
     def test_polynomial_dt_is_exact(self):
         window = (0.0, 2.0, 0.0, 4.0)
