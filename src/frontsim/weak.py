@@ -300,11 +300,14 @@ def _time_breakpoints(
     """Sorted unique times in [t1, t2] at which a segment starts or ends or
     a front reaches a window edge or a cut, t1 and t2 included.
 
-    Each segment inverts all of its fronts' arrivals at the markers in one
-    invert_col call, a column and a sign per query."""
+    Each segment that overlaps (t1, t2) inverts all of its fronts' arrivals
+    at the markers in one invert_col call, a column and a sign per query; a
+    segment outside it has no time inside the window to give."""
     markers = np.concatenate([np.asarray([x1, x2]), cuts])
     pts = [np.asarray([t1, t2])]
     for seg in w.segments:
+        if seg.t_end <= t1 or seg.t_start >= t2:
+            continue
         pts.append(np.asarray([seg.t_start, seg.t_end]))
         n = seg.n_interfaces
         if n:
@@ -314,42 +317,63 @@ def _time_breakpoints(
     return np.unique(pts[(pts >= t1) & (pts <= t2)])
 
 
-# 6-point Gauss-Legendre on [-1, 1], exact to degree 11 (Davis & Rabinowitz,
-# Methods of Numerical Integration, ch. 2), the one rule of both quadratures
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 13-point Gauss-Kronrod extension of 6-point Gauss-Legendre on
+    [-1, 1]: (nodes, Kronrod weights, Gauss weights).
 
-
-def _gauss_cells(lo, hi, counts) -> tuple[np.ndarray, np.ndarray]:
-    """6-point Gauss-Legendre nodes and weights on counts[j] uniform cells of
-    each piece (lo[j], hi[j]), all pieces in one array.
-
-    The entries run cell by cell, pieces left to right, 6 per cell: a cell
-    (left, left + 2 half) gets left + half + half * _GL_NODES and
-    half * _GL_WEIGHTS.  The cell edges are np.linspace's (k * step + lo,
-    and hi exactly), so a piece gets the same values here as on its own.
+    The nodes ascend; the odd places hold leggauss(6)'s nodes, whose Gauss
+    weights are leggauss(6)'s, bit for bit, and 0 elsewhere.  The 7 new
+    nodes are the roots of the Stieltjes polynomial E7 = P7 + c5 P5 + c3 P3
+    + c1 P1 (odd, as 6 is even), with c fixed by int P6 E7 x^k = 0 for k =
+    1, 3, 5 (the even k hold by parity).  The Kronrod weights solve the
+    moment equations in the Legendre basis, sum_i w_i P_k(x_i) = 2 [k = 0]
+    for k <= 12, which is well conditioned where a monomial Vandermonde is
+    not.  The rule is exact to degree 19 (Laurie, "Calculation of
+    Gauss-Kronrod quadrature rules", Math. Comp. 66, 1997).
     """
-    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
-    counts = np.atleast_1d(counts)
-    piece = np.repeat(np.arange(counts.size), counts)
-    k = np.arange(piece.size) - (np.cumsum(counts) - counts)[piece]
-    step = ((hi - lo) / counts)[piece]
-    left = k * step + lo[piece]
-    right = np.where(k + 1 == counts[piece], hi[piece], (k + 1) * step + lo[piece])
-    half = 0.5 * (right - left)[:, None]
-    return (left[:, None] + half + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    leg = np.polynomial.legendre
+    gauss_x, gauss_w = leg.leggauss(6)
+    basis = np.eye(13)
+    # 12 points integrate P6 P_j x^k (degree <= 18) exactly
+    qx, qw = leg.leggauss(12)
+    p6 = leg.legval(qx, basis[6])
+    moment = lambda j, k: np.sum(qw * p6 * leg.legval(qx, basis[j]) * qx**k)
+    c = np.zeros(8)
+    c[7] = 1.0
+    c[[1, 3, 5]] = np.linalg.solve(
+        [[moment(j, k) for j in (1, 3, 5)] for k in (1, 3, 5)], [-moment(7, k) for k in (1, 3, 5)]
+    )
+    roots = np.sort(leg.legroots(c).real)
+    nodes = np.empty(13)
+    nodes[1::2] = gauss_x
+    nodes[0::2] = 0.5 * (roots - roots[::-1])  # odd symmetry exactly, 0 in the middle
+    kronrod = np.linalg.solve(leg.legvander(nodes, 12).T, 2.0 * basis[0])
+    gauss = np.zeros(13)
+    gauss[1::2] = gauss_w
+    return nodes, 0.5 * (kronrod + kronrod[::-1]), gauss
 
 
-def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: int):
-    """Gauss nodes of (x1, x2) at each time taus[r], weighted by tws[r].
+# the one rule of both quadratures: interface_speed_integral takes its Gauss
+# subset, weak_residual the pair, whose difference estimates a cell's error
+_NODES, _KRONROD, _GAUSS = _kronrod_rule()
 
-    Row r of pos holds the interface positions at taus[r]; they, clipped to
-    the window, and the cuts inside it partition (x1, x2).  nan entries (the
-    interfaces not alive at that time) are ignored.  Pieces of length
+
+def _cells(lo, hi, nodes: np.ndarray = _NODES) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of each cell (lo[j], hi[j]), one row per cell, and each
+    cell's half-length: a cell gets lo + half + half * nodes."""
+    half = 0.5 * (hi - lo)
+    return (lo + half)[:, None] + half[:, None] * nodes, half
+
+
+def _pieces(pos, x1: float, x2: float, cuts: np.ndarray):
+    """The pieces of (x1, x2) at each row of pos.
+
+    Row r of pos holds the interface positions at one time; they, clipped
+    to the window, and the cuts inside it partition (x1, x2).  nan entries
+    (the interfaces not alive at that time) are ignored.  Pieces of length
     <= 1e-13 are dropped; a piece is inside the excited set when an odd
-    number of the row's positions lie below its midpoint.  Each piece gets
-    its share of nx cells, at least 1.  Returns the nodes' x, taus entry,
-    weight and inside flag, rows in order, pieces left to right; taus may be
-    any per-row label, such as the row index.
+    number of the row's positions lie below its midpoint.  Returns each
+    piece's row, lo, hi and inside flag, rows in order, pieces left to right.
     """
     n_rows = pos.shape[0]
     inner = np.tile(cuts[(cuts > x1) & (cuts < x2)], (n_rows, 1))
@@ -360,15 +384,32 @@ def _window_nodes(pos, taus, tws, x1: float, x2: float, cuts: np.ndarray, nx: in
     row = np.nonzero(keep)[0]
     lo, hi = lo[keep], hi[keep]
     inside = np.count_nonzero(pos[row] < (0.5 * (lo + hi))[:, None], axis=1) % 2 == 1
-    counts = np.maximum(1, np.round(nx * (hi - lo) / (x2 - x1)).astype(int))
-    xs, ws = _gauss_cells(lo, hi, counts)
-    node = np.repeat(np.arange(counts.size), _GL_NODES.size * counts)
-    return xs, taus[row[node]], tws[row[node]] * ws, inside[node]
+    return row, lo, hi, inside
 
 
-# the cells a residual window gets in t and in x, shared out over its pieces
-_NT = 32
-_NX = 32
+# the absolute error weak_residual allows each identity on a window; a
+# cell's share of it is the share of the window its length spans
+_TOL = 1e-12
+# the floor of a cell's allowance: this many ulps of the integral of |f|,
+# below which an error estimate is rounding, so that the refinement ends
+_ROUNDING = 50.0 * np.finfo(float).eps
+# a cell that fails after this many splits raises
+_MAX_DEPTH = 30
+
+
+def _estimate(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Kronrod sum, error estimate, integral of |f|) of each cell, for f
+    of shape (..., cells, 13) sampled at the cells' nodes.
+
+    The estimate is QUADPACK's (Piessens et al., 1983, qk15): the spread
+    of f about its mean times min(1, (200 |K - G| / spread)^1.5), which
+    credits the Kronrod sum with the accuracy it has over the Gauss sum.
+    """
+    k = half * (f @ _KRONROD)
+    err = np.abs(k - half * (f @ _GAUSS))
+    spread = half * (np.abs(f - (k / (2.0 * half))[..., None]) @ _KRONROD)
+    shrunk = spread * np.minimum(1.0, (200.0 * err / np.where(spread > 0.0, spread, 1.0)) ** 1.5)
+    return k, np.where(spread > 0.0, shrunk, err), half * (np.abs(f) @ _KRONROD)
 
 
 def weak_residual(
@@ -382,6 +423,23 @@ def weak_residual(
     |n_1| dsigma reduces to dt.  The second is the weak (in time) form of the
     field equation v_t = g(1_Omega, v).  phi and psi must expose value(x, t)
     and dt(x, t); see SpaceTimePolynomial.
+
+    The integrals are adaptive Gauss(6)/Kronrod(13) quadratures to _TOL per
+    identity.  Rows are the window edges t1 and t2 (the changes of the
+    excited measure and of v*psi) and the 13 Kronrod times of each time
+    cell; a row's integrand in x is cut into pieces at the fronts and the
+    field's kinks, each piece starting as one cell.  A time cell starts as
+    each interval between breakpoints (segment ends and the times fronts
+    cross a window edge or a kink); its integrand is, per row, the x
+    integral of phi_t inside plus the fronts' W(v)*phi, and of v*psi_t +
+    g*psi.  A cell whose estimate (_estimate) exceeds its share of _TOL
+    splits: in x into 2, 4, 8 or 16 equal cells by the estimate's ratio to
+    the share, in time into halves.  A time cell is judged when its rows'
+    x integrals are final, and once early, after the first field call:
+    its Kronrod x sums are then far more accurate than their estimates, so
+    a cell that fails on them splits at once.  Each round of refinement
+    makes one field call.  A cell that fails after _MAX_DEPTH splits raises
+    RuntimeError.
     """
     x1, x2, t1, t2 = (float(v) for v in window)
     if not (x1 < x2 and t1 < t2):
@@ -391,46 +449,124 @@ def weak_residual(
     # the last segment continues the whole history, so it holds every kink
     cuts = w.segments[-1]._kinks
     brk = _time_breakpoints(w, t1, t2, x1, x2, cuts)
-    counts = np.maximum(2, np.round(_NT * np.diff(brk) / (t2 - t1)).astype(int))
-    taus, tws = _gauss_cells(brk[:-1], brk[1:], counts)
+    width, span = x2 - x1, t2 - t1
+    # time cells (lo, hi, splits); cell j's 13 rows start at row first[j].
+    # As in x, intervals of length <= 1e-13 drop: an event and a front's
+    # crossing of its position can be breakpoints a few ulps apart, and
+    # Kronrod rows there round onto them and read the other side
+    keep = np.diff(brk) > 1e-13
+    tlo, thi = brk[:-1][keep], brk[1:][keep]
+    tdepth = np.zeros(tlo.size, dtype=int)
+    first = 2 + _NODES.size * np.arange(tlo.size)
+    undecided = np.ones(tlo.size, dtype=bool)
+    total = np.zeros(2)
+    # rows: rows 0 and 1 are t1 and t2; sums holds each row's final x
+    # integrals of the two identities' integrands
+    times, sums = np.empty(0), np.empty((0, 2))
+    new_rows = np.concatenate([[t1, t2], _cells(tlo, thi)[0].ravel()])
+    # pending x cells: row, lo, hi, inside, splits
+    cell = (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=int))
+    level = 0
+    while new_rows.size or cell[0].size:
+        level += 1
+        base = times.size
+        times = np.concatenate([times, new_rows])
+        sums = np.vstack([sums, np.zeros((new_rows.size, 2))])
+        pos = w.positions(new_rows)
+        row, lo, hi, inside = _pieces(pos, x1, x2, cuts)
+        cell = tuple(np.concatenate(c) for c in zip(cell, (row + base, lo, hi, inside, np.zeros(row.size, dtype=int))))
+        row, lo, hi, inside, depth = cell
+        # the fronts inside the window on the new time cells' rows
+        fr, fk = np.nonzero((pos > x1) & (pos < x2))
+        on_cells = fr + base >= 2
+        fr, fx = fr[on_cells] + base, pos[fr[on_cells], fk[on_cells]]
+        new_rows = np.empty(0)
 
-    # one node set for the window: rows 0 and 1 are its edges t1 and t2, of
-    # weight -1 and +1 so that their sums are changes from t1 to t2; the
-    # Gauss rows of the breakpoint intervals follow
-    times = np.concatenate([[t1, t2], taus])
-    pos = w.positions(times)
-    xs, row, wq, inside = _window_nodes(
-        pos, np.arange(times.size), np.concatenate([[-1.0, 1.0], tws]), x1, x2, cuts, _NX
-    )
-    ts = times[row]
-    # the fronts inside the window on the Gauss rows, for c_term
-    r, k = np.nonzero((pos[2:] > x1) & (pos[2:] < x2))
-    fx, ft = pos[2:][r, k], taus[r]
-    v_all = w.evaluate_v(np.concatenate([xs, fx]), np.concatenate([ts, ft]))
-    v, wv = v_all[: xs.size], front_speed(w.params, v_all[xs.size :])
+        x, half = _cells(lo, hi)
+        xs, ts = x.ravel(), np.repeat(times[row], _NODES.size)
+        v_all = w.evaluate_v(np.concatenate([xs, fx]), np.concatenate([ts, times[fr]]))
+        v = v_all[: xs.size]
+        sums[:, 0] += np.bincount(fr, front_speed(w.params, v_all[xs.size :]) * phi.value(fx, times[fr]), times.size)
+        # the edges give phi over the excited set and v*psi over the window,
+        # the time cells' rows phi_t over the excited set and v*psi_t + g*psi
+        edge, ins = np.repeat(row < 2, _NODES.size), np.repeat(inside, _NODES.size)
+        f = np.zeros((2, xs.size))
+        f[0, ins & edge] = phi.value(xs[ins & edge], ts[ins & edge])
+        f[0, ins & ~edge] = phi.dt(xs[ins & ~edge], ts[ins & ~edge])
+        pv = psi.value(xs, ts)
+        f[1, edge] = (v * pv)[edge]
+        g = np.where(ins, reaction_rate(w.params, Phase.INSIDE, v), reaction_rate(w.params, Phase.OUTSIDE, v))
+        f[1, ~edge] = v[~edge] * psi.dt(xs[~edge], ts[~edge]) + (g * pv)[~edge]
+        k, err, size = _estimate(f.reshape(2, -1, _NODES.size), half)
+        share = _TOL * 2.0 * half / width / np.where(row < 2, 1.0, span)
+        ratio = np.max(err / np.maximum(share, _ROUNDING * size), axis=0)
+        # a nan integrand passes, so that the residual reads nan
+        ok = ~(ratio > 1.0)
+        for i in (0, 1):
+            sums[:, i] += np.bincount(row[ok], k[i, ok], times.size)
+        pending = np.bincount(row[~ok], minlength=times.size)
 
-    # the edges give phi over the excited set and v*psi over the window; the
-    # Gauss rows' inside nodes give b_term, all of them e_term
-    edge = row < 2
-    at_edge, within = inside & edge, inside & ~edge
-    d_area = np.sum(phi.value(xs[at_edge], ts[at_edge]) * wq[at_edge])
-    pv = psi.value(xs, ts)
-    d_field = np.sum((v * pv * wq)[edge])
-    b_term = np.sum(phi.dt(xs[within], ts[within]) * wq[within])
-    c_term = np.sum(tws[r] * wv * phi.value(fx, ft))
-    g = np.where(
-        inside, reaction_rate(w.params, Phase.INSIDE, v), reaction_rate(w.params, Phase.OUTSIDE, v)
-    )
-    e_term = np.sum(((v * psi.dt(xs, ts) + g * pv) * wq)[~edge])
-    r1 = abs(d_area - b_term - c_term)
-    r2 = abs(d_field - e_term)
+        rows = first[:, None] + np.arange(_NODES.size)
+        judge = undecided & ((level == 1) | ~np.any(pending[rows], axis=1))
+        j = np.flatnonzero(judge)
+        if j.size:
+            # the rows' sums so far, the failing cells' Kronrod sums included
+            rough = sums + np.stack([np.bincount(row[~ok], k[i, ~ok], times.size) for i in (0, 1)], axis=1)
+            ht = 0.5 * (thi[j] - tlo[j])
+            kt, errt, sizet = _estimate(rough[rows[j]].transpose(2, 0, 1), ht)
+            fail = np.any(errt > np.maximum(_TOL * 2.0 * ht / span, _ROUNDING * sizet), axis=0)
+            final = ~np.any(pending[rows[j]], axis=1)
+            total += np.sum(kt[:, ~fail & final], axis=1)
+            undecided[j[~fail & final]] = False
+            split = j[fail]
+            if np.any(tdepth[split] >= _MAX_DEPTH):
+                c = split[tdepth[split] >= _MAX_DEPTH][0]
+                raise RuntimeError(
+                    f"weak_residual on window {window!r}: the time cell ({tlo[c]!r}, {thi[c]!r}) "
+                    f"still fails after {_MAX_DEPTH} splits"
+                )
+            undecided[split] = False
+            mid = tlo[split] + 0.5 * (thi[split] - tlo[split])
+            lo_t, hi_t = np.concatenate([tlo[split], mid]), np.concatenate([mid, thi[split]])
+            first = np.concatenate([first, times.size + _NODES.size * np.arange(lo_t.size)])
+            tlo, thi = np.concatenate([tlo, lo_t]), np.concatenate([thi, hi_t])
+            tdepth = np.concatenate([tdepth, np.tile(tdepth[split] + 1, 2)])
+            undecided = np.concatenate([undecided, np.ones(lo_t.size, dtype=bool)])
+            new_rows = _cells(lo_t, hi_t)[0].ravel()
+            # the split cells' rows are done with: their pending x cells go
+            dead = np.zeros(times.size, dtype=bool)
+            dead[rows[split].ravel()] = True
+            ok |= dead[row]
+
+        if np.any(depth[~ok] >= _MAX_DEPTH):
+            j = np.flatnonzero(~ok & (depth >= _MAX_DEPTH))[0]
+            raise RuntimeError(
+                f"weak_residual on window {window!r}: the x cell ({lo[j]!r}, {hi[j]!r}) of the row "
+                f"t={times[row[j]]!r} still fails after {_MAX_DEPTH} splits"
+            )
+        # each failing x cell splits into 2, 4, 8 or 16 equal cells
+        parts = 2 ** np.clip(np.ceil(np.log2(ratio[~ok]) / 8.0), 1, 4).astype(int)
+        parent = np.repeat(np.flatnonzero(~ok), parts)
+        n = parts.repeat(parts)
+        at = np.arange(parent.size) - np.repeat(np.cumsum(parts) - parts, parts)
+        step = (hi[parent] - lo[parent]) / n
+        cell = (
+            row[parent],
+            lo[parent] + at * step,
+            np.where(at + 1 == n, hi[parent], lo[parent] + (at + 1) * step),
+            inside[parent],
+            depth[parent] + 1,
+        )
+    r1 = abs(sums[1, 0] - sums[0, 0] - total[0])
+    r2 = abs(sums[1, 1] - sums[0, 1] - total[1])
     return float(r1), float(r2)
 
 
 def interface_speed_integral(w: WeakSolution, label: int, t1: float, t2: float) -> float:
     """Quadrature of W(v(x_k(t), t)) dt along the labeled interface over
-    [t1, t2]: one _gauss_cells cell per knot interval, summed segment by
-    segment, with one field call for the nodes of all segments.
+    [t1, t2]: one 6-point Gauss-Legendre cell (the Gauss subset of the
+    residual's rule) per knot interval, summed segment by segment, with one
+    field call for the nodes of all segments.
 
     Raises ValueError unless t1 <= t2, if [t1, t2] leaves the solution's time
     span, or if label is not an interface of the first segment.
@@ -449,8 +585,9 @@ def interface_speed_integral(w: WeakSolution, label: int, t1: float, t2: float) 
             continue
         knots = seg._path.arrays()[0]
         cuts = np.unique(np.concatenate([[lo, hi], knots[(knots > lo) & (knots < hi)]]))
-        nodes, ws = _gauss_cells(cuts[:-1], cuts[1:], np.ones(cuts.size - 1, dtype=int))
-        weights.append(ws)
+        nodes, half = _cells(cuts[:-1], cuts[1:], _NODES[1::2])
+        nodes = nodes.ravel()
+        weights.append((half[:, None] * _GAUSS[1::2]).ravel())
         xs.append(seg._path.eval(nodes)[:, seg.labels.index(label)])
         ts.append(nodes)
     if not weights:
