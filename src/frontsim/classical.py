@@ -567,9 +567,11 @@ class ClassicalSegment:
     def _index_history(self, x0: np.ndarray) -> None:
         """Index the fold by front: one row per interface of the first segment
         for its whole life, with its direction and first position ((fronts,
-        1), to broadcast against the points), and per segment its column
-        there (-1 once ended) and its reach, how far it has moved by the
-        segment's end (by the last step here; advance keeps it).
+        1), to broadcast against the points), and per segment its reach, how
+        far it has moved by the segment's end (by the last step here; advance
+        keeps it); a finished segment's row never changes, so the chain's
+        segments hold prefixes of this table.  _rows, the rows of the
+        segment's fronts, ascend, as survivors keep their order.
 
         Raises RuntimeError when a surviving front has turned back: a row
         takes its front as monotone.
@@ -578,7 +580,9 @@ class ClassicalSegment:
             prior = self._chain[-1]
             for name in ("_origin", "_t_origin", "_row_of", "_sign", "_from", "_below"):
                 setattr(self, name, getattr(prior, name))
-            cols, self._reach = prior._cols, np.vstack([prior._reach, prior._reach[-1]])
+            self._reach = np.vstack([prior._reach, prior._reach[-1]])
+            for i, s in enumerate(self._chain):
+                s._reach = self._reach[: i + 1]
             # the intervals (lo, hi] whose phase flips at this start (_toggles),
             # between the sorted thresholds of the fronts the surgery removed
             kept = set(self.labels)
@@ -597,15 +601,12 @@ class ClassicalSegment:
             # position, for t -> t_start+, when the front moves left (x >= x0
             # is x > the float below x0), the limit continuity of v needs
             self._below = np.where(self._sign < 0, np.nextafter(x0[:, None], -math.inf), x0[:, None])
-            cols, self._reach = np.zeros((0, x0.size), dtype=np.intp), self._from.T.copy()
+            self._reach = self._from.T.copy()
             self._lo = self._hi = self._at = np.empty((0, 1))
         self._rows = np.array([self._row_of[lab] for lab in self.labels], dtype=np.intp)
         back = np.flatnonzero(self._signs != self._sign[self._rows, 0])
         if back.size:
             raise RuntimeError(f"invariant violated: front {self.labels[back[0]]} turned back by t={self.t_start!r}")
-        col = np.full(self._sign.shape[0], -1, dtype=np.intp)
-        col[self._rows] = np.arange(self.n_interfaces)
-        self._cols = np.vstack([cols, col])
 
     def _arrivals(self, xs: np.ndarray) -> np.ndarray | None:
         """Crossing times at xs, one row per front of the history and one
@@ -615,7 +616,8 @@ class ClassicalSegment:
         A front is monotone, so it crossed the points between its first
         position and its reach, each in the first segment whose reach meets
         it.  Only those pairs are inverted, with one invert_col call per
-        segment path over all of its pairs, listed front by front.
+        segment path over all of its pairs, listed front by front, each at
+        its column there: its rank among the segment's rows.
         """
         # ahead is freed before the inversions, whose temporaries set the peak memory
         ahead = self._sign * xs
@@ -627,17 +629,17 @@ class ClassicalSegment:
         k = np.flatnonzero(swept)
         f, p = np.divmod(k, xs.size)
         groups = [slice(None)]
-        if len(self._cols) > 1:
+        if self._chain:
             # a front's reach never falls, so the segment that crossed a pair
             # is the number of segments whose reach falls short of its point
             seg = np.count_nonzero(self._reach[:, f] < self._sign[f, 0] * xs[p], axis=0)
             order = np.argsort(seg, kind="stable")
-            groups = np.split(order, np.searchsorted(seg[order], np.arange(1, len(self._cols))))
+            groups = np.split(order, np.searchsorted(seg[order], np.arange(1, len(self._reach))))
         T = np.full(swept.shape, math.inf)
-        for s, cols, i in zip((*self._chain, self), self._cols, groups):
+        for s, i in zip((*self._chain, self), groups):
             fi = f[i]
             if fi.size:
-                t = s._path.invert_col(cols[fi], xs[p[i]], self._sign[fi, 0])
+                t = s._path.invert_col(np.searchsorted(s._rows, fi), xs[p[i]], self._sign[fi, 0])
                 # crossings at or before a segment's start are part of its initial state
                 t[t <= s.t_start] = math.inf
                 T.flat[k[i]] = t

@@ -188,7 +188,7 @@ def _wright_omega(L: np.ndarray) -> np.ndarray:
     d = L - _ONE
     np.copyto(y, _ONE + d * (_HALF + d / _SIXTEEN), where=L <= _ONE)
     np.copyto(y, np.exp(L), where=L < _M1_5)
-    dead = ~(y > _ZERO)
+    underflowed = ~(y > _ZERO)
     for _ in range(_FSC_STEPS):
         r = L - y
         r -= np.log(y)
@@ -203,7 +203,7 @@ def _wright_omega(L: np.ndarray) -> np.ndarray:
         r /= q
         r += _ONE
         y *= r
-    np.copyto(y, _ZERO, where=dead)
+    np.copyto(y, _ZERO, where=underflowed)
     return y
 
 

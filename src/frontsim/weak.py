@@ -297,23 +297,12 @@ def tensor_test_functions(window, degree: int = 3) -> list[SpaceTimePolynomial]:
 def _time_breakpoints(
     w: WeakSolution, t1: float, t2: float, x1: float, x2: float, cuts: np.ndarray
 ) -> np.ndarray:
-    """Sorted unique times in [t1, t2] at which a segment starts or ends or
-    a front reaches a window edge or a cut, t1 and t2 included.
-
-    Each segment that overlaps (t1, t2) inverts all of its fronts' arrivals
-    at the markers in one invert_col call, a column and a sign per query; a
-    segment outside it has no time inside the window to give."""
-    markers = np.concatenate([np.asarray([x1, x2]), cuts])
-    pts = [np.asarray([t1, t2])]
-    for seg in w.segments:
-        if seg.t_end <= t1 or seg.t_start >= t2:
-            continue
-        pts.append(np.asarray([seg.t_start, seg.t_end]))
-        n = seg.n_interfaces
-        if n:
-            cols = np.repeat(np.arange(n), markers.size)
-            pts.append(seg._path.invert_col(cols, np.tile(markers, n), seg._signs[cols]))
-    pts = np.concatenate(pts)
+    """Sorted unique times in [t1, t2]: t1, t2, the segment starts, the end
+    and the times a front reaches a window edge or a cut, which the last
+    segment's fold (ClassicalSegment._arrivals) inverts once per swept pair."""
+    T = w.segments[-1]._arrivals(np.concatenate([[x1, x2], cuts]))
+    crossings = np.empty(0) if T is None else T[np.isfinite(T)]
+    pts = np.concatenate([[seg.t_start for seg in w.segments], [w.t_end, t1, t2], crossings])
     return np.unique(pts[(pts >= t1) & (pts <= t2)])
 
 
@@ -430,16 +419,14 @@ def weak_residual(
     cell; a row's integrand in x is cut into pieces at the fronts and the
     field's kinks, each piece starting as one cell.  A time cell starts as
     each interval between breakpoints (segment ends and the times fronts
-    cross a window edge or a kink); its integrand is, per row, the x
-    integral of phi_t inside plus the fronts' W(v)*phi, and of v*psi_t +
-    g*psi.  A cell whose estimate (_estimate) exceeds its share of _TOL
-    splits: in x into 2, 4, 8 or 16 equal cells by the estimate's ratio to
-    the share, in time into halves.  A time cell is judged when its rows'
-    x integrals are final, and once early, after the first field call:
-    its Kronrod x sums are then far more accurate than their estimates, so
-    a cell that fails on them splits at once.  Each round of refinement
-    makes one field call.  A cell that fails after _MAX_DEPTH splits raises
-    RuntimeError.
+    cross a window edge or a kink, which the fold's arrivals give: see
+    _time_breakpoints); its integrand is, per row, the x integral of phi_t
+    inside plus the fronts' W(v)*phi, and of v*psi_t + g*psi.  A cell whose
+    estimate (_estimate) exceeds its share of _TOL splits: in x into 2, 4,
+    8 or 16 equal cells by the estimate's ratio to the share, in time into
+    halves.  A time cell is judged once, when its rows' x integrals are
+    final.  Each round of refinement makes one field call.  A cell that
+    fails after _MAX_DEPTH splits raises RuntimeError.
     """
     x1, x2, t1, t2 = (float(v) for v in window)
     if not (x1 < x2 and t1 < t2):
@@ -466,9 +453,7 @@ def weak_residual(
     new_rows = np.concatenate([[t1, t2], _cells(tlo, thi)[0].ravel()])
     # pending x cells: row, lo, hi, inside, splits
     cell = (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=int))
-    level = 0
     while new_rows.size or cell[0].size:
-        level += 1
         base = times.size
         times = np.concatenate([times, new_rows])
         sums = np.vstack([sums, np.zeros((new_rows.size, 2))])
@@ -507,17 +492,13 @@ def weak_residual(
         pending = np.bincount(row[~ok], minlength=times.size)
 
         rows = first[:, None] + np.arange(_NODES.size)
-        judge = undecided & ((level == 1) | ~np.any(pending[rows], axis=1))
-        j = np.flatnonzero(judge)
+        j = np.flatnonzero(undecided & ~np.any(pending[rows], axis=1))
         if j.size:
-            # the rows' sums so far, the failing cells' Kronrod sums included
-            rough = sums + np.stack([np.bincount(row[~ok], k[i, ~ok], times.size) for i in (0, 1)], axis=1)
             ht = 0.5 * (thi[j] - tlo[j])
-            kt, errt, sizet = _estimate(rough[rows[j]].transpose(2, 0, 1), ht)
+            kt, errt, sizet = _estimate(sums[rows[j]].transpose(2, 0, 1), ht)
             fail = np.any(errt > np.maximum(_TOL * 2.0 * ht / span, _ROUNDING * sizet), axis=0)
-            final = ~np.any(pending[rows[j]], axis=1)
-            total += np.sum(kt[:, ~fail & final], axis=1)
-            undecided[j[~fail & final]] = False
+            total += np.sum(kt[:, ~fail], axis=1)
+            undecided[j] = False
             split = j[fail]
             if np.any(tdepth[split] >= _MAX_DEPTH):
                 c = split[tdepth[split] >= _MAX_DEPTH][0]
@@ -525,7 +506,6 @@ def weak_residual(
                     f"weak_residual on window {window!r}: the time cell ({tlo[c]!r}, {thi[c]!r}) "
                     f"still fails after {_MAX_DEPTH} splits"
                 )
-            undecided[split] = False
             mid = tlo[split] + 0.5 * (thi[split] - tlo[split])
             lo_t, hi_t = np.concatenate([tlo[split], mid]), np.concatenate([mid, thi[split]])
             first = np.concatenate([first, times.size + _NODES.size * np.arange(lo_t.size)])
@@ -533,10 +513,6 @@ def weak_residual(
             tdepth = np.concatenate([tdepth, np.tile(tdepth[split] + 1, 2)])
             undecided = np.concatenate([undecided, np.ones(lo_t.size, dtype=bool)])
             new_rows = _cells(lo_t, hi_t)[0].ravel()
-            # the split cells' rows are done with: their pending x cells go
-            dead = np.zeros(times.size, dtype=bool)
-            dead[rows[split].ravel()] = True
-            ok |= dead[row]
 
         if np.any(depth[~ok] >= _MAX_DEPTH):
             j = np.flatnonzero(~ok & (depth >= _MAX_DEPTH))[0]

@@ -345,10 +345,14 @@ class TestGeneratedCascade:
             assert max(seg.profile_start.xs.size for seg in w.segments) < 4 * 2 * m + v0.xs.size
             # the last segment's fold has one row per front of the first
             # segment (one column per segment and front made 272 at m = 16
-            # and 4,160 at m = 64), with a column and a reach per segment
+            # and 4,160 at m = 64), with a reach per segment; every earlier
+            # segment reads a prefix of that table, not a copy of its own
             last = w.segments[-1]
             assert last._sign.shape == (2 * m, 1)
-            assert last._reach.shape == last._cols.shape == (m, 2 * m)
+            assert last._reach.shape == (m, 2 * m)
+            for i, seg in enumerate(w.segments[:-1]):
+                assert seg._reach.shape == (i + 1, 2 * m)
+                assert np.shares_memory(seg._reach, last._reach)
 
     def test_segments_after_an_annihilation_start_warm(self, cascade16):
         # the error estimate is 0 at speed a, so only the step size's climb
@@ -476,6 +480,28 @@ class TestRestart:
             stopped = run_weak(full.params, omega, v0, t_s, tol_step=tol_step)
             self._assert_same(full, _restarted(stopped, 2.0, tol_step), t_s, tol_step)
 
+    def test_earlier_segments_read_the_same_after_later_ones_are_built(self, pstar):
+        # a continuation points its chain's segments at prefixes of its own
+        # reach table, so their reads keep every bit; a second continuation
+        # from the same state builds a table of its own
+        xs, gaps, v0, _ = _all_merge(pstar, 8)
+        stopped = run_weak(pstar, IntervalSet(tuple(xs)), v0, float(np.median(gaps)) / 2)
+        assert len(stopped.events) >= 2
+        X = np.linspace(xs[0] - 4.0, xs[-1] + 4.0, 101)[None, :]
+        grids = [np.linspace(stopped.t_start, seg.t_end, 9)[:, None] for seg in stopped.segments]
+        before = [seg.evaluate_v(X, T) for seg, T in zip(stopped.segments, grids)]
+        first = _restarted(stopped, 3.0, 1e-8)
+        T_all = np.linspace(0.0, 3.0, 13)[:, None]
+        first_v, first_table = first.evaluate_v(X, T_all), first.segments[-1]._reach.copy()
+        second = _restarted(stopped, 3.0, 1e-8)
+        assert not np.shares_memory(first.segments[-1]._reach, second.segments[-1]._reach)
+        np.testing.assert_array_equal(first.segments[-1]._reach, first_table)
+        assert np.array_equal(first.evaluate_v(X, T_all), first_v)
+        for seg, T, want in zip(stopped.segments, grids, before):
+            assert np.shares_memory(seg._reach, second.segments[-1]._reach)
+            got = seg.evaluate_v(X, T)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestKinkRule:
     """The field's kinks are the first profile's knots, the first endpoints
@@ -506,6 +532,15 @@ class TestKinkRule:
 
 
 class TestGeneratedAdmissible:
+    @staticmethod
+    def _assert_monotone(w: WeakSolution) -> None:
+        # the fold reads a front's crossings off its one row as if it never
+        # turned back: each segment moves every front in its direction
+        for seg in w.segments:
+            Y = seg._path.arrays()[1]
+            assert np.all(seg._signs * np.diff(Y, axis=0) >= 0.0)
+            assert np.all(seg._signs * seg._path.deriv(np.linspace(seg.t_start, seg.t_end, 400)) >= 0.0)
+
     def test_reaches_t_end_or_stops_classified(self, pstar):
         # any admissible datum either runs to t_end or stops on a classified
         # degeneracy; the step controller itself never gives up
@@ -521,6 +556,7 @@ class TestGeneratedAdmissible:
                 continue
             assert w.t_end == 1.5
             assert check_no_nucleation(w)
+            self._assert_monotone(w)
             finished += 1
             for seg in w.segments:
                 ts = np.linspace(seg.t_start, seg.t_end, 40)
@@ -547,6 +583,7 @@ class TestGeneratedAdmissible:
                     w = run_weak(pstar, omega, v0, 1.0, tol_step=1e-8)
             except (H2Violation, DegeneracyWarning):
                 continue
+            self._assert_monotone(w)
             if not w.events:
                 continue
             found += 1
@@ -846,8 +883,13 @@ class TestBatchedFieldRead:
         rng = np.random.default_rng(3)
         _, _, _, w = cascade16
         seg = w.segments[-1]
-        assert len(seg._chain) == 15 and len(seg._cols) == 16
-        for path, cols in zip([s._path for s in (*seg._chain, seg)], seg._cols):
+        assert len(seg._chain) == 15 and len(seg._reach) == 16
+        for s in (*seg._chain, seg):
+            # a front's column on a path is its rank among the path's rows,
+            # which ascend, as survivors keep their order
+            assert np.all(np.diff(s._rows) > 0)
+            path, cols = s._path, np.full(seg._sign.shape[0], -1)
+            cols[s._rows] = np.arange(s.n_interfaces)
             fronts = np.flatnonzero(cols >= 0)
             assert fronts.size == path.dim
             rows, ys, want = [], [], []
@@ -1162,6 +1204,62 @@ class TestWeakResidual:
         worst = [max(weak_residual(runs[tol], win, f, f)[0] for win, f in windows) for tol in (1e-5, 1e-6, 1e-8)]
         assert worst[0] > worst[1] > worst[2]
         assert worst[2] <= 1e-12
+
+
+def _reference_breakpoints(w: WeakSolution, t1, t2, x1, x2, cuts) -> np.ndarray:
+    """_time_breakpoints path by path: each segment that overlaps (t1, t2)
+    gives its start and end and inverts every one of its fronts' arrivals at
+    every marker, in one invert_col call."""
+    markers = np.concatenate([np.asarray([x1, x2]), cuts])
+    pts = [np.asarray([t1, t2])]
+    for seg in w.segments:
+        if seg.t_end <= t1 or seg.t_start >= t2:
+            continue
+        pts.append(np.asarray([seg.t_start, seg.t_end]))
+        n = seg.n_interfaces
+        if n:
+            cols = np.repeat(np.arange(n), markers.size)
+            pts.append(seg._path.invert_col(cols, np.tile(markers, n), seg._signs[cols]))
+    pts = np.concatenate(pts)
+    return np.unique(pts[(pts >= t1) & (pts <= t2)])
+
+
+class TestTimeBreakpoints:
+    """The residual's time breakpoints come from the last segment's fold,
+    which inverts each front's arrival at a marker on the one path that
+    swept it."""
+
+    @pytest.mark.parametrize("run", ["merge_run", "cascade16", "draw12", "illposed"])
+    def test_match_a_per_path_reference(self, run, request, pstar, monkeypatch):
+        if run == "illposed":
+            runs = list(ill_posedness_demo(pstar, 0.1))
+        else:
+            data = request.getfixturevalue(run)
+            runs = [data] if run == "merge_run" else [data[3]] if run == "cascade16" else list(data[2].values())
+        calls = []
+        invert = classical.DensePath.invert_col
+        monkeypatch.setattr(
+            classical.DensePath, "invert_col", lambda path, c, y, s: calls.append(id(path)) or invert(path, c, y, s)
+        )
+        rng = np.random.default_rng(35)
+        for w in runs:
+            cuts = w.segments[-1]._kinks
+            ends = np.concatenate([w.positions(w.t_start), w.positions(w.t_end)])
+            lo, hi = np.nanmin(ends) - 1.0, np.nanmax(ends) + 1.0
+            # a t2 within the slack past the end keeps the end a breakpoint
+            windows = [(lo, hi, w.t_start, w.t_end), (lo, hi, 0.5 * w.t_end, w.t_end + 5e-13)]
+            for ev in w.events:
+                windows += [(ev.position - 1.0, ev.position + 1.0, ev.time, w.t_end), (ev.position, hi, w.t_start, ev.time)]
+            for _ in range(20):
+                x1, x2 = np.sort(rng.uniform(lo, hi, 2))
+                t1, t2 = np.sort(rng.uniform(w.t_start, w.t_end, 2))
+                windows.append((x1, x2, t1, t2))
+            for x1, x2, t1, t2 in windows:
+                calls.clear()
+                got = weak._time_breakpoints(w, t1, t2, x1, x2, cuts)
+                # at most one invert_col call per segment path
+                assert len(set(calls)) == len(calls) <= len(w.segments)
+                assert np.array_equal(got, _reference_breakpoints(w, t1, t2, x1, x2, cuts))
 
 
 class TestSpeedIntegral:
