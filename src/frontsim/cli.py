@@ -26,6 +26,8 @@ from .config import (
     PRESETS,
     RunConfig,
     _SCHEMA,
+    _check_fields,
+    _problem,
     load_config_file,
     preset_config,
     schema_help,
@@ -181,27 +183,24 @@ def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
 
 def run_scenario(cfg: RunConfig) -> None:
     """Execute one configuration and write its artifacts under cfg.out_dir.
-    An oracle_eps that fails the schema's oracle.eps check (a repeated or
-    non-positive eps) raises ValueError before anything runs."""
-    problem = _SCHEMA[("oracle", "eps")][1](cfg.oracle_eps)
-    if problem:
-        raise ValueError(f"oracle.eps: {problem}")
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    A field set after construction that fails its schema check raises
+    ValueError ("section.key: message") before anything runs."""
+    _check_fields(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.scenario == "illposed":
-        _run_illposed(cfg, out_dir)
+        _run_illposed(cfg, cfg.out_dir)
     else:
-        _run_standard(cfg, out_dir)
+        _run_standard(cfg, cfg.out_dir)
 
 
 def _parse_oracle_arg(raw: str) -> tuple[float, ...]:
     """--oracle's eps=LIST: not empty, and parsed and checked as oracle.eps."""
     if not raw.startswith("eps="):
         raise ConfigError([f"--oracle expects eps=<comma-list>, got {raw!r}"])
-    parse, check, _, _ = _SCHEMA[("oracle", "eps")]
+    parse, rules, _, _ = _SCHEMA[("oracle", "eps")]
     try:
         values = parse(raw[4:])
-        problem = check(values) if values else f"needs positive eps values, got {raw!r}"
+        problem = _problem(rules, values) if values else f"needs positive eps values, got {raw!r}"
     except ValueError as exc:
         problem = str(exc)
     if problem:

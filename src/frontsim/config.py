@@ -1,7 +1,8 @@
 """Run configuration: flat INI-style config files, presets, validation.
 
-Each config key is one _SCHEMA entry: its parser, its check and its default
-(a RunConfig field's own default where the key fills that field).
+Each config key is one _SCHEMA entry: its parser, its rules and its default
+(a RunConfig field's own default where the key fills that field).  The rules
+of a key that fills a RunConfig field hold for every RunConfig, however built.
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import configparser
 import os
 import textwrap
 from dataclasses import MISSING, dataclass, fields
+from numbers import Integral
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -56,13 +58,7 @@ class RunConfig:
     field_t: int = 21
 
     def __post_init__(self) -> None:
-        # written so that nan fails them
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
-        if not self.tol_step > 0:
-            raise ValueError(f"tol_step must be positive, got {self.tol_step!r}")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
+        _check_fields(self)
 
 
 _PRESET_PARAMS = Parameters(g1=1, g2=1, g3=3, g4=1, a=1, b=2)
@@ -109,19 +105,43 @@ def preset_config(name: str, out_dir: str = RunConfig.out_dir) -> RunConfig:
 
 # --- the schema --------------------------------------------------------------
 # A parser turns a key's text into its value or raises ValueError with the
-# message; a check returns the message for a parsed value it rejects.
+# message.  A key's rules, (ok, message) pairs, define its valid values, be
+# they parsed from text (validate_config) or set on a RunConfig (_check_fields).
+
+def _problem(rules, val, text: str | None = None) -> str | None:
+    """The message of the first rule val fails, with val (or the text it was
+    read from, when given) in place of {0!r}; None if it passes them all."""
+    return next((message.format(val if text is None else text) for ok, message in rules if not ok(val)), None)
+
+
+_FINITE = ((lambda v: isinstance(v, int) or np.all(np.isfinite(v)), "must be finite, got {0!r}"),)
+# nan fails the comparisons, so it reads as out of range
+_POSITIVE = ((lambda v: v > 0, "must be positive, got {0!r}"), *_FINITE)
+_COUNT = ((lambda n: isinstance(n, Integral), "must be an integer, got {0!r}"), (lambda n: n >= 2, "must be >= 2"))
+_GRID = (
+    (lambda g: len(g) == 3 and g[0] < g[1] and g[2] >= 2, "expected 'xmin xmax n' with xmin < xmax and n >= 2"),
+    (lambda g: isinstance(g[2], Integral), "n must be an integer, got {0[2]!r}"),
+    *_FINITE,
+)
+_EPS = (
+    (lambda eps: all(e > 0 for e in eps), "all eps must be positive"),
+    # each eps names its own oracle/errors_eps_<eps>.csv, so a repeat would overwrite one
+    (lambda eps: len(set(eps)) == len(eps), "each eps must be given once, got {0!r}"),
+    *_FINITE,
+)
+
 
 def _parser(convert: Callable[[str], Any], message: str) -> Callable[[str], Any]:
-    """convert(raw), or ValueError(message with raw as {0!r}); floats must be finite."""
+    """convert(raw), or ValueError(message with raw as {0!r}); a non-finite value quotes its text."""
 
     def parse(raw: str) -> Any:
         try:
             val = convert(raw)
         except ValueError:
             raise ValueError(message.format(raw)) from None
-        if isinstance(val, int) or np.all(np.isfinite(val)):
-            return val
-        raise ValueError(f"must be finite, got {raw!r}")
+        if _problem(_FINITE, val):
+            raise ValueError(_problem(_FINITE, val, raw))
+        return val
 
     return parse
 
@@ -133,62 +153,57 @@ _numbers = _parser(
 )
 
 
-def _grid(raw: str) -> tuple[float, float, int]:
+def _grid(raw: str) -> tuple:
+    """field_x's numbers, with n an int where it is integral (_GRID rejects any other n)."""
     vals = _numbers(raw)
-    if len(vals) != 3 or vals[0] >= vals[1] or vals[2] < 2:
-        raise ValueError("expected 'xmin xmax n' with xmin < xmax and n >= 2")
-    if not vals[2].is_integer():
-        raise ValueError(f"n must be an integer, got {vals[2]!r}")
-    return vals[0], vals[1], int(vals[2])
+    return (*vals[:2], int(vals[2])) if len(vals) == 3 and vals[2].is_integer() else vals
 
 
-def _check(ok: Callable[[Any], bool], message: str) -> Callable[[Any], str | None]:
-    """A check giving message, with the value in place of {0!r}, unless ok(value)."""
-    return lambda val: None if ok(val) else message.format(val)
-
-
-_POSITIVE = _check(lambda v: v > 0, "must be positive, got {0!r}")
-_AT_LEAST_2 = _check(lambda n: n >= 2, "must be >= 2")
-_EPS_POSITIVE = _check(lambda eps: all(e > 0 for e in eps), "all eps must be positive")
-# each eps names its own oracle/errors_eps_<eps>.csv, so a repeat would overwrite one
-_EPS_ONCE = _check(lambda eps: len(set(eps)) == len(eps), "each eps must be given once, got {0!r}")
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _key(parse, check=None, field: str | None = None, default: Any = MISSING) -> tuple:
-    """A schema entry (parse, check, field, default).  A key that fills
+def _key(parse, *rules, field: str | None = None, default: Any = MISSING) -> tuple:
+    """A schema entry (parse, rules, field, default).  A key that fills
     RunConfig field takes that field's default; MISSING marks a required key."""
-    return parse, check, field, _RUN_DEFAULTS[field] if field else default
+    return parse, rules, field, _RUN_DEFAULTS[field] if field else default
 
 
 _KINETICS = ("g1", "g2", "g3", "g4", "a", "b")
 
 _SCHEMA = {
-    **{("parameters", name): _key(_number, _POSITIVE) for name in _KINETICS},
+    **{("parameters", name): _key(_number, *_POSITIVE) for name in _KINETICS},
     ("initial", "intervals"): _key(
-        _numbers, _check(lambda xs: xs and len(xs) % 2 == 0, "need a non-empty, even-length endpoint list")
+        _numbers, (lambda xs: xs and len(xs) % 2 == 0, "need a non-empty, even-length endpoint list")
     ),
     ("initial", "profile"): _key(
         lambda raw: raw.strip().lower(),
-        _check(lambda kind: kind in ("constant", "samples"), "unknown profile kind {0!r} (constant or samples)"),
+        (lambda kind: kind in ("constant", "samples"), "unknown profile kind {0!r} (constant or samples)"),
         default="constant",
     ),
     ("initial", "profile_value"): _key(
-        _number, _check(lambda v: v >= 0, "profile values must be non-negative"), default=0.0
+        _number, (lambda v: v >= 0, "profile values must be non-negative"), default=0.0
     ),
     ("initial", "profile_samples"): _key(str, default=None),
     ("initial", "profile_file"): _key(str, default=None),
-    ("run", "t_end"): _key(_number, _POSITIVE, "t_end"),
-    ("run", "tol_step"): _key(_number, _POSITIVE, "tol_step"),
-    ("run", "eta"): _key(_number, _POSITIVE, "eta"),
+    ("run", "t_end"): _key(_number, *_POSITIVE, field="t_end"),
+    ("run", "tol_step"): _key(_number, *_POSITIVE, field="tol_step"),
+    ("run", "eta"): _key(_number, *_POSITIVE, field="eta"),
     ("output", "dir"): _key(str, field="out_dir"),
-    ("output", "trajectory_samples"): _key(_integer, _AT_LEAST_2, "trajectory_samples"),
-    ("output", "field_x"): _key(_grid, field="field_x"),
-    ("output", "field_t"): _key(_integer, _AT_LEAST_2, "field_t"),
-    ("oracle", "eps"): _key(_numbers, lambda eps: _EPS_POSITIVE(eps) or _EPS_ONCE(eps), "oracle_eps"),
-    ("oracle", "sample_dt"): _key(_number, _POSITIVE, "oracle_sample_dt"),
+    ("output", "trajectory_samples"): _key(_integer, *_COUNT, field="trajectory_samples"),
+    ("output", "field_x"): _key(_grid, *_GRID, field="field_x"),
+    ("output", "field_t"): _key(_integer, *_COUNT, field="field_t"),
+    ("oracle", "eps"): _key(_numbers, *_EPS, field="oracle_eps"),
+    ("oracle", "sample_dt"): _key(_number, *_POSITIVE, field="oracle_sample_dt"),
 }
 _SECTIONS = dict.fromkeys(sec for sec, _ in _SCHEMA)
+
+
+def _check_fields(cfg: RunConfig) -> None:
+    """ValueError "section.key: message" for the first field that fails its key's rules."""
+    for (sec, key), (_, rules, field, _) in _SCHEMA.items():
+        problem = field and getattr(cfg, field) is not None and _problem(rules, getattr(cfg, field))
+        if problem:
+            raise ValueError(f"{sec}.{key}: {problem}")
 
 
 def schema_help() -> str:
@@ -272,13 +287,13 @@ def validate_config(text: str, base_dir: str = ".", environ: Mapping[str, str] |
             continue
         errors += [f"{sec}.{key}: unknown key" for key in cp.options(sec) if (sec, key) not in _SCHEMA]
     values = {}
-    for (sec, key), (parse, check, _, default) in _SCHEMA.items():
+    for (sec, key), (parse, rules, _, default) in _SCHEMA.items():
         try:
             raw = cp.get(sec, key, fallback=None)
             if raw is None and default is MISSING:
                 raise ValueError("required value is missing")
             val = default if raw is None else parse(raw)
-            problem = check and val is not None and check(val)
+            problem = val is not None and _problem(rules, val)
             if problem:
                 raise ValueError(problem)
             values[key] = val
@@ -301,6 +316,9 @@ def validate_config(text: str, base_dir: str = ".", environ: Mapping[str, str] |
             errors.append("run.t_end: the fronts' reach a*t_end + 1 overflows")
             hull = None
     kind = values.get("profile")
+    # a key the chosen kind never reads is a mistake, not a default
+    unread = {"constant": ("profile_samples", "profile_file"), "samples": ("profile_value",)}.get(kind, ())
+    errors += [f"initial.{key}: not read when profile = {kind}" for key in unread if cp.has_option("initial", key)]
     if kind == "samples":
         profile = _sampled_profile(values, base_dir, errors)
     elif kind == "constant" and hull is not None and "profile_value" in values:

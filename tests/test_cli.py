@@ -89,6 +89,18 @@ MESSAGE_CASES = {
         ((SAMPLES, "profile = samples\nprofile_file = profile.csv"),), "", "1,0\n0,1\n",
         ["initial.profile_file: profile abscissae must be strictly increasing"],
     ),
+    "samples with no kind": (
+        ((SAMPLES, "profile_samples = -4 0.3; 4 0.3"),), "", None,
+        ["initial.profile_samples: not read when profile = constant"],
+    ),
+    "file with constant": (
+        ((SAMPLES, "profile = constant\nprofile_file = profile.csv"),), "", None,
+        ["initial.profile_file: not read when profile = constant"],
+    ),
+    "value with samples": (
+        ((SAMPLES, "profile = samples\nprofile_value = 0.2\nprofile_samples = -2 0; 2 1"),), "", None,
+        ["initial.profile_value: not read when profile = samples"],
+    ),
     "field_x shape": (
         (), "[output]\nfield_x = 1 0 5\n", None,
         ["output.field_x: expected 'xmin xmax n' with xmin < xmax and n >= 2"],
@@ -156,6 +168,61 @@ FIXED_CASES = {
 }
 
 
+# for each RunConfig field a config key fills: its key, and values its file
+# form rejects, each with the message its key's rules give on the value
+FIELD_CASES = [
+    *(
+        (field, key, bad, message)
+        for field, key in (
+            ("t_end", "run.t_end"), ("tol_step", "run.tol_step"), ("eta", "run.eta"),
+            ("oracle_sample_dt", "oracle.sample_dt"),
+        )
+        for bad, message in (
+            (math.nan, "must be positive, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (-math.inf, "must be positive, got -inf"),
+            (0.0, "must be positive, got 0.0"),
+            (-1.0, "must be positive, got -1.0"),
+        )
+    ),
+    *(
+        (field, key, bad, message)
+        for field, key in (("trajectory_samples", "output.trajectory_samples"), ("field_t", "output.field_t"))
+        for bad, message in (
+            (1, "must be >= 2"),
+            (0, "must be >= 2"),
+            (2.5, "must be an integer, got 2.5"),
+            (21.0, "must be an integer, got 21.0"),
+            (math.nan, "must be an integer, got nan"),
+            (math.inf, "must be an integer, got inf"),
+        )
+    ),
+    *(
+        ("field_x", "output.field_x", bad, message)
+        for bad, message in (
+            ((1.0, -1.0, 5), "expected 'xmin xmax n' with xmin < xmax and n >= 2"),
+            ((-1.0, 1.0, 1), "expected 'xmin xmax n' with xmin < xmax and n >= 2"),
+            ((-1.0, 1.0), "expected 'xmin xmax n' with xmin < xmax and n >= 2"),
+            ((math.nan, 1.0, 5), "expected 'xmin xmax n' with xmin < xmax and n >= 2"),
+            ((-1.0, 1.0, 2.5), "n must be an integer, got 2.5"),
+            ((-math.inf, 1.0, 5), "must be finite, got (-inf, 1.0, 5)"),
+            ((-1.0, math.inf, 5), "must be finite, got (-1.0, inf, 5)"),
+        )
+    ),
+    *(
+        ("oracle_eps", "oracle.eps", bad, message)
+        for bad, message in (
+            ((0.05, 0.05), "each eps must be given once, got (0.05, 0.05)"),
+            ((0.05, 0.0), "all eps must be positive"),
+            ((-0.05,), "all eps must be positive"),
+            ((math.nan,), "all eps must be positive"),
+            ((0.05, math.inf), "must be finite, got (0.05, inf)"),
+        )
+    ),
+]
+FIELD_IDS = [f"{field}={bad!r}" for field, _, bad, _ in FIELD_CASES]
+
+
 def config_text(edits, tail: str) -> str:
     text = GOOD_CONFIG
     for old, new in edits:
@@ -201,7 +268,6 @@ b = 2.5
 [initial]
 intervals = -3, -1, 1, 3
 profile = samples
-profile_value = 0.25
 profile_samples = -10 0.1; 0 0.3; 10 0.2
 profile_file = profile.csv
 
@@ -231,6 +297,10 @@ sample_dt = 0.1
         assert (cfg.out_dir, cfg.trajectory_samples, cfg.field_t) == ("results", 11, 5)
         assert cfg.field_x == (-8.0, 8.0, 33) and type(cfg.field_x[2]) is int
         assert (cfg.oracle_eps, cfg.oracle_sample_dt, cfg.scenario) == ((0.05, 0.02), 0.1, None)
+        # profile_value belongs to the constant kind, which reads neither samples key
+        text = text.replace("profile = samples\nprofile_samples = -10 0.1; 0 0.3; 10 0.2\nprofile_file = profile.csv",
+                            "profile_value = 0.25")
+        assert validate_config(text, base_dir=str(tmp_path)).profile.vs.tolist() == [0.25, 0.25]
 
     def test_constant_knots_and_default_field_grid_lie_beyond_the_reach(self):
         # both span intervals.hull(a*t_end + 1): (-1, 1) padded by 1*1 + 1
@@ -299,6 +369,12 @@ sample_dt = 0.1
         cfg = validate_config(GOOD_CONFIG, environ={"FRONTSIM_OUTPUT__FIELD_T": "5"})
         assert cfg.field_t == 5
 
+    def test_unread_profile_key_from_an_override(self):
+        # an override makes a key present as the file's text does
+        with pytest.raises(ConfigError) as err:
+            validate_config(GOOD_CONFIG, environ={"FRONTSIM_INITIAL__PROFILE_FILE": "profile.csv"})
+        assert err.value.errors == ["initial.profile_file: not read when profile = constant"]
+
     def test_env_names_outside_the_schema_are_ignored(self):
         environ = {"FRONTSIM__RUN": "2", "FRONTSIM_NOPE__T_END": "2", "FRONTSIM_RUN": "2", "PATH": "/"}
         assert validate_config(GOOD_CONFIG, environ=environ).t_end == 1.0
@@ -310,6 +386,48 @@ sample_dt = 0.1
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("nope")
+
+
+class TestFieldChecks:
+    """The schema's checks hold for every RunConfig, not only for config text."""
+
+    @pytest.mark.parametrize("field, key, bad, message", FIELD_CASES, ids=FIELD_IDS)
+    def test_construction_rejects(self, field, key, bad, message):
+        kw = dict(params=Parameters(1, 1, 3, 1, 1, 2), omega=IntervalSet((-1.0, 1.0)), profile=Profile.constant(0.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(key + ': ' + message)}$"):
+            RunConfig(**{"t_end": 1.0, **kw, field: bad})
+
+    @pytest.mark.parametrize("field, key, bad, message", FIELD_CASES, ids=FIELD_IDS)
+    def test_assigned_after_construction_raises_before_the_run(self, tmp_path, monkeypatch, field, key, bad, message):
+        # RunConfig stays mutable, so run_scenario checks again before it
+        # creates the output directory or solves anything
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the check")
+
+        monkeypatch.setattr(frontsim.cli, "run_weak", solve)
+        cfg = preset_config("expanding", out_dir=str(tmp_path / "out"))
+        setattr(cfg, field, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(key + ': ' + message)}$"):
+            run_scenario(cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, key, bad, message", FIELD_CASES, ids=FIELD_IDS)
+    def test_the_file_form_names_the_same_key(self, field, key, bad, message):
+        # the same value written in a config file fails on the same key
+        sec, name = key.split(".")
+        text = " ".join(map(repr, bad)) if isinstance(bad, tuple) else repr(bad)
+        with pytest.raises(ConfigError) as err:
+            validate_config(GOOD_CONFIG, environ={f"FRONTSIM_{sec.upper()}__{name.upper()}": text})
+        assert [e.split(":")[0] for e in err.value.errors] == [key]
+
+    def test_valid_values_pass(self, tmp_path):
+        cfg = RunConfig(
+            Parameters(1, 1, 3, 1, 1, 2), IntervalSet((-1.0, 1.0)), Profile.constant(0.0, (-4.0, 4.0)), 0.5,
+            eta=None, trajectory_samples=np.int64(5), field_x=(-2.0, 2.0, np.int64(9)), field_t=2,
+            oracle_eps=[0.05], out_dir=str(tmp_path),
+        )
+        run_scenario(cfg)
+        assert len((tmp_path / "trajectories.csv").read_text().splitlines()) == 6
 
 
 class TestRunScenario:

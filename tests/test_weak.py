@@ -1448,3 +1448,86 @@ class TestUniquenessProbe:
             one = pos[np.count_nonzero(~np.isnan(pos), axis=1) == 2]  # one component alive
             runs.append(one[~np.isnan(one)].reshape(-1, 2))
         assert np.max(np.abs(runs[0] - runs[1])) < 1e-5
+
+
+# the time the excited flow takes from v = 0 to 2a/b, with the presets'
+# kinetics: the width, divided by a, of a steady traveling pulse, whose back
+# moves at b*v - a = a where v = 2a/b
+TAU_STAR = 1.5 - math.log(3.0) / 4.0
+
+
+def _behind_front(p, xi):
+    """The steady pulse's v at distance xi >= 0 behind its front: the excited
+    flow from 0 up to its back, the quiescent flow from 2a/b behind it."""
+    width = p.a * TAU_STAR
+    inside = flow_inside(p, 0.0, np.minimum(xi, width) / p.a)
+    return np.where(xi <= width, inside, flow_outside(p, 2.0 * p.a / p.b, np.maximum(xi - width, 0.0) / p.a))
+
+
+def _pulses(p, n: int, gap: float | None = None):
+    """A pulse moving right with its front at 0, and, given a gap, its mirror
+    image moving left with its front at gap; v0 on n knots evenly spaced over
+    12 units behind each front, and 0 ahead of them."""
+    xi = np.linspace(0.0, 12.0, n)
+    width = p.a * TAU_STAR
+    if gap is None:
+        return IntervalSet((-width, 0.0)), Profile(-xi[::-1], _behind_front(p, xi[::-1]))
+    xs = np.concatenate([-xi[::-1], gap + xi])
+    vs = np.concatenate([_behind_front(p, xi[::-1]), _behind_front(p, xi)])
+    return IntervalSet((-width, 0.0, gap, gap + width)), Profile(xs, vs)
+
+
+KNOTS = (401, 1601)  # knot spacings 4 apart
+
+
+@pytest.fixture(scope="module")
+def pulse_runs(pstar):
+    """{n: (the single pulse run to t = 10, the head-on collision of two
+    pulses 4 apart run to t = 4)} for each knot count n of KNOTS."""
+    return {
+        n: (run_weak(pstar, *_pulses(pstar, n), 10.0), run_weak(pstar, *_pulses(pstar, n, 4.0), 4.0))
+        for n in KNOTS
+    }
+
+
+def _order(errors) -> float:
+    """The observed order in the knot spacing of the errors at KNOTS."""
+    return math.log(errors[0] / errors[1]) / math.log((KNOTS[1] - 1) / (KNOTS[0] - 1))
+
+
+class TestTravelingPulse:
+    """A steady traveling pulse and the head-on annihilation of two, against
+    their closed forms: a front running into v = 0 moves at a; the pulse
+    keeps its width a*tau*; two fronts 4 apart merge at t = 2, x = 2; and each
+    back reads only points its own front swept, so both reach x = 2 at
+    2 + tau*, where the interval vanishes."""
+
+    def test_front_runs_at_speed_a(self, pstar, pulse_runs):
+        ts = np.linspace(0.0, 10.0, 201)
+        for single, _ in pulse_runs.values():
+            assert single.events == []
+            assert np.max(np.abs(single.positions(ts)[:, 1] - pstar.a * ts)) <= 1e-12
+
+    def test_width_converges_at_second_order(self, pstar, pulse_runs):
+        errors = []
+        for single, _ in pulse_runs.values():
+            back, front = single.positions(10.0)
+            errors.append(abs(front - back - pstar.a * TAU_STAR))
+        assert errors[1] <= 1e-10 and _order(errors) >= 1.8
+
+    def test_merge_then_vanish_at_the_midpoint(self, pulse_runs):
+        vanish_errors = []
+        for _, collision in pulse_runs.values():
+            merge, vanish = collision.events
+            assert (merge.kind, vanish.kind) == (EventKind.MERGE, EventKind.VANISH)
+            assert abs(merge.time - 2.0) <= 1e-12 and abs(merge.position - 2.0) <= 1e-12
+            assert abs(vanish.position - 2.0) <= 1e-12
+            vanish_errors.append(abs(vanish.time - 2.0 - TAU_STAR))
+        assert vanish_errors[1] <= 1e-6 and _order(vanish_errors) >= 1.8
+
+    def test_collision_is_a_weak_solution(self, pulse_runs):
+        window = (0.5, 3.5, 1.5, 2.0 + TAU_STAR + 0.5)
+        for _, collision in pulse_runs.values():
+            assert check_no_nucleation(collision)
+            for f in tensor_test_functions(window, 3):
+                assert max(weak_residual(collision, window, f, f)) <= 1e-8
