@@ -42,6 +42,7 @@ from .state import IntervalSet, Profile, validate_initial, default_margin
 
 __all__ = [
     "StepFailure",
+    "DegenerateSpeed",
     "DegeneracyWarning",
     "EventKind",
     "EventRecord",
@@ -54,6 +55,11 @@ __all__ = [
 
 class StepFailure(RuntimeError):
     """The adaptive step controller could not satisfy the tolerance."""
+
+
+class DegenerateSpeed(RuntimeError):
+    """A front's end slope stopped or reversed its direction of motion: the
+    fronts move one way, so the run cannot continue."""
 
 
 class DegeneracyWarning(UserWarning):
@@ -782,11 +788,19 @@ class ClassicalSegment:
             self.stats.steps -= 1
             self.stats.rejected += 1
             h = t_kink - tn
+        # signed, so that a front that stops or turns back reads <= 0 and
+        # ends the run before its step enters the path
+        speeds = self._signs * f_new
+        slowest = float(speeds.min())
+        if not slowest > 0.0:
+            raise DegenerateSpeed(
+                f"front {self.labels[int(speeds.argmin())]} stopped or turned back: its end slope "
+                f"along its direction is {slowest:.3e} at t={t_new!r}, h={t_new - tn!r}"
+            )
         self._path.append(t_new, x_new, f_new, d)
         if x_new.size > 1:
             self.stats.min_gap = min(self.stats.min_gap, float((x_new[1:] - x_new[:-1]).min()))
-        # signed, so that a front that turns back reads negative
-        self.stats.min_speed = min(self.stats.min_speed, float((self._signs * f_new).min()))
+        self.stats.min_speed = min(self.stats.min_speed, slowest)
         speed = float(np.abs(f_new).min())
         if not self._degeneracy_flagged and speed < self.margin:
             self._degeneracy_flagged = True

@@ -1,7 +1,9 @@
 """Command-line entry point: run scenarios, write CSV/JSON/SVG artifacts.
 
-Exit codes: 0 success, 1 configuration error, 2 degenerate initial data,
-3 numerical failure.
+Exit codes: 0 success, 1 configuration error (the illposed preset with
+--oracle among them: it runs no oracle), 2 degenerate initial data or a
+degenerate speed (a front that stops or turns back mid-run; the message
+names the front's label, its end slope, t and h), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import sys
 import numpy as np
 
 from .state import H2Violation
-from .classical import StepFailure
+from .classical import DegenerateSpeed, StepFailure
 from .weak import (
     SurgeryH2Failure,
     events_as_json,
@@ -183,14 +185,15 @@ def _run_illposed(cfg: RunConfig, out_dir: str) -> None:
 
 def run_scenario(cfg: RunConfig) -> None:
     """Execute one configuration and write its artifacts under cfg.out_dir.
-    A field set after construction that fails its schema check raises
+    A field set after construction that fails its schema check, or an
+    oracle eps on the illposed scenario, which runs no oracle, raises
     ValueError ("section.key: message") before anything runs."""
     _check_fields(cfg)
+    illposed = cfg.scenario == "illposed"
+    if illposed and cfg.oracle_eps:
+        raise ValueError("oracle.eps: the illposed scenario runs no oracle")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if cfg.scenario == "illposed":
-        _run_illposed(cfg, cfg.out_dir)
-    else:
-        _run_standard(cfg, cfg.out_dir)
+    (_run_illposed if illposed else _run_standard)(cfg, cfg.out_dir)
 
 
 def _parse_oracle_arg(raw: str) -> tuple[float, ...]:
@@ -236,6 +239,9 @@ def _dispatch(cfg: RunConfig, what: str) -> int:
     except H2Violation as exc:
         print(f"{what}: degenerate initial data: {exc}", file=sys.stderr)
         return 2
+    except DegenerateSpeed as exc:
+        print(f"{what}: degenerate speed: {exc}", file=sys.stderr)
+        return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"{what}: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -280,6 +286,8 @@ def main(argv=None) -> int:
         if args.out:
             cfg.out_dir = args.out
         if args.oracle:
+            if cfg.scenario == "illposed":
+                raise ConfigError(["--oracle: the illposed preset runs no oracle"])
             cfg.oracle_eps = _parse_oracle_arg(args.oracle)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

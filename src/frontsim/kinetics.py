@@ -116,13 +116,14 @@ def _scalar_like(out: np.ndarray, *inputs) -> np.ndarray | float:
     return out
 
 
-def reaction_rate(p: Parameters, phase: Phase, v) -> np.ndarray | float:
-    """g(u, v) = g1*u - g2*v/(g3*v + g4) for v >= 0."""
+def reaction_rate(p: Parameters, phase: Phase | np.ndarray, v) -> np.ndarray | float:
+    """g(u, v) = g1*u - g2*v/(g3*v + g4) for v >= 0, with u the phase as 0
+    or 1: a Phase, or a bool array (True inside) that broadcasts with v."""
     varr = np.asarray(v, dtype=float)
     if np.any(varr < 0.0):
         raise ValueError("reaction_rate requires v >= 0")
-    out = p.g1 * float(int(phase)) - p.g2 * varr / (p.g3 * varr + p.g4)
-    return _scalar_like(out, v)
+    out = p.g1 * np.asarray(phase, dtype=float) - p.g2 * varr / (p.g3 * varr + p.g4)
+    return _scalar_like(out, phase, v)
 
 
 def front_speed(p: Parameters, v) -> np.ndarray | float:

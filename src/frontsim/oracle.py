@@ -9,23 +9,14 @@ system
 with the wave-speed coefficients related by a = sqrt(2)*alpha and
 b = 6*sqrt(2)*beta.  This module solves that system directly with explicit Euler
 and the fourth-order five-point Laplacian (Neumann boundaries) on a grid of
-dx = eps, extracts the half-level crossings of u as interface positions, and
-compares them with tracked fronts.
+dx = eps (one step, its buffers and its checks: _stepper), extracts the
+half-level crossings of u as interface positions, and compares them with
+tracked fronts.
 
 The truncated domain needs only the outward front speed a: no front leaves
 the fronts' reach IntervalSet.hull(a*t), so eps_sweep's grid spans
 hull(a*t_end + 1 + 10*eps), the last two terms for the diffuse front's lag
 and tanh tail.
-
-One kernel takes every step, in place on buffers allocated once per run: u
-and v are the rows of one buffer, u with two ghost cells at each end, set by
-even reflection before each step (the Neumann boundary), and the diffusion
-and reaction terms fold into one Horner cubic in u plus the two neighbour
-sums and the v coupling.  Its constants are read-only 0-d float64 arrays, the
-rule the kinetics module states.  After each update the checks run in a
-fixed order: v at or past the pole of g2*v/(g3*v + g4) raises (min(v)*g3 + g4
-not > 0, which nan fails too), v is clamped at 0 only when min(v) is not > 0
-(elsewhere the clamp is the identity), and |u| above 10 raises.
 """
 from __future__ import annotations
 
@@ -80,12 +71,6 @@ class FHNConfig:
     every value must be finite, and stability requires dt <= 3*dx^2/8
     (explicit diffusion: the five-point Laplacian's spectral radius is
     16/(3*dx^2)) and dt <= eps^2/4 (stiff reaction), both enforced.
-
-    Each step (see _Kernel) updates u and v in place from the old u and v,
-    with the five-point Laplacian (-1, 16, -30, 16, -1)/(12*dx^2) and its
-    two ghost cells per side set by even reflection at the boundary.  Then v
-    at or past the pole of g2*v/(g3*v + g4) raises FHNBlowUp, v is clamped
-    at 0 when min(v) is not > 0, and |u| above 10 raises FHNBlowUp.
     """
 
     params: Parameters
@@ -167,8 +152,10 @@ def init_fhn(cfg: FHNConfig, omega: IntervalSet, profile: Profile) -> FHNState:
     return FHNState(x=x, u=u, v=v, t=0.0)
 
 
-class _Kernel:
-    """The explicit step, in place on buffers allocated once.
+def _stepper(cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
+    """(step, u, v): step() takes one explicit step in place on buffers
+    allocated once, and u and v are views of the fields it steps (copies of
+    the u and v given, which stay as they are).
 
     u and v are the interiors of the two rows of one (2, n + 4) buffer, so
     one reduction along the rows gives both minima the checks read.  Each
@@ -186,36 +173,35 @@ class _Kernel:
     old u and v, and both land in place once every term is read.  The
     constants (and the clamp's 0) are read-only 0-d float64 arrays, not
     floats: a ufunc takes those at a smaller fixed cost with the same bits,
-    and at a few hundred cells that fixed cost is most of a step.
+    and at a few hundred cells that fixed cost is most of a step.  step
+    reads them, the buffers, their views and the ufuncs as closure
+    variables bound here once.
 
     The checks run in a fixed order after the update: v at or past the pole
-    of g2*v/(g3*v + g4) raises, that is when min(v)*g3 + g4 is not > 0 (so
-    nan raises too); then v is clamped at 0, but only when min(v) is not
-    > 0, where the clamp is the identity; then |u| above 10 raises.
+    of g2*v/(g3*v + g4) raises FHNBlowUp, that is when min(v)*g3 + g4 is not
+    > 0 (so nan raises too); then v is clamped at 0, but only when min(v) is
+    not > 0, where the clamp is the identity; then |u| above 10 raises
+    FHNBlowUp.
     """
+    p = cfg.params
+    r = cfg.dt / cfg.dx**2
+    k = cfg.dt / cfg.eps**2
+    c = 0.5 - cfg.eps * cfg.alpha
+    r1, r2, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero = _constants(
+        16.0 * r / 12.0, r / 12.0, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c,
+        cfg.dt * p.g1, cfg.dt * p.g2, p.g3, p.g4, 0.0,
+    )
+    fields = np.zeros((2, u.size + 4))
+    both = fields[:, 2:-2]
+    both[0], both[1] = u, v
+    u, v = both
+    U = fields[0]
+    right, left, right2, left2 = U[3:-1], U[1:-3], U[4:], U[:-4]
+    s, t, q, z = (np.empty(u.size) for _ in range(4))
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    minimum, maximum = np.minimum, np.maximum
 
-    def __init__(self, cfg: FHNConfig, u: np.ndarray, v: np.ndarray) -> None:
-        p = cfg.params
-        r = cfg.dt / cfg.dx**2
-        k = cfg.dt / cfg.eps**2
-        c = 0.5 - cfg.eps * cfg.alpha
-        consts = _constants(
-            16.0 * r / 12.0, r / 12.0, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c,
-            cfg.dt * p.g1, cfg.dt * p.g2, p.g3, p.g4, 0.0,
-        )
-        fields = np.zeros((2, u.size + 4))
-        both = fields[:, 2:-2]
-        both[0], both[1] = u, v
-        self.u, self.v = both
-        U = fields[0]
-        temps = [np.empty(u.size) for _ in range(4)]
-        self._pole = (float(p.g3), float(p.g4))
-        self._bound = (U, U[3:-1], U[1:-3], U[4:], U[:-4], self.u, self.v, both, *temps, *consts)
-
-    def step(self) -> None:
-        (U, right, left, right2, left2, u, v, both, s, t, q, z,
-         r1, r2, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero) = self._bound
-        mul, add, sub = np.multiply, np.add, np.subtract
+    def step() -> None:
         U[0] = U[4]
         U[1] = U[3]
         U[-1] = U[-5]
@@ -235,20 +221,21 @@ class _Kernel:
         mul(u, dt_g1, z)
         mul(v, g3, q)
         add(q, g4, q)
-        np.divide(v, q, q)
+        div(v, q, q)
         mul(q, dt_g2, q)
         sub(z, q, z)
         add(v, z, v)
         sub(t, s, u)
-        u_min, v_min = np.minimum.reduce(both, axis=1).tolist()
-        c3, c4 = self._pole
-        if not v_min * c3 + c4 > 0.0:
+        u_min, v_min = minimum.reduce(both, axis=1).tolist()
+        if not v_min * p.g3 + p.g4 > 0.0:
             raise FHNBlowUp(f"recovery field reached the pole of g3*v + g4 = 0 (min v = {v_min:.3e})")
         if not v_min > 0.0:
             # numpy deprecates a third positional argument of np.maximum
-            np.maximum(v, zero, out=v)
-        if np.maximum.reduce(u) > 10.0 or u_min < -10.0:
+            maximum(v, zero, out=v)
+        if maximum.reduce(u) > 10.0 or u_min < -10.0:
             raise FHNBlowUp("u exceeded the blow-up bound; scheme unstable")
+
+    return step, u, v
 
 
 def extract_interfaces(s: FHNState) -> np.ndarray:
@@ -278,20 +265,19 @@ def run_fhn(
 ) -> FHNTrace:
     """March to t_end, recording interface crossings every ~sample_dt."""
     state = init_fhn(cfg, omega, profile)
-    kernel = _Kernel(cfg, state.u, state.v)
+    step, u, v = _stepper(cfg, state.u, state.v)
     n_steps = int(math.ceil(t_end / cfg.dt))
     every = max(1, int(round(sample_dt / cfg.dt)))
     times = [0.0]
     interfaces = [extract_interfaces(state)]
-    step = kernel.step
     for n in range(1, n_steps + 1):
         step()
         if n % every == 0 or n == n_steps:
             t = n * cfg.dt
-            snap = FHNState(x=state.x, u=kernel.u, v=kernel.v, t=t)
+            snap = FHNState(x=state.x, u=u, v=v, t=t)
             times.append(t)
             interfaces.append(extract_interfaces(snap))
-    final = FHNState(x=state.x, u=kernel.u.copy(), v=kernel.v.copy(), t=n_steps * cfg.dt)
+    final = FHNState(x=state.x, u=u.copy(), v=v.copy(), t=n_steps * cfg.dt)
     return FHNTrace(times=np.asarray(times), interfaces=interfaces, final=final, eps=cfg.eps)
 
 

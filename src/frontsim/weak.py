@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .kinetics import Parameters, Phase, front_speed, reaction_rate
+from .kinetics import Parameters, front_speed, reaction_rate
 # validate_initial is not called here; tracing tools (perfbench) patch it
 # under this module's name as well as classical's
 from .state import H2Violation, IntervalSet, Profile, default_margin, validate_initial  # noqa: F401
@@ -475,13 +475,14 @@ def weak_residual(
         # the edges give phi over the excited set and v*psi over the window,
         # the time cells' rows phi_t over the excited set and v*psi_t + g*psi
         edge, ins = np.repeat(row < 2, _NODES.size), np.repeat(inside, _NODES.size)
+        cells = ~edge
+        ins_edge, ins_cells = ins & edge, ins & cells
         f = np.zeros((2, xs.size))
-        f[0, ins & edge] = phi.value(xs[ins & edge], ts[ins & edge])
-        f[0, ins & ~edge] = phi.dt(xs[ins & ~edge], ts[ins & ~edge])
+        f[0, ins_edge] = phi.value(xs[ins_edge], ts[ins_edge])
+        f[0, ins_cells] = phi.dt(xs[ins_cells], ts[ins_cells])
         pv = psi.value(xs, ts)
         f[1, edge] = (v * pv)[edge]
-        g = np.where(ins, reaction_rate(w.params, Phase.INSIDE, v), reaction_rate(w.params, Phase.OUTSIDE, v))
-        f[1, ~edge] = v[~edge] * psi.dt(xs[~edge], ts[~edge]) + (g * pv)[~edge]
+        f[1, cells] = v[cells] * psi.dt(xs[cells], ts[cells]) + (reaction_rate(w.params, ins, v) * pv)[cells]
         k, err, size = _estimate(f.reshape(2, -1, _NODES.size), half)
         share = _TOL * 2.0 * half / width / np.where(row < 2, 1.0, span)
         ratio = np.max(err / np.maximum(share, _ROUNDING * size), axis=0)

@@ -10,6 +10,7 @@ from frontsim.kinetics import Phase, flow_inside, flow_outside, reaction_rate
 from frontsim.state import H2Violation, IntervalSet, Profile, default_margin
 from frontsim.classical import (
     ClassicalSegment,
+    DegenerateSpeed,
     DensePath,
     EventKind,
     run_segment,
@@ -297,17 +298,40 @@ class TestSolverBehavior:
     def test_min_speed_is_signed(self, pstar):
         # a front stalled at a steep ramp of v0 (0.3 up to x = 0.5, 0.9 from
         # 1e-5 later) overshoots its stall point and turns back at t = 0.936
-        # at this tolerance; the record keeps the sign of the motion, so the
-        # turn reads negative, and equals the least signed slope of the
-        # path's knots (every one after the first is an accepted step's end)
+        # at this tolerance; the step whose end slope points back raises
+        # DegenerateSpeed before it enters the path, so the signed record
+        # equals the least signed slope of the path's knots (every one after
+        # the first is an accepted step's end) and stays positive
         ramp = Profile(np.array([-5.0, 0.5, 0.5 + 1e-5, 5.0]), np.array([0.3, 0.3, 0.9, 0.9]))
         seg = ClassicalSegment(pstar, IntervalSet((-1.0, 0.0)), ramp, 0.0, 1.5, tol_step=1e-4)
-        for _ in range(60):
-            seg.advance()
+        with pytest.raises(DegenerateSpeed) as info:
+            for _ in range(60):
+                seg.advance()
+        m = re.fullmatch(
+            r"front 2 stopped or turned back: its end slope along its direction is (\S+) at t=(\S+), h=(\S+)",
+            str(info.value),
+        )
+        assert m is not None, str(info.value)
+        slope, t, h = (float(g) for g in m.groups())
+        assert slope <= 0.0 and 0.93 < t < 0.94 and t - h == seg.t_end
         F = seg._path.arrays()[2]
-        assert seg.stats.min_speed == (seg._signs * F[1:]).min() < 0.0
+        assert seg.stats.min_speed == (seg._signs * F[1:]).min() > 0.0
         # the degeneracy check still compares |f| with the margin
         assert all(speed >= 0.0 for _, speed in seg.stats.degeneracy_events)
+
+    @pytest.mark.parametrize("w, stops", [(2.6e-4, True), (1e-4, False)])
+    def test_a_front_that_turns_back_stops_the_run(self, pstar, w, stops):
+        # the stall ramps at tol_step 1e-4: w = 2.6e-4 turned back and ran on
+        # to t = 1.5 with min_speed -0.347; w = 1e-4 stays monotone.  The
+        # error is not an H2Violation, so run_weak passes it on as it is
+        ramp = Profile(np.array([-5.0, 0.5, 0.5 + w, 5.0]), np.array([0.3, 0.3, 0.9, 0.9]))
+        run = lambda: run_weak(pstar, IntervalSet((-1.0, 0.0)), ramp, 1.5, tol_step=1e-4)
+        if stops:
+            with pytest.raises(DegenerateSpeed, match="^front 2 stopped or turned back") as info:
+                run()
+            assert not isinstance(info.value, H2Violation)
+        else:
+            assert run().segments[-1].stats.min_speed > 0.0
 
     def test_empty_interval_set_runs_trivially(self, pstar):
         seg, ev = run_segment(pstar, IntervalSet.empty(), Profile.constant(1.0, (-2, 2)), 0.0, 3.0)
@@ -668,6 +692,12 @@ class TestStepFailure:
         assert h <= 1.001e-13 * max(1.0, t) and allowed == pytest.approx(tol * h, rel=2e-3)
         assert not err <= allowed
         assert m.group(6) == "2" and m.group(7) == failed
+
+    def test_step_budget_raises(self, pstar, monkeypatch):
+        monkeypatch.setattr(classical, "MAX_STEPS", 3)
+        omega, v0 = expanding_setup(pstar)
+        with pytest.raises(classical.StepFailure, match=r"^step budget 3 exhausted at t=0\.\d+$"):
+            run_segment(pstar, omega, v0, 0.0, 2.0)
 
 
 class TestStepperAccuracy:

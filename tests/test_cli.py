@@ -524,6 +524,18 @@ class TestRunScenario:
             run_scenario(cfg)
         assert not (tmp_path / "out").exists()
 
+    def test_illposed_oracle_set_in_code_raises_before_the_run(self, tmp_path, monkeypatch):
+        # the illposed demo never reads oracle_eps, so an eps there ran no oracle
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the check")
+
+        monkeypatch.setattr(frontsim.cli, "ill_posedness_demo", solve)
+        cfg = preset_config("illposed", out_dir=str(tmp_path / "out"))
+        cfg.oracle_eps = (0.05,)
+        with pytest.raises(ValueError, match="^oracle.eps: the illposed scenario runs no oracle$"):
+            run_scenario(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_scenario(preset_config("shrinking", out_dir=str(out1)))
@@ -546,6 +558,23 @@ class TestMainExitCodes:
         cfg = tmp_path / "stall.ini"
         cfg.write_text(GOOD_CONFIG.replace("profile_value = 0.0", "profile_value = 0.5"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_degenerate_speed_is_two(self, tmp_path, capsys):
+        # the right front stalls at a ramp of v0 (0.3 up to x = 0.5, 0.9 from
+        # 1e-5 later) and turns back near t = 0.936 at this tolerance
+        cfg = tmp_path / "ramp.ini"
+        cfg.write_text(
+            GOOD_CONFIG.replace("intervals = -1 1", "intervals = -1 0")
+            .replace(
+                "profile = constant\nprofile_value = 0.0",
+                "profile = samples\nprofile_samples = -5 0.3; 0.5 0.3; 0.50001 0.9; 5 0.9",
+            )
+            .replace("t_end = 1.0", "t_end = 1.5\ntol_step = 1e-4")
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"degenerate speed: front 2 stopped or turned back: .* at t=0\.93\d*, h=", err)
+        assert "Traceback" not in err
 
     def test_degenerate_surgery_is_three(self, tmp_path, capsys):
         # the fronts that survive the t = 1 merge stand where |W| < eta = 0.5
@@ -605,6 +634,13 @@ class TestMainExitCodes:
             assert "Traceback" not in capsys.readouterr().err
             assert not out.exists()
         assert main(["run", "--preset", "expanding", "--out", str(out), "--oracle", "0.05"]) == 1
+
+    def test_illposed_oracle_is_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "illposed", "--out", str(out), "--oracle", "eps=0.05"]) == 1
+        err = capsys.readouterr().err
+        assert "--oracle: the illposed preset runs no oracle" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_sweep(self, tmp_path):
         sweep_dir = tmp_path / "configs"

@@ -29,10 +29,10 @@ def small_cfg(pstar, eps=0.05, lo=-4.0, hi=4.0, **kw):
 
 
 def one_step(cfg, u, v):
-    """The kernel after one explicit step from (u, v)."""
-    kernel = frontsim.oracle._Kernel(cfg, u, v)
-    kernel.step()
-    return kernel
+    """The state after one explicit step from (u, v)."""
+    step, u, v = frontsim.oracle._stepper(cfg, u, v)
+    step()
+    return FHNState(x=cfg.grid, u=u, v=v, t=cfg.dt)
 
 
 class TestConfig:
@@ -169,7 +169,7 @@ class TestStep:
             one_step(cfg, np.full_like(x, 11.0), np.zeros_like(x))
 
     def test_run_is_repeated_steps(self, pstar):
-        # run_fhn is n steps of one kernel: same bits, input left alone
+        # run_fhn is n calls of one step: same bits, input left alone
         cfg = small_cfg(pstar)
         omega, v0 = IntervalSet((-1.0, 1.0)), Profile.constant(0.2, (-4, 4))
         n = 200
@@ -178,12 +178,12 @@ class TestStep:
         trace = run_fhn(cfg, omega, v0, t_end)
         s = init_fhn(cfg, omega, v0)
         u, v = s.u.copy(), s.v.copy()
-        kernel = frontsim.oracle._Kernel(cfg, s.u, s.v)
+        step, u_n, v_n = frontsim.oracle._stepper(cfg, s.u, s.v)
         for _ in range(n):
-            kernel.step()
+            step()
             assert np.array_equal(s.u, u) and np.array_equal(s.v, v)
-        assert np.array_equal(trace.final.u, kernel.u)
-        assert np.array_equal(trace.final.v, kernel.v)
+        assert np.array_equal(trace.final.u, u_n)
+        assert np.array_equal(trace.final.v, v_n)
 
     @pytest.mark.parametrize(
         "start, branch",
@@ -194,9 +194,9 @@ class TestStep:
         ],
     )
     def test_kernel_matches_plain_reference_step(self, pstar, start, branch):
-        # the step as plain array expressions, each operation in the kernel's
+        # the step as plain array expressions, each operation in the stepper's
         # order, so every value must agree bit for bit; the reference clamps
-        # v every step, the kernel only when min(v) is not > 0
+        # v every step, the stepper only when min(v) is not > 0
         cfg = small_cfg(pstar)
         u, v = start(cfg)
         r, k = cfg.dt / cfg.dx**2, cfg.dt / cfg.eps**2
@@ -205,7 +205,7 @@ class TestStep:
         p3, p2, p1, kv = -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c, k * cfg.eps * cfg.beta
         g1, g2, g3, g4 = cfg.params.g1, cfg.params.g2, cfg.params.g3, cfg.params.g4
         dt_g1, dt_g2 = cfg.dt * g1, cfg.dt * g2
-        kernel = frontsim.oracle._Kernel(cfg, u, v)
+        step, u_n, v_n = frontsim.oracle._stepper(cfg, u, v)
         taken = {"v_min_zero": 0, "clamped": 0}
         for _ in range(200):
             # two ghost cells a side, by even reflection: u[2], u[1] | u | u[-2], u[-3]
@@ -217,8 +217,8 @@ class TestStep:
             taken["clamped"] += np.min(v) < 0.0
             v = np.maximum(v, 0.0)
             u = u_new
-            kernel.step()
-            assert np.array_equal(kernel.u, u) and np.array_equal(kernel.v, v)
+            step()
+            assert np.array_equal(u_n, u) and np.array_equal(v_n, v)
         # the datum must keep reaching the branch its case is for
         assert branch is None or taken[branch] > 0
 

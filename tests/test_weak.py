@@ -184,6 +184,20 @@ class TestRunWeak:
         )
         assert shrinking_run.evaluate_v(0.0, 2.0) == pytest.approx(expected, abs=1e-8)
 
+    def test_more_events_than_interfaces_raises(self, pstar, monkeypatch):
+        # a surgery that removes no front: the pair that met stays, in
+        # order, where it met, meets again a step later, and the fifth event
+        # exceeds 2m = 4
+        surgery = weak.annihilation_surgery
+
+        def no_removal(seg, ev):
+            _, field, extras, _ = surgery(seg, ev)
+            return IntervalSet(tuple(np.sort(seg.positions(ev.time)))), field, extras, seg.labels
+
+        monkeypatch.setattr(weak, "annihilation_surgery", no_removal)
+        with pytest.raises(RuntimeError, match="^more annihilations than interfaces; invariant violated$"):
+            run_weak(pstar, *merge_setup(pstar), 3.0)
+
     def test_expanding_scenario_no_events(self, expanding_run):
         assert expanding_run.events == []
         assert len(expanding_run.segments) == 1
@@ -1165,6 +1179,24 @@ class TestWeakResidual:
         with pytest.raises(RuntimeError, match="invert_col failed"):
             weak_residual(merge_run, window, one, one)
 
+    @pytest.mark.parametrize(
+        "coeffs, cell",
+        [
+            # x^40: no Kronrod cell is exact in x, on the edges or the time rows
+            (np.eye(41)[:, 40:], "the x cell"),
+            # t^40: every row's x integral is exact inside the excited set,
+            # but no time cell is exact in t
+            (np.eye(41)[40:], "the time cell"),
+        ],
+        ids=["x", "t"],
+    )
+    def test_a_cell_that_fails_at_the_depth_limit_raises(self, expanding_run, monkeypatch, coeffs, cell):
+        monkeypatch.setattr(weak, "_MAX_DEPTH", 0)
+        window = (-0.5, 0.5, 0.1, 0.9)  # inside the excited set throughout
+        f = SpaceTimePolynomial(coeffs, window)
+        with pytest.raises(RuntimeError, match=f"^weak_residual on window .*: {cell} .* still fails after 0 splits$"):
+            weak_residual(expanding_run, window, f, f)
+
     def test_detects_wrong_parameters(self, merge_run):
         # the field and fronts stay those of the true run; residuals read with
         # a wrong front speed (a) or recovery rate (g2) must not vanish
@@ -1267,6 +1299,11 @@ class TestSpeedIntegral:
 
     def test_reads_the_unit_speed(self, merge_run):
         assert weak.interface_speed_integral(merge_run, 1, 0.5, 1.5) == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_label_not_alive_in_the_window_reads_zero(self, merge_run):
+        # labels 2 and 3 meet at t = 1 and are gone after it
+        for label in (2, 3):
+            assert weak.interface_speed_integral(merge_run, label, 1.5, 2.0) == 0.0
 
     @pytest.mark.parametrize(
         "label, t1, t2, match",
