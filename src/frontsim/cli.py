@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration error (the illposed preset with
 --oracle among them: it runs no oracle), 2 degenerate initial data or a
 degenerate speed (a front that stops or turns back mid-run; the message
-names the front's label, its end slope, t and h), 3 numerical failure.
+names the front's label, its end slope, t and h), 3 numerical failure
+(an FD oracle blow-up names the failing step, its t and eps).
 """
 from __future__ import annotations
 

@@ -13,6 +13,17 @@ dx = eps (one step, its buffers and its checks: _stepper), extracts the
 half-level crossings of u as interface positions, and compares them with
 tracked fronts.
 
+run_fhn takes its steps in a compiled kernel, _fhn_step.c beside this file,
+one call per sample interval.  The kernel performs _stepper's IEEE
+operations and checks in _stepper's order, so both give the same bits: the
+same sample times, interfaces, final fields and FHNBlowUp.  It is built on
+the first run_fhn call of a process with sysconfig's CC (or cc) and
+_CFLAGS, into __pycache__ beside this file (a private temporary directory
+when that is not writable), under a name that carries a hash of the source
+and the command; a later process loads that file.  Where it cannot be built
+or loaded (no C compiler), run_fhn takes _stepper's numpy step instead; that
+is decided once per process.
+
 The truncated domain needs only the outward front speed a: no front leaves
 the fronts' reach IntervalSet.hull(a*t), so eps_sweep's grid spans
 hull(a*t_end + 1 + 10*eps), the last two terms for the diffuse front's lag
@@ -20,7 +31,9 @@ and tanh tail.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -152,6 +165,41 @@ def init_fhn(cfg: FHNConfig, omega: IntervalSet, profile: Profile) -> FHNState:
     return FHNState(x=x, u=u, v=v, t=0.0)
 
 
+def _step_constants(cfg: FHNConfig) -> tuple[float, ...]:
+    """r1, r2, kv, p3, p2, p1, dt*g1, dt*g2, g3, g4: the ten constants of one
+    step (see _stepper), for the numpy step and the compiled one alike."""
+    p = cfg.params
+    r = cfg.dt / cfg.dx**2
+    k = cfg.dt / cfg.eps**2
+    c = 0.5 - cfg.eps * cfg.alpha
+    return (
+        16.0 * r / 12.0, r / 12.0, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c,
+        cfg.dt * p.g1, cfg.dt * p.g2, p.g3, p.g4,
+    )
+
+
+_POLE, _U_BOUND = 1, 2  # the compiled kernel's failure codes
+
+
+def _blow_up(cfg: FHNConfig, kind: int, n: int, v_min: float) -> FHNBlowUp:
+    """The FHNBlowUp of step n (counted from the run's start) failing check
+    `kind`; its message carries eps, n and t = n*dt."""
+    where = f"at step {n}, t = {n * cfg.dt:.9g}, eps = {cfg.eps!r}"
+    if kind == _POLE:
+        return FHNBlowUp(f"recovery field reached the pole of g3*v + g4 = 0 (min v = {v_min:.3e}) {where}")
+    return FHNBlowUp(f"u exceeded the blow-up bound |u| <= 10 {where}; scheme unstable")
+
+
+def _fields(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fields, both): a (2, n + 4) buffer, and the (2, n) view of its rows'
+    interiors holding copies of u and v; u's row has two ghost cells a side.
+    Both steppers step this layout."""
+    fields = np.zeros((2, u.size + 4))
+    both = fields[:, 2:-2]
+    both[0], both[1] = u, v
+    return fields, both
+
+
 def _stepper(cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
     """(step, u, v): step() takes one explicit step in place on buffers
     allocated once, and u and v are views of the fields it steps (copies of
@@ -169,39 +217,37 @@ def _stepper(cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
 
     with r = dt/dx^2, r1 = 16r/12, r2 = r/12, k = dt/eps^2,
     c = 1/2 - eps*alpha, p3 = -k, p2 = k(1 + c), p1 = 1 - 2.5r - k*c and
-    kv = k*eps*beta, and v += dt*g1*u - dt*g2*v/(g3*v + g4); both read the
-    old u and v, and both land in place once every term is read.  The
-    constants (and the clamp's 0) are read-only 0-d float64 arrays, not
-    floats: a ufunc takes those at a smaller fixed cost with the same bits,
-    and at a few hundred cells that fixed cost is most of a step.  step
-    reads them, the buffers, their views and the ufuncs as closure
+    kv = k*eps*beta (_step_constants), and v += dt*g1*u - dt*g2*v/(g3*v + g4);
+    both read the old u and v, and both land in place once every term is
+    read.  The constants (and the clamp's 0) are read-only 0-d float64
+    arrays, not floats: a ufunc takes those at a smaller fixed cost with the
+    same bits, and at a few hundred cells that fixed cost is most of a step.
+    step reads them, the buffers, their views and the ufuncs as closure
     variables bound here once.
 
     The checks run in a fixed order after the update: v at or past the pole
     of g2*v/(g3*v + g4) raises FHNBlowUp, that is when min(v)*g3 + g4 is not
     > 0 (so nan raises too); then v is clamped at 0, but only when min(v) is
     not > 0, where the clamp is the identity; then |u| above 10 raises
-    FHNBlowUp.
+    FHNBlowUp.  step counts its calls, and an FHNBlowUp names the step.
+
+    This is the reference for _fhn_step.c, which run_fhn steps with when it
+    builds: that kernel must keep these operations and checks in this order.
     """
     p = cfg.params
-    r = cfg.dt / cfg.dx**2
-    k = cfg.dt / cfg.eps**2
-    c = 0.5 - cfg.eps * cfg.alpha
-    r1, r2, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero = _constants(
-        16.0 * r / 12.0, r / 12.0, k * cfg.eps * cfg.beta, -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c,
-        cfg.dt * p.g1, cfg.dt * p.g2, p.g3, p.g4, 0.0,
-    )
-    fields = np.zeros((2, u.size + 4))
-    both = fields[:, 2:-2]
-    both[0], both[1] = u, v
+    r1, r2, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero = _constants(*_step_constants(cfg), 0.0)
+    fields, both = _fields(u, v)
     u, v = both
     U = fields[0]
     right, left, right2, left2 = U[3:-1], U[1:-3], U[4:], U[:-4]
     s, t, q, z = (np.empty(u.size) for _ in range(4))
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     minimum, maximum = np.minimum, np.maximum
+    n = 0
 
     def step() -> None:
+        nonlocal n
+        n += 1
         U[0] = U[4]
         U[1] = U[3]
         U[-1] = U[-5]
@@ -228,14 +274,126 @@ def _stepper(cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
         sub(t, s, u)
         u_min, v_min = minimum.reduce(both, axis=1).tolist()
         if not v_min * p.g3 + p.g4 > 0.0:
-            raise FHNBlowUp(f"recovery field reached the pole of g3*v + g4 = 0 (min v = {v_min:.3e})")
+            raise _blow_up(cfg, _POLE, n, v_min)
         if not v_min > 0.0:
             # numpy deprecates a third positional argument of np.maximum
             maximum(v, zero, out=v)
         if maximum.reduce(u) > 10.0 or u_min < -10.0:
-            raise FHNBlowUp("u exceeded the blow-up bound; scheme unstable")
+            raise _blow_up(cfg, _U_BOUND, n, v_min)
 
     return step, u, v
+
+
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _compiler() -> list[str]:
+    """The C compiler command: sysconfig's CC, else cc."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@functools.cache
+def _kernel():
+    """_fhn_step.c's fhn_steps as a ctypes function, or None when it cannot be
+    built or loaded; called once per process, on the first run_fhn.
+
+    The shared object is named by a hash of the source and the compiler
+    command, so a source or compiler change builds a new one, and a later
+    process loads the one it finds.  It lives in __pycache__ beside this
+    file, else (not writable) in a private temporary directory removed once
+    the file is loaded.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, "_fhn_step.c")
+    cache = os.path.join(here, "__pycache__")
+    cmd = [*_compiler(), *_CFLAGS]
+
+    def load(directory, name):
+        path = os.path.join(directory, name)
+        if not os.path.exists(path):
+            # compiled to a temporary name and moved into place, so no
+            # process loads a file that another is still writing
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+            os.close(fd)
+            try:
+                subprocess.run([*cmd, "-o", tmp, src], check=True, capture_output=True, timeout=120)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        return ctypes.CDLL(path).fhn_steps
+
+    try:
+        with open(src, "rb") as fh:
+            digest = hashlib.sha256(fh.read() + "\0".join(cmd).encode()).hexdigest()
+        name = f"_fhn_step-{digest[:16]}.so"
+        try:
+            os.makedirs(cache, exist_ok=True)
+        except OSError:
+            pass  # os.access below finds it not writable
+        if os.path.exists(os.path.join(cache, name)) or os.access(cache, os.W_OK):
+            fn = load(cache, name)
+        else:
+            with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as private:
+                fn = load(private, name)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+        ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_double),
+    ]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _compiled(kernel, cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
+    """(advance, u, v) as _stepper's (step, u, v), where advance(k) takes k
+    steps in one call of the compiled kernel, in _stepper's buffer layout."""
+    import ctypes
+
+    fields, both = _fields(u, v)
+    u, v = both
+    scratch = np.empty(u.size)
+    consts = np.array(_step_constants(cfg))
+    # data_as pointers hold their arrays, so the buffers live as long as advance
+    ptr = ctypes.c_void_p
+    args = (fields[0].ctypes.data_as(ptr), v.ctypes.data_as(ptr), scratch.ctypes.data_as(ptr), u.size,
+            consts.ctypes.data_as(ptr))
+    done, v_min = ctypes.c_long(), ctypes.c_double()
+    out = (ctypes.byref(done), ctypes.byref(v_min))
+    n = 0
+
+    def advance(k: int) -> None:
+        nonlocal n
+        kind = kernel(*args, k, *out)
+        n += done.value
+        if kind:
+            raise _blow_up(cfg, kind, n, v_min.value)
+
+    return advance, u, v
+
+
+def _advance(cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
+    """(advance, u, v): advance(k) takes k steps, in one call of the compiled
+    kernel when it builds, else k calls of _stepper's step; same bits."""
+    kernel = _kernel()
+    if kernel is not None:
+        return _compiled(kernel, cfg, u, v)
+    step, u, v = _stepper(cfg, u, v)
+
+    def advance(k: int) -> None:
+        for _ in range(k):
+            step()
+
+    return advance, u, v
 
 
 def extract_interfaces(s: FHNState) -> np.ndarray:
@@ -263,20 +421,23 @@ def run_fhn(
     *,
     sample_dt: float = 0.02,
 ) -> FHNTrace:
-    """March to t_end, recording interface crossings every ~sample_dt."""
+    """March to t_end, recording interface crossings every ~sample_dt: after
+    every round(sample_dt/dt) steps (at least 1) and after the last, each
+    stretch between samples one call of the compiled kernel (see _advance)."""
     state = init_fhn(cfg, omega, profile)
-    step, u, v = _stepper(cfg, state.u, state.v)
+    advance, u, v = _advance(cfg, state.u, state.v)
     n_steps = int(math.ceil(t_end / cfg.dt))
     every = max(1, int(round(sample_dt / cfg.dt)))
     times = [0.0]
     interfaces = [extract_interfaces(state)]
-    for n in range(1, n_steps + 1):
-        step()
-        if n % every == 0 or n == n_steps:
-            t = n * cfg.dt
-            snap = FHNState(x=state.x, u=u, v=v, t=t)
-            times.append(t)
-            interfaces.append(extract_interfaces(snap))
+    n = 0
+    while n < n_steps:
+        k = min(every, n_steps - n)
+        advance(k)
+        n += k
+        t = n * cfg.dt
+        times.append(t)
+        interfaces.append(extract_interfaces(FHNState(x=state.x, u=u, v=v, t=t)))
     final = FHNState(x=state.x, u=u.copy(), v=v.copy(), t=n_steps * cfg.dt)
     return FHNTrace(times=np.asarray(times), interfaces=interfaces, final=final, eps=cfg.eps)
 

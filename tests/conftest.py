@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from frontsim import IntervalSet, Parameters, Profile
+from frontsim.kinetics import flow_inside, flow_outside
 from frontsim.weak import run_weak
 
 
@@ -20,6 +23,33 @@ def shrinking_setup(p):
 
 def merge_setup(p):
     return IntervalSet((-3.0, -1.0, 1.0, 3.0)), Profile.constant(0.0, (-16.0, 16.0))
+
+
+# the time the excited flow takes from v = 0 to 2a/b, with the presets'
+# kinetics: the width, divided by a, of a steady traveling pulse, whose back
+# moves at b*v - a = a where v = 2a/b
+TAU_STAR = 1.5 - math.log(3.0) / 4.0
+
+
+def behind_front(p, xi):
+    """The steady pulse's v at distance xi >= 0 behind its front: the excited
+    flow from 0 up to its back, the quiescent flow from 2a/b behind it."""
+    width = p.a * TAU_STAR
+    inside = flow_inside(p, 0.0, np.minimum(xi, width) / p.a)
+    return np.where(xi <= width, inside, flow_outside(p, 2.0 * p.a / p.b, np.maximum(xi - width, 0.0) / p.a))
+
+
+def pulse_setup(p, n: int, gap: float | None = None):
+    """A pulse moving right with its front at 0, and, given a gap, its mirror
+    image moving left with its front at gap; v0 on n knots evenly spaced over
+    12 units behind each front, and 0 ahead of them."""
+    xi = np.linspace(0.0, 12.0, n)
+    width = p.a * TAU_STAR
+    if gap is None:
+        return IntervalSet((-width, 0.0)), Profile(-xi[::-1], behind_front(p, xi[::-1]))
+    xs = np.concatenate([-xi[::-1], gap + xi])
+    vs = np.concatenate([behind_front(p, xi[::-1]), behind_front(p, xi)])
+    return IntervalSet((-width, 0.0, gap, gap + width)), Profile(xs, vs)
 
 
 @pytest.fixture(scope="session")

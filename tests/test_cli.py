@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 
 import frontsim.cli
 import frontsim.config
+import frontsim.oracle
 from frontsim.classical import DegeneracyWarning
 from frontsim.cli import _csv, main, run_scenario
 from frontsim.config import ConfigError, RunConfig, preset_config, validate_config
@@ -590,6 +592,21 @@ class TestMainExitCodes:
         with pytest.warns(DegeneracyWarning):
             assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "post-surgery data" in capsys.readouterr().err
+
+    def test_fd_blow_up_is_three_and_names_its_step(self, tmp_path, monkeypatch, capsys):
+        # u = 11 leaves the FD model's blow-up bound on its first step; the
+        # message carries what a rerun needs: the step, its time and eps
+        init = frontsim.oracle.init_fhn
+
+        def hot(cfg, omega, profile):
+            s = init(cfg, omega, profile)
+            return dataclasses.replace(s, u=np.full_like(s.u, 11.0))
+
+        monkeypatch.setattr(frontsim.oracle, "init_fhn", hot)
+        assert main(["run", "--preset", "expanding", "--out", str(tmp_path), "--oracle", "eps=0.05"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: u exceeded the blow-up bound |u| <= 10 at step 1, t = 0.000625, eps = 0.05" in err
+        assert "Traceback" not in err
 
     def test_invariant_violation_propagates(self, tmp_path, monkeypatch):
         # a plain RuntimeError is a bug, not a numerical failure with exit 3

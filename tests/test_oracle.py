@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,11 +25,57 @@ from frontsim.oracle import (
 )
 from frontsim.weak import run_weak
 
-from conftest import expanding_setup, merge_setup, shrinking_setup
+from conftest import TAU_STAR, expanding_setup, merge_setup, pulse_setup, shrinking_setup
 
 
 def small_cfg(pstar, eps=0.05, lo=-4.0, hi=4.0, **kw):
     return FHNConfig(pstar, eps, lo, hi, **kw)
+
+
+@pytest.fixture
+def kernel():
+    """The compiled FD kernel.  Its tests skip where no C compiler exists, the
+    one case run_fhn steps with numpy alone, and fail where one exists but the
+    kernel does not build."""
+    k = frontsim.oracle._kernel()
+    if k is None:
+        cc = frontsim.oracle._compiler()[0]
+        if shutil.which(cc) is None:
+            pytest.skip(f"no C compiler ({cc})")
+        pytest.fail(f"the FD kernel does not build with {cc}")
+    return k
+
+
+@pytest.fixture
+def fresh_kernel():
+    """_kernel's once-per-process build decision, cleared around the test."""
+    frontsim.oracle._kernel.cache_clear()
+    yield
+    frontsim.oracle._kernel.cache_clear()
+
+
+def numpy_path(monkeypatch):
+    """Make run_fhn step with _stepper, as where the kernel does not build."""
+    monkeypatch.setattr(frontsim.oracle, "_kernel", lambda: None)
+
+
+def stepper_on(path, request, cfg, u, v):
+    """(step, u, v) of _stepper, or of the compiled kernel one step a call."""
+    if path == "numpy":
+        return frontsim.oracle._stepper(cfg, u, v)
+    advance, u, v = frontsim.oracle._compiled(request.getfixturevalue("kernel"), cfg, u, v)
+    return functools.partial(advance, 1), u, v
+
+
+def assert_same_bits(got, want):
+    """Two FD runs agree bit for bit: sample times, interfaces, final fields."""
+    assert got.times.tobytes() == want.times.tobytes()
+    assert len(got.interfaces) == len(want.interfaces)
+    for a, b in zip(got.interfaces, want.interfaces):
+        assert a.tobytes() == b.tobytes()
+    assert got.final.u.tobytes() == want.final.u.tobytes()
+    assert got.final.v.tobytes() == want.final.v.tobytes()
+    assert got.final.t == want.final.t
 
 
 def one_step(cfg, u, v):
@@ -185,6 +235,7 @@ class TestStep:
         assert np.array_equal(trace.final.u, u_n)
         assert np.array_equal(trace.final.v, v_n)
 
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize(
         "start, branch",
         [
@@ -193,10 +244,10 @@ class TestStep:
             pytest.param(_below_rest, "clamped", id="clamped"),
         ],
     )
-    def test_kernel_matches_plain_reference_step(self, pstar, start, branch):
+    def test_kernel_matches_plain_reference_step(self, pstar, request, start, branch, path):
         # the step as plain array expressions, each operation in the stepper's
         # order, so every value must agree bit for bit; the reference clamps
-        # v every step, the stepper only when min(v) is not > 0
+        # v every step, the steppers only when min(v) is not > 0
         cfg = small_cfg(pstar)
         u, v = start(cfg)
         r, k = cfg.dt / cfg.dx**2, cfg.dt / cfg.eps**2
@@ -205,7 +256,7 @@ class TestStep:
         p3, p2, p1, kv = -k, k * (1.0 + c), 1.0 - 2.5 * r - k * c, k * cfg.eps * cfg.beta
         g1, g2, g3, g4 = cfg.params.g1, cfg.params.g2, cfg.params.g3, cfg.params.g4
         dt_g1, dt_g2 = cfg.dt * g1, cfg.dt * g2
-        step, u_n, v_n = frontsim.oracle._stepper(cfg, u, v)
+        step, u_n, v_n = stepper_on(path, request, cfg, u, v)
         taken = {"v_min_zero": 0, "clamped": 0}
         for _ in range(200):
             # two ghost cells a side, by even reflection: u[2], u[1] | u | u[-2], u[-3]
@@ -221,6 +272,94 @@ class TestStep:
             assert np.array_equal(u_n, u) and np.array_equal(v_n, v)
         # the datum must keep reaching the branch its case is for
         assert branch is None or taken[branch] > 0
+
+
+class TestCompiledKernel:
+    """run_fhn steps in the compiled kernel, and where it cannot be built in
+    _stepper's numpy step: both give the same bits and the same failures."""
+
+    @pytest.mark.parametrize("eps", [0.05, 0.02])
+    @pytest.mark.parametrize("setup", [merge_setup, expanding_setup])
+    def test_run_matches_numpy_path(self, pstar, kernel, monkeypatch, setup, eps):
+        # to t = 1.01, past the merge preset's t = 1 merge, in a step count
+        # that is no whole number of sample intervals: the last call is short
+        omega, v0 = setup(pstar)
+        t_end = 1.01
+        cfg = FHNConfig(pstar, eps, *omega.hull(pstar.a * t_end + 1.0 + 10.0 * eps))
+        assert math.ceil(t_end / cfg.dt) % round(0.02 / cfg.dt) != 0
+        got = run_fhn(cfg, omega, v0, t_end)
+        numpy_path(monkeypatch)
+        assert_same_bits(got, run_fhn(cfg, omega, v0, t_end))
+
+    def test_sample_dt_below_dt_samples_every_step(self, pstar, kernel, monkeypatch):
+        omega, v0 = merge_setup(pstar)
+        cfg = FHNConfig(pstar, 0.05, *omega.hull(2.0))
+        got = run_fhn(cfg, omega, v0, 0.05, sample_dt=0.5 * cfg.dt)
+        assert got.times.size == math.ceil(0.05 / cfg.dt) + 1
+        numpy_path(monkeypatch)
+        assert_same_bits(got, run_fhn(cfg, omega, v0, 0.05, sample_dt=0.5 * cfg.dt))
+
+    @pytest.mark.parametrize(
+        "kind, every, step",
+        [
+            # test_recovery_at_the_pole_raises' datum: the pole on step 1
+            ("pole", 1, 1),
+            # u = 3.4 on v = 0 leaves |u| <= 10 on step 3, the first step of
+            # the second call when a call takes every = 2 steps
+            ("u", 2, 3),
+        ],
+    )
+    def test_blow_up_matches_numpy_path(self, pstar, kernel, monkeypatch, kind, every, step):
+        cfg = small_cfg(pstar)
+        x = cfg.grid
+        if kind == "pole":
+            pole = -pstar.g4 / pstar.g3
+            u, v, match = np.zeros_like(x), np.full_like(x, pole * (1.0 + 1e-9)), "pole of g3"
+        else:
+            u, v, match = np.full_like(x, 3.4), np.zeros_like(x), "u exceeded the blow-up bound"
+        monkeypatch.setattr(frontsim.oracle, "init_fhn", lambda *args: FHNState(x=x, u=u, v=v, t=0.0))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FHNBlowUp, match=match) as raised:
+                run_fhn(cfg, IntervalSet((-1.0, 1.0)), Profile.constant(0.0, (-4, 4)), 0.1, sample_dt=every * cfg.dt)
+            messages.append(str(raised.value))
+            numpy_path(monkeypatch)
+        assert messages[0] == messages[1]
+        # what a rerun needs: the step, its time n*dt and eps
+        assert messages[0].count(f"at step {step}, t = {step * cfg.dt:.9g}, eps = 0.05") == 1
+
+    def test_unbuildable_kernel_falls_back_to_numpy(self, pstar, kernel, fresh_kernel, monkeypatch):
+        omega, v0 = merge_setup(pstar)
+        cfg = FHNConfig(pstar, 0.05, *omega.hull(2.5))
+        want = run_fhn(cfg, omega, v0, 1.01)
+        monkeypatch.setattr(frontsim.oracle, "_compiler", lambda: ["/nonexistent/frontsim-cc"])
+        frontsim.oracle._kernel.cache_clear()
+        got = run_fhn(cfg, omega, v0, 1.01)
+        assert frontsim.oracle._kernel() is None
+        assert_same_bits(got, want)
+
+    def test_read_only_package_builds_in_a_private_directory(self, pstar, kernel, fresh_kernel, monkeypatch):
+        # where __pycache__ is not writable and holds no build of this source
+        # and command (here a command with one more flag), the kernel is built
+        # and loaded in a temporary directory, which is gone once it is loaded
+        made = []
+        real_mkdtemp, real_compiler = tempfile.mkdtemp, frontsim.oracle._compiler
+
+        def mkdtemp(*args, **kwargs):
+            made.append(real_mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        monkeypatch.setattr(frontsim.oracle.os, "access", lambda *args: False)
+        monkeypatch.setattr(frontsim.oracle, "_compiler", lambda: [*real_compiler(), "-g0"])
+        omega, v0 = merge_setup(pstar)
+        cfg = FHNConfig(pstar, 0.05, *omega.hull(2.5))
+        got = run_fhn(cfg, omega, v0, 0.5)
+        assert frontsim.oracle._kernel() is not None
+        assert len(made) == 1 and not os.path.exists(made[0])
+        monkeypatch.undo()
+        numpy_path(monkeypatch)
+        assert_same_bits(got, run_fhn(cfg, omega, v0, 0.5))
 
 
 class TestExtract:
@@ -334,6 +473,27 @@ class TestDynamics:
             drops.append(abs(t_drop - t_track))
         assert drops[1] < drops[0]
         assert drops[1] < math.sqrt(0.02)
+
+    def test_annihilation_event_times(self, pstar):
+        # TestTravelingPulse's head-on collision on [-4, 8]: the tracked
+        # fronts merge at exactly t = 2 and the interval vanishes at 2 + tau*.
+        # The FD interface count goes 4 -> 2 -> 0 after each, by lags that fall
+        # with eps.  Measured, sampled every 1e-3 (8e-4 at eps 0.04):
+        # 0.0656, 0.0270, 0.0100 (merge) and 0.0947, 0.0387, 0.0157 (vanish)
+        omega, v0 = pulse_setup(pstar, 1601, 4.0)
+        lags = []
+        for eps in (0.04, 0.02, 0.01):
+            trace = run_fhn(FHNConfig(pstar, eps, -4.0, 8.0), omega, v0, 2.0 + TAU_STAR + 0.15, sample_dt=1e-3)
+            counts = [len(pos) for pos in trace.interfaces]
+            changes = [i for i in range(1, len(counts)) if counts[i] != counts[i - 1]]
+            assert [counts[0], *(counts[i] for i in changes)] == [4, 2, 0]
+            merge, vanish = trace.times[changes]
+            lags.append((merge - 2.0, vanish - (2.0 + TAU_STAR), eps))
+        for merge_lag, vanish_lag, eps in lags:
+            assert 0.0 < merge_lag <= 1.75 * eps
+            assert 0.0 < vanish_lag <= 2.5 * eps
+        for coarse, fine in zip(lags, lags[1:]):
+            assert fine[0] < coarse[0] and fine[1] < coarse[1]
 
     def test_pinned_positions(self, pstar):
         # reference positions from the step computed term by term (f(u) and

@@ -31,7 +31,7 @@ from frontsim.weak import (
     _pieces,
 )
 
-from conftest import merge_setup, shrinking_setup
+from conftest import TAU_STAR, merge_setup, pulse_setup, shrinking_setup
 
 SHRINK_TA = 0.66862646601575981
 
@@ -1487,33 +1487,6 @@ class TestUniquenessProbe:
         assert np.max(np.abs(runs[0] - runs[1])) < 1e-5
 
 
-# the time the excited flow takes from v = 0 to 2a/b, with the presets'
-# kinetics: the width, divided by a, of a steady traveling pulse, whose back
-# moves at b*v - a = a where v = 2a/b
-TAU_STAR = 1.5 - math.log(3.0) / 4.0
-
-
-def _behind_front(p, xi):
-    """The steady pulse's v at distance xi >= 0 behind its front: the excited
-    flow from 0 up to its back, the quiescent flow from 2a/b behind it."""
-    width = p.a * TAU_STAR
-    inside = flow_inside(p, 0.0, np.minimum(xi, width) / p.a)
-    return np.where(xi <= width, inside, flow_outside(p, 2.0 * p.a / p.b, np.maximum(xi - width, 0.0) / p.a))
-
-
-def _pulses(p, n: int, gap: float | None = None):
-    """A pulse moving right with its front at 0, and, given a gap, its mirror
-    image moving left with its front at gap; v0 on n knots evenly spaced over
-    12 units behind each front, and 0 ahead of them."""
-    xi = np.linspace(0.0, 12.0, n)
-    width = p.a * TAU_STAR
-    if gap is None:
-        return IntervalSet((-width, 0.0)), Profile(-xi[::-1], _behind_front(p, xi[::-1]))
-    xs = np.concatenate([-xi[::-1], gap + xi])
-    vs = np.concatenate([_behind_front(p, xi[::-1]), _behind_front(p, xi)])
-    return IntervalSet((-width, 0.0, gap, gap + width)), Profile(xs, vs)
-
-
 KNOTS = (401, 1601)  # knot spacings 4 apart
 
 
@@ -1522,7 +1495,7 @@ def pulse_runs(pstar):
     """{n: (the single pulse run to t = 10, the head-on collision of two
     pulses 4 apart run to t = 4)} for each knot count n of KNOTS."""
     return {
-        n: (run_weak(pstar, *_pulses(pstar, n), 10.0), run_weak(pstar, *_pulses(pstar, n, 4.0), 4.0))
+        n: (run_weak(pstar, *pulse_setup(pstar, n), 10.0), run_weak(pstar, *pulse_setup(pstar, n, 4.0), 4.0))
         for n in KNOTS
     }
 
