@@ -1,25 +1,23 @@
 /* k explicit steps of the finite-difference oracle (frontsim/oracle.py).
  *
- * Each step performs the IEEE operations of oracle._stepper, in its order,
- * and so gives the same bits; build it with -ffp-contract=off and without
- * -ffast-math, so that no product and sum fuse and nothing is reordered.
+ * oracle._stepper states the step and its checks.  Each step here performs
+ * its IEEE operations in its order, and so gives the same bits; build it
+ * with -ffp-contract=off and without -ffast-math, so that no product and
+ * sum fuse and nothing is reordered.
  *
  * U is u's row with two ghost cells a side (n + 4 values), V is v's n
- * values, W a scratch row of n values, and c the ten step constants r1, r2,
- * kv, p3, p2, p1, dt*g1, dt*g2, g3, g4 (oracle._step_constants).  New u
- * lands in W and is copied into U once every neighbour of the old one is
- * read, in the pass that takes the extremes the checks read; v is updated
- * in place, since its new value reads only its own cell.  The three rows
- * do not overlap.
+ * values, W a scratch row of n values, and c the ten step constants of
+ * oracle._step_constants, in its order.  New u lands in W and is copied
+ * into U once every neighbour of the old one is read, in the pass that
+ * takes the extremes the checks read; v is updated in place, since its new
+ * value reads only its own cell.  The three rows do not overlap.
  *
- * After each step the checks run in _stepper's order, with numpy's
- * semantics: min(v) is nan once any v is; v at or past the pole (min(v)*g3
- * + g4 not > 0, so nan too) returns 1; when min(v) is not > 0, v is clamped
- * at 0 as np.maximum(v, 0) does (nan stays, -0.0 becomes +0.0); then
- * max(u) > 10 or min(u) < -10 returns 2, unless some u is nan, where both
- * extremes are nan and fail their comparisons.  On a return of 1 or 2,
- * *done is the number of the step that failed (1 for the first of this
- * call) and *v_min its min(v); on 0, all k steps were taken and *done is k.
+ * The checks keep numpy's semantics: min(v) is nan once any v is; the
+ * clamp acts as np.maximum(v, 0) does (nan stays, -0.0 becomes +0.0); and
+ * once any u is nan, max(u) and min(u) are nan and fail their comparisons.
+ * The pole check returns 1 and the |u| check 2, with *done the number of
+ * the failing step (1 for the first of this call) and *v_min its min(v);
+ * on 0, all k steps were taken and *done is k.
  */
 
 #include <math.h>

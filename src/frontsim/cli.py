@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 configuration error (the illposed preset with
 degenerate speed (a front that stops or turns back mid-run; the message
 names the front's label, its end slope, t and h), 3 numerical failure
 (an FD oracle blow-up names the failing step, its t and eps).
+
+--sweep DIR runs every .ini in DIR, each into a directory of its name
+under --out, and --oracle applies to each of them as to a single run.  A
+DIR that cannot be listed or a bad --oracle list exits 1 before any run; a
+config that does not load is reported and the rest still run.
 """
 from __future__ import annotations
 
@@ -213,9 +218,13 @@ def _parse_oracle_arg(raw: str) -> tuple[float, ...]:
 
 
 def _sweep(args) -> int:
-    configs = sorted(
-        f for f in os.listdir(args.sweep) if f.endswith(".ini")
-    )
+    oracle_eps = _parse_oracle_arg(args.oracle) if args.oracle else None
+    try:
+        names = os.listdir(args.sweep)
+    except OSError as exc:
+        print(f"cannot read sweep directory {args.sweep}: {exc.strerror}", file=sys.stderr)
+        return 1
+    configs = sorted(f for f in names if f.endswith(".ini"))
     if not configs:
         print(f"no .ini configs in {args.sweep}", file=sys.stderr)
         return 1
@@ -230,6 +239,8 @@ def _sweep(args) -> int:
             codes.append(1)
             continue
         cfg.out_dir = os.path.join(base_out, os.path.splitext(name)[0])
+        if oracle_eps:
+            cfg.oracle_eps = oracle_eps
         codes.append(_dispatch(cfg, name))
     return max(codes)
 

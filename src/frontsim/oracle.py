@@ -9,9 +9,9 @@ system
 with the wave-speed coefficients related by a = sqrt(2)*alpha and
 b = 6*sqrt(2)*beta.  This module solves that system directly with explicit Euler
 and the fourth-order five-point Laplacian (Neumann boundaries) on a grid of
-dx = eps (one step, its buffers and its checks: _stepper), extracts the
-half-level crossings of u as interface positions, and compares them with
-tracked fronts.
+dx = eps (the step and its checks are stated once, in _stepper), extracts
+the half-level crossings of u as interface positions, and compares them
+with tracked fronts.
 
 run_fhn takes its steps in a compiled kernel, _fhn_step.c beside this file,
 one call per sample interval.  The kernel performs _stepper's IEEE
@@ -38,7 +38,7 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .kinetics import Parameters, _constants
+from .kinetics import Parameters
 from .state import IntervalSet, Profile
 from .weak import WeakSolution
 
@@ -190,98 +190,53 @@ def _blow_up(cfg: FHNConfig, kind: int, n: int, v_min: float) -> FHNBlowUp:
     return FHNBlowUp(f"u exceeded the blow-up bound |u| <= 10 {where}; scheme unstable")
 
 
-def _fields(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fields, both): a (2, n + 4) buffer, and the (2, n) view of its rows'
-    interiors holding copies of u and v; u's row has two ghost cells a side.
-    Both steppers step this layout."""
-    fields = np.zeros((2, u.size + 4))
-    both = fields[:, 2:-2]
-    both[0], both[1] = u, v
-    return fields, both
-
-
 def _stepper(cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
-    """(step, u, v): step() takes one explicit step in place on buffers
-    allocated once, and u and v are views of the fields it steps (copies of
-    the u and v given, which stay as they are).
+    """(advance, u, v): advance(k) takes k explicit steps in place on copies
+    of the u and v given, which stay as they are, and u and v are those
+    copies.  This is the step, stated once: _fhn_step.c performs its IEEE
+    operations and checks in its order, and so gives the same bits.
 
-    u and v are the interiors of the two rows of one (2, n + 4) buffer, so
-    one reduction along the rows gives both minima the checks read.  Each
-    step sets u's two ghost cells at each end by even reflection
-    (U[0] = U[4], U[1] = U[3], U[-1] = U[-5], U[-2] = U[-4]), the Neumann
-    boundary of the five-point Laplacian (-1, 16, -30, 16, -1)/(12*dx^2).
-    Diffusion and the reaction cubic fold into
+    u lives in a row U with two ghost cells a side, set by even reflection
+    before each step: the Neumann boundary of the five-point Laplacian
+    (-1, 16, -30, 16, -1)/(12*dx^2), whose centre weight enters p1 as -2.5r
+    beside the reaction cubic's linear term (_step_constants).  Both
+    updates read the old u and v.
 
-        u_new = ((p3*u + p2)*u + p1)*u
-                + (r1*(U[i+1] + U[i-1]) - r2*(U[i+2] + U[i-2])) - kv*v,
-
-    with r = dt/dx^2, r1 = 16r/12, r2 = r/12, k = dt/eps^2,
-    c = 1/2 - eps*alpha, p3 = -k, p2 = k(1 + c), p1 = 1 - 2.5r - k*c and
-    kv = k*eps*beta (_step_constants), and v += dt*g1*u - dt*g2*v/(g3*v + g4);
-    both read the old u and v, and both land in place once every term is
-    read.  The constants (and the clamp's 0) are read-only 0-d float64
-    arrays, not floats: a ufunc takes those at a smaller fixed cost with the
-    same bits, and at a few hundred cells that fixed cost is most of a step.
-    step reads them, the buffers, their views and the ufuncs as closure
-    variables bound here once.
-
-    The checks run in a fixed order after the update: v at or past the pole
-    of g2*v/(g3*v + g4) raises FHNBlowUp, that is when min(v)*g3 + g4 is not
-    > 0 (so nan raises too); then v is clamped at 0, but only when min(v) is
-    not > 0, where the clamp is the identity; then |u| above 10 raises
-    FHNBlowUp.  step counts its calls, and an FHNBlowUp names the step.
-
-    This is the reference for _fhn_step.c, which run_fhn steps with when it
-    builds: that kernel must keep these operations and checks in this order.
+    The checks run in this order after the update: v at or past the pole of
+    g2*v/(g3*v + g4) raises FHNBlowUp (min(v)*g3 + g4 not > 0, which nan
+    fails too); v is clamped at 0 only when min(v) is not > 0, since
+    elsewhere the clamp is the identity; |u| above 10 raises FHNBlowUp.
+    advance counts steps from the start of the run, and an FHNBlowUp names
+    the step.
     """
-    p = cfg.params
-    r1, r2, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4, zero = _constants(*_step_constants(cfg), 0.0)
-    fields, both = _fields(u, v)
-    u, v = both
-    U = fields[0]
-    right, left, right2, left2 = U[3:-1], U[1:-3], U[4:], U[:-4]
-    s, t, q, z = (np.empty(u.size) for _ in range(4))
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    minimum, maximum = np.minimum, np.maximum
+    r1, r2, kv, p3, p2, p1, dt_g1, dt_g2, g3, g4 = _step_constants(cfg)
+    U = np.zeros(u.size + 4)
+    U[2:-2] = u
+    u, v = U[2:-2], v.copy()
+    R, L, R2, L2 = U[3:-1], U[1:-3], U[4:], U[:-4]
     n = 0
 
-    def step() -> None:
+    def advance(k: int) -> None:
         nonlocal n
-        n += 1
-        U[0] = U[4]
-        U[1] = U[3]
-        U[-1] = U[-5]
-        U[-2] = U[-4]
-        add(right, left, s)
-        mul(s, r1, s)
-        add(right2, left2, q)
-        mul(q, r2, q)
-        sub(s, q, s)
-        mul(u, p3, t)
-        add(t, p2, t)
-        mul(t, u, t)
-        add(t, p1, t)
-        mul(t, u, t)
-        add(t, s, t)
-        mul(v, kv, s)
-        mul(u, dt_g1, z)
-        mul(v, g3, q)
-        add(q, g4, q)
-        div(v, q, q)
-        mul(q, dt_g2, q)
-        sub(z, q, z)
-        add(v, z, v)
-        sub(t, s, u)
-        u_min, v_min = minimum.reduce(both, axis=1).tolist()
-        if not v_min * p.g3 + p.g4 > 0.0:
-            raise _blow_up(cfg, _POLE, n, v_min)
-        if not v_min > 0.0:
-            # numpy deprecates a third positional argument of np.maximum
-            maximum(v, zero, out=v)
-        if maximum.reduce(u) > 10.0 or u_min < -10.0:
-            raise _blow_up(cfg, _U_BOUND, n, v_min)
+        for _ in range(k):
+            n += 1
+            U[0] = U[4]
+            U[1] = U[3]
+            U[-1] = U[-5]
+            U[-2] = U[-4]
+            lap = (R + L) * r1 - (R2 + L2) * r2
+            u_new = ((u * p3 + p2) * u + p1) * u + lap - v * kv
+            v[:] = v + (u * dt_g1 - v / (v * g3 + g4) * dt_g2)
+            u[:] = u_new
+            v_min = v.min()
+            if not v_min * g3 + g4 > 0.0:
+                raise _blow_up(cfg, _POLE, n, v_min)
+            if not v_min > 0.0:
+                np.maximum(v, 0.0, out=v)
+            if u.max() > 10.0 or u.min() < -10.0:
+                raise _blow_up(cfg, _U_BOUND, n, v_min)
 
-    return step, u, v
+    return advance, u, v
 
 
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -355,17 +310,18 @@ def _kernel():
 
 
 def _compiled(kernel, cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
-    """(advance, u, v) as _stepper's (step, u, v), where advance(k) takes k
-    steps in one call of the compiled kernel, in _stepper's buffer layout."""
+    """(advance, u, v) as _stepper's, where advance(k) takes its k steps in
+    one call of the compiled kernel."""
     import ctypes
 
-    fields, both = _fields(u, v)
-    u, v = both
+    U = np.zeros(u.size + 4)
+    U[2:-2] = u
+    u, v = U[2:-2], v.copy()
     scratch = np.empty(u.size)
     consts = np.array(_step_constants(cfg))
     # data_as pointers hold their arrays, so the buffers live as long as advance
     ptr = ctypes.c_void_p
-    args = (fields[0].ctypes.data_as(ptr), v.ctypes.data_as(ptr), scratch.ctypes.data_as(ptr), u.size,
+    args = (U.ctypes.data_as(ptr), v.ctypes.data_as(ptr), scratch.ctypes.data_as(ptr), u.size,
             consts.ctypes.data_as(ptr))
     done, v_min = ctypes.c_long(), ctypes.c_double()
     out = (ctypes.byref(done), ctypes.byref(v_min))
@@ -377,21 +333,6 @@ def _compiled(kernel, cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
         n += done.value
         if kind:
             raise _blow_up(cfg, kind, n, v_min.value)
-
-    return advance, u, v
-
-
-def _advance(cfg: FHNConfig, u: np.ndarray, v: np.ndarray):
-    """(advance, u, v): advance(k) takes k steps, in one call of the compiled
-    kernel when it builds, else k calls of _stepper's step; same bits."""
-    kernel = _kernel()
-    if kernel is not None:
-        return _compiled(kernel, cfg, u, v)
-    step, u, v = _stepper(cfg, u, v)
-
-    def advance(k: int) -> None:
-        for _ in range(k):
-            step()
 
     return advance, u, v
 
@@ -423,9 +364,18 @@ def run_fhn(
 ) -> FHNTrace:
     """March to t_end, recording interface crossings every ~sample_dt: after
     every round(sample_dt/dt) steps (at least 1) and after the last, each
-    stretch between samples one call of the compiled kernel (see _advance)."""
+    stretch between samples one advance(k) of the compiled kernel, or of
+    _stepper where it does not build.  t_end and sample_dt must be finite
+    and > 0 (ValueError)."""
+    for name, value in (("t_end", t_end), ("sample_dt", sample_dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     state = init_fhn(cfg, omega, profile)
-    advance, u, v = _advance(cfg, state.u, state.v)
+    kernel = _kernel()
+    if kernel is None:
+        advance, u, v = _stepper(cfg, state.u, state.v)
+    else:
+        advance, u, v = _compiled(kernel, cfg, state.u, state.v)
     n_steps = int(math.ceil(t_end / cfg.dt))
     every = max(1, int(round(sample_dt / cfg.dt)))
     times = [0.0]

@@ -627,10 +627,15 @@ class TestMainExitCodes:
             (["--sweep", "{sweep}", "--preset", "expanding"], "--sweep excludes a config file or --preset"),
             (["{config}", "--preset", "expanding"], "give either a config file or --preset, not both"),
             (["--sweep", "{empty}"], "no .ini configs in {empty}"),
+            (["--sweep", "{missing}"], "cannot read sweep directory {missing}"),
+            (["--sweep", "{sweep}", "--oracle", "eps=0,1"], "--oracle eps:"),
         ],
     )
     def test_conflicting_or_empty_targets_are_one(self, tmp_path, capsys, argv, message):
-        paths = {"sweep": tmp_path / "configs", "empty": tmp_path / "empty", "config": tmp_path / "configs" / "a.ini"}
+        paths = {
+            "sweep": tmp_path / "configs", "empty": tmp_path / "empty", "config": tmp_path / "configs" / "a.ini",
+            "missing": tmp_path / "missing",
+        }
         for d in ("sweep", "empty"):
             paths[d].mkdir()
         paths["config"].write_text(GOOD_CONFIG)
@@ -659,15 +664,18 @@ class TestMainExitCodes:
         assert "--oracle: the illposed preset runs no oracle" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_sweep(self, tmp_path):
+    @pytest.mark.parametrize("oracle", [[], ["--oracle", "eps=0.05"]])
+    def test_sweep(self, tmp_path, oracle):
+        # --oracle reaches every config of a sweep (it wrote no oracle/)
         sweep_dir = tmp_path / "configs"
         sweep_dir.mkdir()
         for name in ("a.ini", "b.ini"):
             (sweep_dir / name).write_text(GOOD_CONFIG)
         out = tmp_path / "sweepout"
-        assert main(["run", "--sweep", str(sweep_dir), "--out", str(out)]) == 0
-        assert (out / "a" / "trajectories.csv").exists()
-        assert (out / "b" / "trajectories.csv").exists()
+        assert main(["run", "--sweep", str(sweep_dir), "--out", str(out), *oracle]) == 0
+        for name in ("a", "b"):
+            assert (out / name / "trajectories.csv").exists()
+            assert (out / name / "oracle" / "summary.json").exists() == bool(oracle)
 
     def test_malformed_config_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

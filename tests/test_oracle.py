@@ -60,10 +60,11 @@ def numpy_path(monkeypatch):
 
 
 def stepper_on(path, request, cfg, u, v):
-    """(step, u, v) of _stepper, or of the compiled kernel one step a call."""
+    """(step, u, v): step() takes one step of _stepper or of the compiled kernel."""
     if path == "numpy":
-        return frontsim.oracle._stepper(cfg, u, v)
-    advance, u, v = frontsim.oracle._compiled(request.getfixturevalue("kernel"), cfg, u, v)
+        advance, u, v = frontsim.oracle._stepper(cfg, u, v)
+    else:
+        advance, u, v = frontsim.oracle._compiled(request.getfixturevalue("kernel"), cfg, u, v)
     return functools.partial(advance, 1), u, v
 
 
@@ -80,8 +81,8 @@ def assert_same_bits(got, want):
 
 def one_step(cfg, u, v):
     """The state after one explicit step from (u, v)."""
-    step, u, v = frontsim.oracle._stepper(cfg, u, v)
-    step()
+    advance, u, v = frontsim.oracle._stepper(cfg, u, v)
+    advance(1)
     return FHNState(x=cfg.grid, u=u, v=v, t=cfg.dt)
 
 
@@ -228,12 +229,22 @@ class TestStep:
         trace = run_fhn(cfg, omega, v0, t_end)
         s = init_fhn(cfg, omega, v0)
         u, v = s.u.copy(), s.v.copy()
-        step, u_n, v_n = frontsim.oracle._stepper(cfg, s.u, s.v)
+        advance, u_n, v_n = frontsim.oracle._stepper(cfg, s.u, s.v)
         for _ in range(n):
-            step()
+            advance(1)
             assert np.array_equal(s.u, u) and np.array_equal(s.v, v)
         assert np.array_equal(trace.final.u, u_n)
         assert np.array_equal(trace.final.v, v_n)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["t_end", "sample_dt"])
+    def test_run_rejects_times_not_finite_and_positive(self, pstar, name, bad):
+        # t_end = -1 returned a trace ending at t = -0.99937; nan and inf
+        # died in math.ceil or int() with a message that named neither
+        times = {"t_end": 0.1, "sample_dt": 0.02, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            run_fhn(small_cfg(pstar), IntervalSet((-1.0, 1.0)), Profile.constant(0.0, (-4, 4)), times["t_end"],
+                    sample_dt=times["sample_dt"])
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize(
